@@ -47,6 +47,7 @@ from .network import (
     concat_outputs,
     constant_shift,
     eval_abstract,
+    eval_abstract_many,
     eval_concrete,
     identity_network,
     stats,

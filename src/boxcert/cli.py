@@ -10,6 +10,7 @@ environment variable is set; every command flag overrides it.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import re
 import sys
@@ -26,7 +27,7 @@ from .expr import ParseError, parse_func
 from .fixtures import FIXTURES
 from .intervals import BoxRegion
 from .netio import NetworkFormatError, parse_box_text
-from .network import eval_abstract, eval_concrete
+from .network import eval_abstract, eval_abstract_many
 from .oracle import OracleBudgetError
 from .verify import RunConfig, network_domain, verify_network
 
@@ -34,6 +35,11 @@ EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
+
+# Cells per batched propagation in plot-data. With their sample points that
+# is 2,048 boxes, a 32 MB buffer on a 1,000-column network; all 201 x 201
+# cells at once would take 630 MB.
+PLOT_CHUNK = 1024
 
 
 class _UsageError(Exception):
@@ -176,31 +182,24 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     for b in domain.bounds:
         step = (b.hi - b.lo) / (args.samples - 1)
         axes.append([b.lo + i * step for i in range(args.samples)])
+    # Each sample point is the lower corner of its cell; the last cell on an axis is a point.
+    cells = [list(zip(xs, xs[1:] + xs[-1:])) for xs in axes]
+    points = list(itertools.product(*axes))
+    boxes = list(itertools.product(*cells))
 
     with open(args.out, "w", encoding="utf-8") as fh:
-        if domain.dim == 1:
-            fh.write("x0,f,n,box_lo,box_hi\n")
-            xs = axes[0]
-            for i, x in enumerate(xs):
-                cell = BoxRegion.from_pairs([(x, xs[i + 1] if i + 1 < len(xs) else x)])
-                prop = eval_abstract(net, cell).bounds[0]
-                fh.write(
-                    f"{x!r},{f.eval([x])!r},{eval_concrete(net, [x])[0]!r},"
-                    f"{prop.lo!r},{prop.hi!r}\n"
-                )
-        else:
-            fh.write("x0,x1,f,n,box_lo,box_hi\n")
-            xs, ys = axes
-            for i, x in enumerate(xs):
-                x2 = xs[i + 1] if i + 1 < len(xs) else x
-                for j, y in enumerate(ys):
-                    y2 = ys[j + 1] if j + 1 < len(ys) else y
-                    cell = BoxRegion.from_pairs([(x, x2), (y, y2)])
-                    prop = eval_abstract(net, cell).bounds[0]
-                    fh.write(
-                        f"{x!r},{y!r},{f.eval([x, y])!r},{eval_concrete(net, [x, y])[0]!r},"
-                        f"{prop.lo!r},{prop.hi!r}\n"
-                    )
+        fh.write(",".join(f"x{k}" for k in range(domain.dim)) + ",f,n,box_lo,box_hi\n")
+        for at in range(0, len(points), PLOT_CHUNK):
+            chunk = points[at : at + PLOT_CHUNK]
+            props = eval_abstract_many(
+                net,
+                [BoxRegion.from_pairs(cell) for cell in boxes[at : at + PLOT_CHUNK]]
+                + [BoxRegion.point(x) for x in chunk],
+            )
+            for x, prop, value in zip(chunk, props, props[len(chunk) :]):
+                coords = ",".join(repr(v) for v in x)
+                lo, hi = prop.bounds[0].lo, prop.bounds[0].hi
+                fh.write(f"{coords},{f.eval(list(x))!r},{value.bounds[0].lo!r},{lo!r},{hi!r}\n")
     print(f"wrote plot data to {args.out}")
     return EXIT_OK
 

@@ -22,9 +22,10 @@ loader reports cycles and forward references separately, each with the node id.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .intervals import BoxRegion
-from .network import Network, Node, affine_node, concat_node, input_node, relu_node, sum_node
+from .network import Network, Node
 
 MAGIC = "boxcert-net"
 VERSION = 1
@@ -67,12 +68,22 @@ def serialize(net: Network) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_node(node_id: int, kind: str, rest: list[str]) -> tuple[Node, list[int]]:
+class _RawNode(NamedTuple):
+    """A node line's fields, with the predecessor ids as written in the document."""
+
+    kind: str
+    preds: list[int]
+    index: int = -1
+    weights: tuple[tuple[float, ...], ...] = ()
+    bias: tuple[float, ...] = ()
+
+
+def _parse_node(node_id: int, kind: str, rest: list[str]) -> _RawNode:
     where = f"node {node_id}"
     if kind == "input":
         if len(rest) != 1:
             raise NetworkFormatError(f"{where}: input takes one index")
-        return input_node(int(rest[0])), []
+        return _RawNode("input", [], index=int(rest[0]))
     if kind == "affine":
         if len(rest) < 3:
             raise NetworkFormatError(f"{where}: affine needs pred, rows, cols")
@@ -84,22 +95,21 @@ def _parse_node(node_id: int, kind: str, rest: list[str]) -> tuple[Node, list[in
             raise NetworkFormatError(
                 f"{where}: affine expects {rows + rows * cols} numbers, got {len(vals)}"
             )
-        bias = [_parse_float(t, where) for t in vals[:rows]]
-        flat = [_parse_float(t, where) for t in vals[rows:]]
-        weights = [flat[r * cols : (r + 1) * cols] for r in range(rows)]
-        return affine_node(0, weights, bias), [pred]
+        nums = [_parse_float(t, where) for t in vals]
+        weights = tuple(tuple(nums[rows + r * cols : rows + (r + 1) * cols]) for r in range(rows))
+        return _RawNode("affine", [pred], weights=weights, bias=tuple(nums[:rows]))
     if kind == "relu":
         if len(rest) != 1:
             raise NetworkFormatError(f"{where}: relu takes one predecessor")
-        return relu_node(0), [int(rest[0])]
+        return _RawNode("relu", [int(rest[0])])
     if kind == "sum":
         if len(rest) < 2:
             raise NetworkFormatError(f"{where}: sum needs at least two predecessors")
-        return sum_node([0]), [int(t) for t in rest]
+        return _RawNode("sum", [int(t) for t in rest])
     if kind == "concat":
         if not rest:
             raise NetworkFormatError(f"{where}: concat needs at least one predecessor")
-        return concat_node([0]), [int(t) for t in rest]
+        return _RawNode("concat", [int(t) for t in rest])
     raise NetworkFormatError(f"{where}: unknown node kind {kind!r}")
 
 
@@ -118,7 +128,7 @@ def deserialize(text: str) -> Network:
     output_id: int | None = None
     metadata: dict[str, str] = {}
     order: list[int] = []
-    raw: dict[int, tuple[Node, list[int]]] = {}
+    raw: dict[int, _RawNode] = {}
 
     for ln in lines[1:]:
         parts = ln.split()
@@ -150,37 +160,34 @@ def deserialize(text: str) -> Network:
     if output_id not in raw:
         raise NetworkFormatError(f"output references undefined node {output_id}")
 
-    for node_id, (_, preds) in raw.items():
-        for p in preds:
+    for node_id, node in raw.items():
+        for p in node.preds:
             if p not in raw:
                 raise NetworkFormatError(f"node {node_id} references undefined node {p}")
 
-    _reject_cycles(raw)
-
+    # Every predecessor listed earlier rules out a cycle; only an out-of-order
+    # document needs the cycle search, which tells a cycle from a forward reference.
     position = {node_id: i for i, node_id in enumerate(order)}
-    for node_id in order:
-        for p in raw[node_id][1]:
-            if position[p] >= position[node_id]:
-                raise NetworkFormatError(f"node {node_id} listed before predecessor {p}")
-
     nodes = []
-    for node_id in order:
-        node, preds = raw[node_id]
-        nodes.append(
-            Node(node.kind, preds=tuple(position[p] for p in preds), index=node.index,
-                 weights=node.weights, bias=node.bias)
-        )
+    for i, node_id in enumerate(order):
+        kind, preds, index, weights, bias = raw[node_id]
+        pred_positions = tuple(position[p] for p in preds)
+        for p, at in zip(preds, pred_positions):
+            if at >= i:
+                _reject_cycles(raw)
+                raise NetworkFormatError(f"node {node_id} listed before predecessor {p}")
+        nodes.append(Node(kind, pred_positions, index, weights, bias))
     try:
         return Network(tuple(nodes), position[output_id], input_dim, metadata)
     except ValueError as exc:
         raise NetworkFormatError(f"invalid network document: {exc}") from exc
 
 
-def _reject_cycles(raw: dict[int, tuple[Node, list[int]]]) -> None:
-    remaining = {node_id: set(preds) for node_id, (_, preds) in raw.items()}
+def _reject_cycles(raw: dict[int, _RawNode]) -> None:
+    remaining = {node_id: set(node.preds) for node_id, node in raw.items()}
     users: dict[int, list[int]] = {node_id: [] for node_id in raw}
-    for node_id, (_, preds) in raw.items():
-        for p in set(preds):
+    for node_id, node in raw.items():
+        for p in set(node.preds):
             users[p].append(node_id)
     ready = [n for n, deps in remaining.items() if not deps]
     done = 0

@@ -1,22 +1,44 @@
-"""DAG intermediate representation for ReLU networks.
+"""DAG intermediate representation for ReLU networks, and its one evaluator.
 
 A network is a tuple of nodes stored in one fixed topological order (a node's
 predecessors are always earlier in the tuple, so positions double as ids).
-Concrete and abstract evaluation walk the same order and perform the same
-floating-point operations per node, which makes propagation of a point box
-bit-identical to concrete evaluation.
 
-Networks are immutable after construction and evaluation is pure, so instances
-can be shared freely across threads. Builders and combinators always produce
-new networks.
+On first evaluation a network is lowered once into a levelled array program
+(``Network.program``). Each non-concat node owns a contiguous range of columns
+in one float64 buffer of shape ``(boxes, 2, columns)`` holding the lower and
+upper ends of every box; concat nodes are column index lists only. A node's
+level is one more than its deepest predecessor's (concat nodes add none), and
+the affine rows, relus and sums of one level each run as one array stage over
+all boxes at once. ``eval_abstract_many`` runs the program; ``eval_abstract``
+is its one-box case and ``eval_concrete`` its point-box case.
+
+The stages repeat the interval transformers of ``intervals`` bit for bit, so a
+point box propagates to exactly the concrete value:
+
+* an affine row adds its nonzero terms in stored order to ``+0.0`` and the bias
+  last, taking a term's lower end from the upper input end when the weight is
+  negative (no matrix product, whose summation order is unspecified);
+* a sum adds its predecessors left to right;
+* a relu maps ``t`` to ``t if t > 0.0 else 0.0``, which is ``max(0.0, t)``.
+
+The test suite keeps the per-node ``Interval`` walk as the reference. As in
+that walk, a value anywhere in the network that leaves the finite doubles
+raises ``ValueError``.
+
+Networks are immutable after construction and evaluation is pure (each call
+owns its buffer), so instances can be shared freely across threads. Builders
+and combinators always produce new networks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .intervals import BoxRegion, Interval, iv_add, iv_affine_row, iv_relu
+import numpy as np
+
+from .intervals import BoxRegion, Interval
 
 KINDS = ("input", "affine", "relu", "sum", "concat")
 
@@ -74,6 +96,11 @@ class Network:
     def arity(self, node_id: int) -> int:
         return self.arities[node_id]
 
+    @functools.cached_property
+    def program(self) -> Program:
+        """The levelled array program, compiled when the network is first evaluated."""
+        return _compile(self)
+
 
 def _validate(nodes: tuple[Node, ...], output: int, input_dim: int) -> tuple[int, ...]:
     if not nodes:
@@ -129,66 +156,191 @@ def _validate(nodes: tuple[Node, ...], output: int, input_dim: int) -> tuple[int
     return tuple(arities)
 
 
-def eval_concrete(net: Network, x: Sequence[float]) -> tuple[float, ...]:
-    """Evaluate the DAG at a point. Affine rows accumulate left to right, bias last."""
-    if len(x) != net.input_dim:
-        raise ValueError(f"expected {net.input_dim} inputs, got {len(x)}")
-    vals: list[tuple[float, ...]] = []
-    for node in net.nodes:
+class _AffineStage(NamedTuple):
+    """The affine rows of one level, written to columns ``[start, stop)``."""
+
+    start: int
+    stop: int
+    src: np.ndarray  # (terms, 2, rows): flat buffer index of each term's lower and upper source
+    weights: np.ndarray  # (terms, 1, rows)
+    bias: np.ndarray  # (rows,)
+
+    def run(self, x: np.ndarray) -> None:
+        terms = x.reshape(x.shape[0], -1).take(self.src, axis=1)
+        terms *= self.weights
+        acc = terms[:, 0]
+        acc += 0.0  # each row starts from +0.0: 0.0 + w * x
+        for k in range(1, terms.shape[1]):
+            acc += terms[:, k]
+        np.add(acc, self.bias, out=x[:, :, self.start : self.stop])
+
+
+class _SumStage(NamedTuple):
+    """The sum nodes of one level: each output column adds its source columns in order."""
+
+    start: int
+    stop: int
+    src: np.ndarray  # (terms, columns)
+
+    def run(self, x: np.ndarray) -> None:
+        terms = x.take(self.src, axis=2)
+        acc = terms[:, :, 0]
+        for k in range(1, terms.shape[2]):
+            acc += terms[:, :, k]
+        x[:, :, self.start : self.stop] = acc
+
+
+class _ReluStage(NamedTuple):
+    """The relu nodes of one level."""
+
+    start: int
+    stop: int
+    src: np.ndarray  # (columns,)
+
+    def run(self, x: np.ndarray) -> None:
+        pre = x.take(self.src, axis=2)
+        x[:, :, self.start : self.stop] = np.where(pre > 0.0, pre, 0.0)
+
+
+class Program(NamedTuple):
+    """A network lowered to levelled array stages over one ``(boxes, 2, columns)`` buffer.
+
+    Column ``k < input_dim`` holds input ``k``. The last column holds ``-0.0``,
+    the identity of IEEE addition, which pads rows and sums shorter than the
+    longest of their stage. Affine stages index the buffer flattened to
+    ``(boxes, 2 * columns)``: the lower end of column ``c`` at ``c``, the upper
+    end at ``columns + c``.
+    """
+
+    input_dim: int
+    columns: int
+    stages: tuple[_AffineStage | _SumStage | _ReluStage, ...]
+    output: np.ndarray  # the output node's columns
+
+    def run(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Propagate the boxes ``[lo[b], hi[b]]`` (each of shape ``(boxes, input_dim)``)."""
+        x = np.empty((lo.shape[0], 2, self.columns))
+        x[:, 0, : self.input_dim] = lo
+        x[:, 1, : self.input_dim] = hi
+        x[:, :, -1] = -0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            for stage in self.stages:
+                stage.run(x)
+        if not np.isfinite(x).all():
+            raise ValueError(
+                "interval endpoints must be finite; propagation produced a non-finite value"
+            )
+        out = x.take(self.output, axis=2)
+        return out[:, 0], out[:, 1]
+
+
+def _compile(net: Network) -> Program:
+    nodes = net.nodes
+    arities = net.arities
+    level = [0] * len(nodes)
+    groups: dict[tuple[int, str], list[int]] = {}
+    for i, node in enumerate(nodes):
+        kind = node.kind
+        if kind == "input":
+            continue
+        preds = node.preds
+        top = level[preds[0]] if len(preds) == 1 else max(level[p] for p in preds)
+        if kind == "concat":
+            level[i] = top
+        else:
+            level[i] = top + 1
+            groups.setdefault((top + 1, kind), []).append(i)
+    keys = sorted(groups)
+
+    # Columns: inputs first, then each stage's nodes in a contiguous block.
+    cols: list[Sequence[int]] = [()] * len(nodes)
+    spans = []
+    nxt = net.input_dim
+    for key in keys:
+        start = nxt
+        for i in groups[key]:
+            cols[i] = range(nxt, nxt + arities[i])
+            nxt += arities[i]
+        spans.append((start, nxt))
+    for i, node in enumerate(nodes):
         if node.kind == "input":
-            vals.append((float(x[node.index]),))
-        elif node.kind == "affine":
-            v = vals[node.preds[0]]
-            out = []
-            for row, b in zip(node.weights, node.bias):
-                acc = 0.0
-                for w, xv in zip(row, v):
-                    acc += w * xv
-                out.append(acc + b)
-            vals.append(tuple(out))
-        elif node.kind == "relu":
-            vals.append(tuple(max(0.0, t) for t in vals[node.preds[0]]))
-        elif node.kind == "sum":
-            acc_v = list(vals[node.preds[0]])
-            for p in node.preds[1:]:
-                nxt = vals[p]
-                for j in range(len(acc_v)):
-                    acc_v[j] = acc_v[j] + nxt[j]
-            vals.append(tuple(acc_v))
-        else:  # concat
-            parts: list[float] = []
-            for p in node.preds:
-                parts.extend(vals[p])
-            vals.append(tuple(parts))
-    return vals[net.output]
+            cols[i] = (node.index,)
+        elif node.kind == "concat":
+            cols[i] = [c for p in node.preds for c in cols[p]]
+    pad = nxt  # the -0.0 column
+    columns = nxt + 1
+
+    stages: list[_AffineStage | _SumStage | _ReluStage] = []
+    for key, (start, stop) in zip(keys, spans):
+        kind = key[1]
+        members = [nodes[i] for i in groups[key]]
+        if kind == "relu":
+            src = [c for node in members for c in cols[node.preds[0]]]
+            stages.append(_ReluStage(start, stop, np.array(src, dtype=np.intp)))
+        elif kind == "sum":
+            rows = [t for node in members for t in zip(*(cols[p] for p in node.preds))]
+            depth = max(len(r) for r in rows)
+            src = [r + (pad,) * (depth - len(r)) for r in rows]
+            stages.append(_SumStage(start, stop, np.array(src, dtype=np.intp).T.copy()))
+        else:
+            flat_w: list[float] = []
+            flat_c: list[int] = []
+            widths: list[int] = []
+            bias: list[float] = []
+            for node in members:
+                pred_cols = cols[node.preds[0]]
+                for row in node.weights:
+                    flat_w.extend(row)
+                    flat_c.extend(pred_cols)
+                widths.extend([len(pred_cols)] * len(node.bias))
+                bias.extend(node.bias)
+            w = np.array(flat_w)
+            keep = w != 0.0
+            w = w[keep]
+            c = np.array(flat_c, dtype=np.intp)[keep]
+            row = np.repeat(np.arange(len(bias)), widths)[keep]
+            k = np.arange(row.size) - np.searchsorted(row, row)  # term's place in its row
+            depth = int(k.max()) + 1 if k.size else 1
+            w_table = np.ones((depth, len(bias)))  # a pad term is 1.0 * -0.0
+            w_table[k, row] = w
+            c_table = np.full((depth, len(bias)), pad, dtype=np.intp)
+            c_table[k, row] = c
+            # A negative weight takes a term's lower end from the upper input end.
+            pos = w_table > 0.0
+            lo_src = np.where(pos, c_table, c_table + columns)
+            hi_src = np.where(pos, c_table + columns, c_table)
+            src = np.stack([lo_src, hi_src], axis=1)
+            stages.append(_AffineStage(start, stop, src, w_table[:, None, :], np.array(bias)))
+    return Program(net.input_dim, columns, tuple(stages), np.array(cols[net.output], dtype=np.intp))
+
+
+def eval_abstract_many(net: Network, boxes: Sequence[BoxRegion]) -> list[BoxRegion]:
+    """Propagate every box through the compiled program in one batched call."""
+    if not boxes:
+        return []
+    for box in boxes:
+        if box.dim != net.input_dim:
+            raise ValueError(f"expected a {net.input_dim}-d box, got {box.dim}-d")
+    bounds = np.array([[(b.lo, b.hi) for b in box.bounds] for box in boxes])
+    lo, hi = net.program.run(bounds[:, :, 0], bounds[:, :, 1])
+    return [
+        BoxRegion(tuple(Interval(a, b) for a, b in zip(row_lo, row_hi)))
+        for row_lo, row_hi in zip(lo.tolist(), hi.tolist())
+    ]
 
 
 def eval_abstract(net: Network, box: BoxRegion) -> BoxRegion:
-    """Propagate a box through the DAG with interval transformers, same node order."""
-    if box.dim != net.input_dim:
-        raise ValueError(f"expected a {net.input_dim}-d box, got {box.dim}-d")
-    vals: list[tuple[Interval, ...]] = []
-    for node in net.nodes:
-        if node.kind == "input":
-            vals.append((box.bounds[node.index],))
-        elif node.kind == "affine":
-            v = vals[node.preds[0]]
-            vals.append(tuple(iv_affine_row(row, b, v) for row, b in zip(node.weights, node.bias)))
-        elif node.kind == "relu":
-            vals.append(tuple(iv_relu(t) for t in vals[node.preds[0]]))
-        elif node.kind == "sum":
-            acc = list(vals[node.preds[0]])
-            for p in node.preds[1:]:
-                nxt = vals[p]
-                for j in range(len(acc)):
-                    acc[j] = iv_add(acc[j], nxt[j])
-            vals.append(tuple(acc))
-        else:  # concat
-            parts: list[Interval] = []
-            for p in node.preds:
-                parts.extend(vals[p])
-            vals.append(tuple(parts))
-    return BoxRegion(vals[net.output])
+    """Propagate one box: the one-box case of ``eval_abstract_many``."""
+    return eval_abstract_many(net, [box])[0]
+
+
+def eval_concrete(net: Network, x: Sequence[float]) -> tuple[float, ...]:
+    """Evaluate the network at a point: the lower end of the point box ``[x, x]``."""
+    if len(x) != net.input_dim:
+        raise ValueError(f"expected {net.input_dim} inputs, got {len(x)}")
+    point = np.array([x], dtype=float)
+    lo, _ = net.program.run(point, point)
+    return tuple(lo[0].tolist())
 
 
 def stats(net: Network) -> dict[str, int]:

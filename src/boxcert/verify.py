@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .expr import FuncExpr
 from .intervals import BoxRegion, Interval
 from .netio import parse_box_text
-from .network import Network, eval_abstract
+from .network import Network, eval_abstract, eval_abstract_many
 from .oracle import CertifiedBound, OracleBudgetError, certified_box_range
 
 MARGIN_FRACTION = 8.0  # per-box oracle margin target: delta / 8
@@ -179,11 +179,17 @@ def sample_boxes(domain: BoxRegion, count: int, seed: int) -> list[BoxRegion]:
 def check_box(
     net: Network, f: FuncExpr, box: BoxRegion, delta: float, config: RunConfig
 ) -> BoxRecord:
+    return _check(f, box, eval_abstract(net, box), delta, config)
+
+
+def _check(
+    f: FuncExpr, box: BoxRegion, prop_box: BoxRegion, delta: float, config: RunConfig
+) -> BoxRecord:
+    """Check both inclusions of the sandwich for one box and its propagated interval."""
     try:
         cmin, cmax = certified_box_range(f, box, _margin_target(delta), config.oracle_budget)
     except OracleBudgetError:
         return BoxRecord(box, None, None, None, "inconclusive", "inconclusive", 0.0)
-    prop_box = eval_abstract(net, box)
     if prop_box.dim != 1:
         raise ValueError("verification expects a scalar-output network")
     prop = prop_box.bounds[0]
@@ -226,7 +232,8 @@ def verify_network(net: Network, f: FuncExpr, config: RunConfig) -> Verification
     domain = network_domain(net)
     fd = f.with_domain(domain)
     report = VerificationReport(delta=delta, config=config)
-    for box in sample_boxes(domain, config.boxes, config.seed):
-        report.records.append(check_box(net, fd, box, delta, config))
+    boxes = sample_boxes(domain, config.boxes, config.seed)
+    for box, prop_box in zip(boxes, eval_abstract_many(net, boxes)):
+        report.records.append(_check(fd, box, prop_box, delta, config))
     report.runtime_seconds = time.perf_counter() - started
     return report

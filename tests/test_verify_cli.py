@@ -1,14 +1,15 @@
+import itertools
 import os
 import random
 
 import pytest
 
-from boxcert import netio
+from boxcert import cli, netio
 from boxcert.cli import main
 from boxcert.construct import build_certified_network
 from boxcert.expr import parse_func
 from boxcert.intervals import BoxRegion
-from boxcert.network import Network, eval_concrete
+from boxcert.network import Network, eval_abstract, eval_concrete
 from boxcert.verify import RunConfig, network_delta, network_domain, sample_boxes, verify_network
 
 CUBIC = "-x0*x0*x0 + 3*x0"
@@ -319,6 +320,39 @@ class TestCli:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x0,x1,f,n,box_lo,box_hi"
         assert len(lines) == 1 + 11 * 11
+
+    @pytest.mark.parametrize("chunk", [7, 1024])
+    def test_plot_data_rows_match_per_cell_evaluation(self, tmp_path, cubic_net, monkeypatch, chunk):
+        # A chunk of 7 cells splits rows of the 2-d grid across batches.
+        monkeypatch.setattr(cli, "PLOT_CHUNK", chunk)
+        square = BoxRegion.from_pairs([(0.0, 1.0), (0.0, 1.0)])
+        prod = parse_func("x0*x1", 2, square)
+        prod_net, _ = build_certified_network(prod, 0.5)
+        prod_path = tmp_path / "prod.net"
+        netio.save(prod_net, str(prod_path))
+        f1, net1, _, path1 = cubic_net
+        for f, net, path, expr, samples in (
+            (f1, net1, path1, CUBIC, 41),
+            (prod, prod_net, str(prod_path), "x0*x1", 9),
+        ):
+            out = tmp_path / "rows.csv"
+            assert main(["plot-data", "--net", path, "--expr", expr, "--samples", str(samples),
+                         "--out", str(out)]) == 0
+            axes = []
+            for b in f.domain.bounds:
+                step = (b.hi - b.lo) / (samples - 1)
+                axes.append([b.lo + i * step for i in range(samples)])
+            want = []
+            for idx in itertools.product(range(samples), repeat=len(axes)):
+                x = [axis[i] for axis, i in zip(axes, idx)]
+                cell = BoxRegion.from_pairs(
+                    [(axis[i], axis[min(i + 1, samples - 1)]) for axis, i in zip(axes, idx)]
+                )
+                prop = eval_abstract(net, cell).bounds[0]
+                coords = ",".join(repr(v) for v in x)
+                want.append(f"{coords},{f.eval(x)!r},{eval_concrete(net, x)[0]!r},"
+                            f"{prop.lo!r},{prop.hi!r}")
+            assert out.read_text().splitlines()[1:] == want
 
     def test_plot_data_rejects_3d(self, tmp_path):
         from boxcert.network import identity_network

@@ -15,7 +15,6 @@ from .construct import (
     build_slice_network,
     build_vector_valued,
     choose_grid_resolution,
-    enumerate_delta_k,
     grid_resolution,
 )
 from .expr import FuncExpr, ParseError, parse_expr, parse_func, to_source

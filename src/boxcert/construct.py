@@ -1,17 +1,19 @@
 """End-to-end construction of a certified network for an expression-defined f.
 
 Pipeline: certify the range of f, slice it into slabs half a tolerance tall,
-pick a grid fine enough that one cell moves f by at most half a slab, collect
-for every slice the grid hyperrectangles whose certified minimum clears the
-slice's upper level, sum a local bump per surviving rectangle, clip, and stack
-the slices back up from the bottom level.
+pick a grid fine enough that one cell moves f by at most half a slab, fill one
+table of sampled minima over every grid hyperrectangle, select for every slice
+the maximal rectangles whose minimum clears the slice's upper level, sum a
+local bump per selected rectangle, clip, and stack the slices back up from the
+bottom level.
 
 Membership uses the sampled (upper) end of the certified minimum. Any box that
 exceeds a slice's level by half a slab snaps to an enclosing rectangle whose
-true minimum still clears the level, so that rectangle is always collected;
-conversely every collected rectangle has a true minimum within the sampling
-margin of the level, and the margin is capped well below half a slab, which is
-what forces distant boxes to propagate to exactly zero through the slice.
+true minimum still clears the level, so that rectangle (or a member containing
+it) is always selected; conversely every selected rectangle has a true minimum
+within the sampling margin of the level, and the margin is capped well below
+half a slab, which is what forces distant boxes to propagate to exactly zero
+through the slice.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .expr import FuncExpr
 from .gadgets import append_clip_above, append_local_bump
-from .grids import GridSpec, HyperRect, enumerate_rects, prune_maximal
+from .grids import GridSpec, HyperRect, prune_maximal
 from .intervals import BoxRegion
 from .netio import format_box_text
 from .network import Network, NetworkBuilder, stats, sum_outputs, concat_outputs
@@ -131,19 +133,33 @@ class CellMinTable:
         self.values = f.eval_many(pts).reshape(shape)
         self.margin = f.lipschitz / (2.0 * m * samples_per_cell)
 
-    def rect_min(self, rect: HyperRect) -> float:
-        s = self.samples_per_cell
-        sel = tuple(
-            slice((rect.lower[k] - self.grid.index_lo[k]) * s,
-                  (rect.upper[k] - self.grid.index_lo[k]) * s + 1)
-            for k in range(self.grid.dim)
-        )
-        return float(self.values[sel].min())
+    def all_rect_mins(self) -> np.ndarray:
+        """Sampled minimum over every grid rectangle's hull, as one table.
 
-    def all_rect_mins(self) -> tuple[list[HyperRect], np.ndarray]:
-        rects = list(enumerate_rects(self.grid))
-        mins = np.array([self.rect_min(r) for r in rects])
-        return rects, mins
+        The table is indexed by ``(lo_0..lo_{m-1}, hi_0..hi_{m-1})``, grid
+        points counted from ``grid.index_lo``, and holds -inf where some
+        ``lo_k > hi_k``. Each lattice axis in turn becomes a ``(lo, hi)`` pair
+        of axes: per-cell slab minima, both boundary lines included, feed the
+        running minimum ``min[lo, hi] = min(min[lo, hi-1], cell[hi-1])``.
+        ``min`` is exact, so every entry is the minimum of the rectangle's
+        lattice samples.
+        """
+        s = self.samples_per_cell
+        mins = self.values
+        for k in range(self.grid.dim):
+            n = self.grid.cells(k)
+            rest = mins.shape[1:]
+            points = mins[::s]
+            cell = np.minimum(mins[:-1].reshape(n, s, *rest).min(axis=1), points[1:])
+            pairs = np.full((n + 1, n + 1, *rest), -np.inf)
+            pairs[0, 0] = points[0]
+            for hi in range(1, n + 1):
+                pairs[:hi, hi] = np.minimum(pairs[:hi, hi - 1], cell[hi - 1])
+                pairs[hi, hi] = points[hi]
+            # the next lattice axis comes to the front, the finished pair goes last
+            mins = np.moveaxis(pairs, (0, 1), (-2, -1))
+        m = self.grid.dim
+        return np.ascontiguousarray(mins.transpose([*range(0, 2 * m, 2), *range(1, 2 * m, 2)]))
 
 
 def samples_per_cell_for(lipschitz: float, cells_per_unit: int, target_margin: float) -> int:
@@ -154,28 +170,25 @@ def samples_per_cell_for(lipschitz: float, cells_per_unit: int, target_margin: f
     return max(1, math.ceil(lipschitz / (2.0 * cells_per_unit * target_margin)))
 
 
-def enumerate_delta_k(
-    f: FuncExpr,
-    grid: GridSpec,
-    spec: SliceSpec,
-    k: int,
-    prune: bool = True,
-    budget: BuildBudget = DEFAULT_BUDGET,
-) -> list[HyperRect]:
-    """Grid hyperrectangles whose certified minimum clears level k+1."""
-    if not 0 <= k < spec.count:
-        raise ValueError(f"slice index {k} out of range for {spec.count} slices")
-    if grid.rect_count() > budget.max_candidates:
+def delta_sets(
+    f: FuncExpr, grid: GridSpec, spec: SliceSpec, budget: BuildBudget = DEFAULT_BUDGET
+) -> list[list[HyperRect]]:
+    """For every slice k, the maximal grid rectangles whose sampled minimum clears level k+1.
+
+    All minima come from one lattice, so a sub-rectangle's minimum is never
+    below its parent's and each slice's members are closed under taking
+    sub-rectangles, which is what ``prune_maximal`` needs.
+    """
+    candidates = grid.rect_count()
+    if candidates > budget.max_candidates:
         raise BuildBudgetError(
-            f"{grid.rect_count()} candidate rectangles exceed the budget "
-            f"{budget.max_candidates}; raise delta or lower the dimension"
+            f"{candidates} candidate rectangles exceed the budget {budget.max_candidates}; "
+            f"raise delta or lower the input dimension (enumeration grows like M^(2m))"
         )
-    target = spec.delta / RECT_MARGIN_FRACTION if spec.delta > 0 else 1.0
+    target = spec.delta / RECT_MARGIN_FRACTION
     table = CellMinTable(f, grid, samples_per_cell_for(f.lipschitz, grid.cells_per_unit, target), budget)
-    threshold = spec.levels[k + 1]
-    rects, mins = table.all_rect_mins()
-    members = [r for r, v in zip(rects, mins) if v >= threshold]
-    return prune_maximal(members) if prune else sorted(members)
+    mins = table.all_rect_mins()
+    return [prune_maximal(mins >= level, grid) for level in spec.levels[1:]]
 
 
 def build_slice_network(delta_k: Sequence[HyperRect], grid: GridSpec) -> Network:
@@ -267,7 +280,7 @@ def build_certified_network(
             net = _constant_network(f.dim, value)
             return _finalize(net, fd, delta, 0.0, 1, 1, 0.0, domain, (0,), 0, started)
         cmin, cmax = certified_box_range(
-            fd, domain, delta / RANGE_MARGIN_FRACTION, DEFAULT_BUDGET.max_oracle_samples
+            fd, domain, delta / RANGE_MARGIN_FRACTION, budget.max_oracle_samples
         )
         spec = make_slice_spec(cmin.value, cmax.value, delta)
         if spec.delta == 0.0:
@@ -287,24 +300,7 @@ def build_certified_network(
     assert spec is not None
     fd = f.with_domain(domain)
     grid = GridSpec.for_box(f.domain, cells)
-    candidates = grid.rect_count()
-    if candidates > budget.max_candidates:
-        raise BuildBudgetError(
-            f"{candidates} candidate rectangles exceed the budget {budget.max_candidates}; "
-            f"raise delta or lower the input dimension (enumeration grows like M^(2m))"
-        )
-
-    target = spec.delta / RECT_MARGIN_FRACTION
-    table = CellMinTable(fd, grid, samples_per_cell_for(lipschitz, cells, target), budget)
-    rects, mins = table.all_rect_mins()
-    order = np.argsort(mins, kind="stable")
-    sorted_mins = mins[order]
-    sorted_rects = [rects[i] for i in order]
-
-    slice_sets: list[list[HyperRect]] = []
-    for k in range(spec.count):
-        cut = int(np.searchsorted(sorted_mins, spec.levels[k + 1], side="left"))
-        slice_sets.append(prune_maximal(sorted_rects[cut:]))
+    slice_sets = delta_sets(fd, grid, spec, budget)
     total_bumps = sum(len(s) for s in slice_sets)
     if total_bumps > budget.max_bumps:
         raise BuildBudgetError(
@@ -323,7 +319,7 @@ def build_certified_network(
         lipschitz,
         domain,
         tuple(len(s) for s in slice_sets),
-        candidates,
+        grid.rect_count(),
         started,
         levels=spec.levels,
     )

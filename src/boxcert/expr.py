@@ -446,6 +446,9 @@ class FuncExpr:
         return eval_expr_many(self.expr, pts)
 
     def with_domain(self, domain: BoxRegion) -> "FuncExpr":
+        """f on another domain; ``self``, with its cached certificates, if the domain is the same."""
+        if domain == self.domain:
+            return self
         return FuncExpr(self.expr, self.dim, domain)
 
     @property

@@ -7,10 +7,8 @@ products; converting an index to a coordinate divides once by M.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -70,9 +68,6 @@ class GridSpec:
         m = self.cells_per_unit
         return BoxRegion.from_pairs([(lo / m, hi / m) for lo, hi in zip(self.index_lo, self.index_hi)])
 
-    def coord(self, k: int, index: int) -> float:
-        return index / self.cells_per_unit
-
     def cells(self, k: int) -> int:
         return self.index_hi[k] - self.index_lo[k]
 
@@ -109,66 +104,26 @@ class HyperRect:
         m = grid.cells_per_unit
         return BoxRegion.from_pairs([(lo / m, hi / m) for lo, hi in zip(self.lower, self.upper)])
 
-    def neighborhood_hull(self, grid: GridSpec) -> BoxRegion:
-        """Hull of the corner set expanded one grid step per side, clipped to the grid."""
-        m = grid.cells_per_unit
-        pairs = []
-        for k, (lo, hi) in enumerate(zip(self.lower, self.upper)):
-            nlo = max(lo - 1, grid.index_lo[k])
-            nhi = min(hi + 1, grid.index_hi[k])
-            pairs.append((nlo / m, nhi / m))
-        return BoxRegion.from_pairs(pairs)
 
-    def contains(self, other: "HyperRect") -> bool:
-        return all(a <= c and d <= b for a, b, c, d in zip(self.lower, self.upper, other.lower, other.upper))
+def prune_maximal(members: np.ndarray, grid: GridSpec) -> list[HyperRect]:
+    """Maximal rectangles of a member mask closed under sub-rectangles, in sorted order.
 
-
-def enclosing_rect(grid: GridSpec, box: BoxRegion) -> HyperRect:
-    """Smallest grid hyperrectangle whose hull contains the box, clipped to the grid."""
-    if box.dim != grid.dim:
-        raise ValueError(f"box is {box.dim}-d but grid is {grid.dim}-d")
-    m = grid.cells_per_unit
-    lower = []
-    upper = []
-    for k, b in enumerate(box.bounds):
-        lo = max(grid.index_lo[k], min(grid.index_hi[k], _snap_index(b.lo, m, -1)))
-        hi = max(grid.index_lo[k], min(grid.index_hi[k], _snap_index(b.hi, m, +1)))
-        lower.append(lo)
-        upper.append(hi)
-    return HyperRect(tuple(lower), tuple(upper))
-
-
-def enumerate_rects(grid: GridSpec) -> Iterator[HyperRect]:
-    """All grid hyperrectangles (degenerate sides included), in sorted index order."""
-    per_dim = []
-    for k in range(grid.dim):
-        lo, hi = grid.index_lo[k], grid.index_hi[k]
-        per_dim.append([(i, j) for i in range(lo, hi + 1) for j in range(i, hi + 1)])
-    for combo in itertools.product(*per_dim):
-        yield HyperRect(tuple(p[0] for p in combo), tuple(p[1] for p in combo))
-
-
-def prune_maximal(rects: Sequence[HyperRect]) -> list[HyperRect]:
-    """Keep only rectangles whose hull is not contained in another member's hull."""
-    if not rects:
-        return []
-    dim = rects[0].dim
-    if dim == 1:
-        ordered = sorted(rects, key=lambda r: (r.lower[0], -r.upper[0]))
-        kept: list[HyperRect] = []
-        best_hi = -math.inf
-        for r in ordered:
-            if r.upper[0] > best_hi:
-                kept.append(r)
-                best_hi = r.upper[0]
-        return sorted(kept)
-    items = list(rects)
-    lows = np.array([r.lower for r in items], dtype=np.int64)
-    highs = np.array([r.upper for r in items], dtype=np.int64)
-    dominated = np.zeros(len(items), dtype=bool)
-    for j in range(len(items)):  # does member j strictly contain others?
-        inside = (lows[j] <= lows).all(axis=1) & (highs[j] >= highs).all(axis=1)
-        inside[j] = False
-        proper = (lows[j] != lows).any(axis=1) | (highs[j] != highs).any(axis=1)
-        dominated |= inside & proper
-    return sorted(r for r, d in zip(items, dominated) if not d)
+    ``members`` is indexed ``(lo_0..lo_{m-1}, hi_0..hi_{m-1})``, grid points
+    counted from ``grid.index_lo``. Every sub-rectangle of a member must be a
+    member; then a member is maximal exactly when none of its one-step
+    extensions (``lo_k - 1`` or ``hi_k + 1``) is one. Flat indices run in
+    row-major order, which is ``HyperRect`` order.
+    """
+    m = grid.dim
+    keep = members.copy()
+    for axis in range(2 * m):
+        lead = (slice(None),) * axis
+        later, earlier = lead + (slice(1, None),), lead + (slice(None, -1),)
+        if axis < m:  # lower corner: the member at lo - 1 extends the one at lo
+            keep[later] &= ~members[earlier]
+        else:  # upper corner: the member at hi + 1 extends the one at hi
+            keep[earlier] &= ~members[later]
+    # one flat scan: a multi-axis np.nonzero is many times slower on large masks
+    corners = np.stack(np.unravel_index(np.flatnonzero(keep), keep.shape), axis=1)
+    corners += np.array(grid.index_lo * 2)
+    return [HyperRect(tuple(c[:m]), tuple(c[m:])) for c in corners.tolist()]

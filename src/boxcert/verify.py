@@ -15,6 +15,7 @@ byte-identical report document (wall-clock time is kept out of it).
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -147,23 +148,8 @@ def sample_boxes(domain: BoxRegion, count: int, seed: int) -> list[BoxRegion]:
     lattice_axes = [
         [b.lo + t * (b.hi - b.lo) / 4.0 for t in range(5)] for b in domain.bounds
     ]
-    corner_counts = [5] * m
-
-    def corner_boxes() -> list[BoxRegion]:
-        out = []
-        idx = [0] * m
-        while True:
-            out.append(BoxRegion.point([lattice_axes[k][idx[k]] for k in range(m)]))
-            for k in range(m - 1, -1, -1):
-                idx[k] += 1
-                if idx[k] < corner_counts[k]:
-                    break
-                idx[k] = 0
-            else:
-                break
-        return out
-
-    specials.extend(corner_boxes())
+    corners = itertools.islice(itertools.product(*lattice_axes), max(0, count - len(specials)))
+    specials.extend(BoxRegion.point(x) for x in corners)
     rng = random.Random(seed)
     boxes = specials[:count]
     while len(boxes) < count:

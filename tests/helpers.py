@@ -7,10 +7,14 @@ demand bit-exact equality draw from them.
 
 from __future__ import annotations
 
+import itertools
 import random
+from typing import Iterator, Sequence
 
+import numpy as np
 from hypothesis import strategies as st
 
+from boxcert.grids import GridSpec, HyperRect
 from boxcert.intervals import BoxRegion, Interval, iv_add, iv_affine_row, iv_relu
 from boxcert.network import Network, NetworkBuilder
 
@@ -152,3 +156,33 @@ def reference_eval_abstract(net: Network, box: BoxRegion) -> BoxRegion:
                 parts.extend(vals[p])
             vals.append(tuple(parts))
     return BoxRegion(vals[net.output])
+
+
+def enumerate_rects(grid: GridSpec) -> Iterator[HyperRect]:
+    """All grid hyperrectangles (degenerate sides included), in sorted index order."""
+    per_dim = []
+    for k in range(grid.dim):
+        lo, hi = grid.index_lo[k], grid.index_hi[k]
+        per_dim.append([(i, j) for i in range(lo, hi + 1) for j in range(i, hi + 1)])
+    for combo in itertools.product(*per_dim):
+        yield HyperRect(tuple(p[0] for p in combo), tuple(p[1] for p in combo))
+
+
+def reference_prune_maximal(rects: Sequence[HyperRect]) -> list[HyperRect]:
+    """Brute-force pruning: keep the rectangles no other member strictly contains, sorted.
+
+    The O(n^2) reference for ``grids.prune_maximal``; it needs no closure
+    property of its input.
+    """
+    if not rects:
+        return []
+    items = list(rects)
+    lows = np.array([r.lower for r in items], dtype=np.int64)
+    highs = np.array([r.upper for r in items], dtype=np.int64)
+    dominated = np.zeros(len(items), dtype=bool)
+    for j in range(len(items)):  # does member j strictly contain others?
+        inside = (lows[j] <= lows).all(axis=1) & (highs[j] >= highs).all(axis=1)
+        inside[j] = False
+        proper = (lows[j] != lows).any(axis=1) | (highs[j] != highs).any(axis=1)
+        dominated |= inside & proper
+    return sorted(r for r, d in zip(items, dominated) if not d)

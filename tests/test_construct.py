@@ -1,8 +1,14 @@
+import hashlib
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxcert.construct import (
+    RECT_MARGIN_FRACTION,
     BuildBudget,
     BuildBudgetError,
     CellMinTable,
@@ -10,22 +16,46 @@ from boxcert.construct import (
     build_slice_network,
     build_vector_valued,
     choose_grid_resolution,
-    enumerate_delta_k,
+    delta_sets,
     grid_resolution,
+    samples_per_cell_for,
 )
 from boxcert.expr import parse_func
-from boxcert.grids import GridSpec, HyperRect, enumerate_rects, prune_maximal
+from boxcert.grids import GridSpec, HyperRect, prune_maximal
 from boxcert.intervals import BoxRegion, Interval, iv_subset
 from boxcert.netio import deserialize, serialize
 from boxcert.network import eval_abstract, eval_concrete
-from boxcert.oracle import certified_box_range
+from boxcert.oracle import OracleBudgetError, certified_box_range
 from boxcert.slicing import make_slice_spec
+from helpers import enumerate_rects, reference_prune_maximal
 
 CUBIC = "-x0*x0*x0 + 3*x0"
 
 
 def unit_grid(dim, cells):
     return GridSpec(cells, (0,) * dim, (cells,) * dim)
+
+
+def member_rects(f, grid, spec, k):
+    """Every grid rectangle of slice k before pruning, from the table the build fills."""
+    s = samples_per_cell_for(f.lipschitz, grid.cells_per_unit, spec.delta / RECT_MARGIN_FRACTION)
+    mins = CellMinTable(f, grid, s, BuildBudget()).all_rect_mins()
+    corners = np.argwhere(mins >= spec.levels[k + 1]) + np.array(grid.index_lo * 2)
+    return [HyperRect(tuple(c[: grid.dim]), tuple(c[grid.dim :])) for c in corners.tolist()]
+
+
+def table_index(grid, rect):
+    """Where ``CellMinTable.all_rect_mins`` keeps a rectangle's minimum."""
+    return tuple(i - o for i, o in zip(rect.lower + rect.upper, grid.index_lo * 2))
+
+
+def slab_min(values, grid, s, rect):
+    """A rectangle's minimum read straight off the lattice: every sample of its hull."""
+    sel = tuple(
+        slice((lo - grid.index_lo[k]) * s, (hi - grid.index_lo[k]) * s + 1)
+        for k, (lo, hi) in enumerate(zip(rect.lower, rect.upper))
+    )
+    return values[sel].min()
 
 
 class TestGridResolution:
@@ -77,7 +107,7 @@ class TestEnumerateRects:
             HyperRect((0,), (1,)),
             HyperRect((3,), (3,)),
         ]
-        assert prune_maximal(rects) == [HyperRect((0,), (2,)), HyperRect((3,), (3,))]
+        assert reference_prune_maximal(rects) == [HyperRect((0,), (2,)), HyperRect((3,), (3,))]
 
     def test_prune_2d(self):
         rects = [
@@ -86,11 +116,11 @@ class TestEnumerateRects:
             HyperRect((0, 1), (1, 2)),
             HyperRect((0, 0), (2, 1)),
         ]
-        assert prune_maximal(rects) == [HyperRect((0, 0), (2, 2))]
+        assert reference_prune_maximal(rects) == [HyperRect((0, 0), (2, 2))]
 
     def test_prune_incomparable_kept(self):
         rects = [HyperRect((0, 0), (2, 1)), HyperRect((0, 0), (1, 2))]
-        assert prune_maximal(rects) == sorted(rects)
+        assert reference_prune_maximal(rects) == sorted(rects)
 
 
 class TestDeltaSets:
@@ -98,16 +128,16 @@ class TestDeltaSets:
         grid = unit_grid(1, 4)
         f = parse_func("5", 1, grid.domain)
         spec = make_slice_spec(0.0, 8.0, 8.0)  # levels 0, 4, 8
-        members = enumerate_delta_k(f, grid, spec, 0)
+        members = delta_sets(f, grid, spec)[0]
         assert members == [HyperRect((0,), (4,))]
-        raw = enumerate_delta_k(f, grid, spec, 0, prune=False)
+        raw = member_rects(f, grid, spec, 0)
         assert len(raw) == 15  # every rect qualifies before pruning
 
     def test_constant_below_threshold_is_empty(self):
         grid = unit_grid(1, 4)
         f = parse_func("0", 1, grid.domain)
         spec = make_slice_spec(0.0, 8.0, 8.0)
-        assert enumerate_delta_k(f, grid, spec, 0) == []
+        assert delta_sets(f, grid, spec)[0] == []
 
     def test_identity_on_unit_interval(self):
         # oracle-first: brute-force certified minima over every rect hull pick
@@ -120,9 +150,9 @@ class TestDeltaSets:
             cmin, _ = certified_box_range(f, rect.hull(grid), 1e-6)
             if cmin.value >= 0.5:
                 expected_members.append(rect)
-        members = enumerate_delta_k(f, grid, spec, 1, prune=False)
+        members = member_rects(f, grid, spec, 1)
         assert members == sorted(expected_members)
-        pruned = enumerate_delta_k(f, grid, spec, 1)
+        pruned = delta_sets(f, grid, spec)[1]
         assert pruned == [HyperRect((2,), (4,))]
         assert pruned[0].hull(grid) == BoxRegion.from_pairs([(0.5, 1.0)])
 
@@ -131,7 +161,7 @@ class TestDeltaSets:
         f = parse_func("x0", 2, grid.domain)
         spec = make_slice_spec(0.0, 1.0, 0.5)
         with pytest.raises(BuildBudgetError, match="candidate"):
-            enumerate_delta_k(f, grid, spec, 0, budget=BuildBudget(max_candidates=1000))
+            delta_sets(f, grid, spec, budget=BuildBudget(max_candidates=1000))
 
 
 class TestCellMinTable:
@@ -139,15 +169,57 @@ class TestCellMinTable:
         grid = unit_grid(2, 3)
         f = parse_func("x0*x1 - x0", 2, grid.domain)
         table = CellMinTable(f, grid, 4, BuildBudget())
+        mins = table.all_rect_mins()
         rng = random.Random(9)
         for _ in range(40):
             lower = tuple(rng.randint(0, 2) for _ in range(2))
             upper = tuple(rng.randint(l, 3) for l in lower)
             rect = HyperRect(lower, upper)
-            got = table.rect_min(rect)
+            got = mins[table_index(grid, rect)]
             cmin, _ = certified_box_range(f, rect.hull(grid), 0.01)
             assert got >= cmin.lo - 1e-12
             assert got <= cmin.value + table.margin + 1e-12
+
+
+    def test_table_equals_slab_minima(self):
+        grid = GridSpec(2, (-1, 1), (2, 3))
+        f = parse_func("x0*x1 - x0", 2, grid.domain)
+        table = CellMinTable(f, grid, 3, BuildBudget())
+        mins = table.all_rect_mins()
+        assert mins.shape == (4, 3, 4, 3)
+        rects = list(enumerate_rects(grid))
+        assert np.isfinite(mins).sum() == len(rects)  # -inf wherever lo > hi
+        for rect in rects:
+            assert mins[table_index(grid, rect)] == slab_min(table.values, grid, 3, rect)
+
+
+@st.composite
+def lattices(draw):
+    """A grid, a samples-per-cell count and small-integer lattice values (ties, plateaus)."""
+    dim = draw(st.integers(1, 3))
+    cells = [draw(st.integers(1, (8, 4, 2)[dim - 1])) for _ in range(dim)]
+    lower = tuple(draw(st.integers(-3, 3)) for _ in range(dim))
+    grid = GridSpec(draw(st.integers(1, 3)), lower, tuple(a + c for a, c in zip(lower, cells)))
+    s = draw(st.integers(1, 3))
+    shape = tuple(c * s + 1 for c in cells)
+    top = draw(st.integers(0, 3))  # 0: a constant field
+    flat = draw(st.lists(st.integers(0, top), min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return grid, s, np.array(flat, dtype=float).reshape(shape)
+
+
+class TestMaximalSelection:
+    @settings(max_examples=150, deadline=None)
+    @given(lattices())
+    def test_matches_brute_force_pruning(self, lattice):
+        grid, s, values = lattice
+        mins = CellMinTable.all_rect_mins(SimpleNamespace(grid=grid, samples_per_cell=s, values=values))
+        rects = list(enumerate_rects(grid))
+        direct = {rect: slab_min(values, grid, s, rect) for rect in rects}
+        for rect, value in direct.items():
+            assert mins[table_index(grid, rect)] == value
+        for level in sorted(set(values.flat)) + [values.max() + 1.0]:
+            members = [rect for rect in rects if direct[rect] >= level]
+            assert prune_maximal(mins >= level, grid) == reference_prune_maximal(members)
 
 
 class TestSliceNetwork:
@@ -187,9 +259,7 @@ class TestSliceDichotomy:
         net, report = build_certified_network(f, 0.8)
         grid = GridSpec.for_box(f.domain, report.cells_per_unit)
         spec = make_slice_spec(-2.0, 2.0, 0.8)
-        slice_sets = [
-            enumerate_delta_k(f, grid, spec, k) for k in range(spec.count)
-        ]
+        slice_sets = delta_sets(f, grid, spec)
         rng = random.Random(31)
         checked_high = checked_low = 0
         for _ in range(400):
@@ -274,6 +344,36 @@ class TestBuildCertifiedNetwork:
         f = parse_func(CUBIC, 1, BoxRegion.from_pairs([(-2, 2)]))
         with pytest.raises(BuildBudgetError, match="raise delta"):
             build_certified_network(f, 8 / 5, BuildBudget(max_candidates=10))
+
+
+    def test_oracle_budget_is_honoured(self):
+        # the range certification alone needs more samples than this budget
+        f = parse_func(CUBIC, 1, BoxRegion.from_pairs([(-2, 2)]))
+        with pytest.raises(OracleBudgetError, match="budget"):
+            build_certified_network(f, 8 / 5, BuildBudget(max_oracle_samples=200))
+
+
+# sha256 of the .net documents of the benchmark's build cases and of the cubic
+# at delta 0.1, recorded with the enumerate-and-prune construction that the
+# minima table replaced. The three served cases are pinned in test_compiled.
+PINNED_BUILDS = (
+    (CUBIC, [(-2.0, 2.0)], 0.2,
+     "5b58b44838f63578e1f601423561e209d43c20c168a3df5ec1d6a07e87dc7e30"),
+    (CUBIC, [(-2.0, 2.0)], 0.1,
+     "91762fe644ba69d0fcc225f63e53b6180414f4c16816743224ebd8c512244d5e"),
+    ("min(x0, x1)", [(0.0, 1.0), (0.0, 1.0)], 0.5,
+     "06181b0e9ef933739b54732a758be8bd52fdc7a74b4ff31fb61b4c54618026f9"),
+    ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.25,
+     "83b41908d45b77eda77e0daea9c92ce1ee7349162d86c6ce8ce7a7a19cb2d8b6"),
+)
+
+
+@pytest.mark.parametrize("expr, domain, delta, net_sha", PINNED_BUILDS,
+                         ids=["cubic-0.2", "cubic-0.1", "min", "product-0.25"])
+def test_build_documents_are_pinned(expr, domain, delta, net_sha):
+    f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
+    net, _ = build_certified_network(f, delta, BuildBudget())
+    assert hashlib.sha256(serialize(net).encode()).hexdigest() == net_sha
 
 
 class TestVectorValued:

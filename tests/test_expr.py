@@ -189,6 +189,10 @@ class TestFuncExpr:
         g = f.with_domain(BoxRegion.from_pairs([(0.0, 1.0)]))
         assert g.lipschitz < f.lipschitz
 
+    def test_with_same_domain_keeps_cache(self):
+        f = parse_func(CUBIC, 1, WIDE)
+        assert f.with_domain(BoxRegion.from_pairs([(b.lo, b.hi) for b in WIDE.bounds])) is f
+
     def test_source_round_trip(self):
         f = parse_func(CUBIC, 1, WIDE)
         assert parse_func(f.source, 1, WIDE).eval([0.5]) == f.eval([0.5])

@@ -70,6 +70,13 @@ class TestSampling:
         c = sample_boxes(domain, 50, seed=10)
         assert a != c
 
+    def test_corner_points_follow_the_lattice(self):
+        domain = BoxRegion.from_pairs([(0.0, 1.0), (-1.0, 3.0)])
+        axes = [[0.0, 0.25, 0.5, 0.75, 1.0], [-1.0, 0.0, 1.0, 2.0, 3.0]]
+        corners = [BoxRegion.point(x) for x in itertools.product(*axes)]
+        assert sample_boxes(domain, 27, seed=1)[1:26] == corners
+        assert sample_boxes(domain, 4, seed=1) == [domain] + corners[:3]
+
     def test_boxes_stay_in_domain(self):
         domain = BoxRegion.from_pairs([(-1.0, 3.0)])
         for box in sample_boxes(domain, 200, seed=3):
@@ -236,6 +243,16 @@ class TestCli:
              "--out", str(tmp_path / "x.net"), "--budget", "10"]
         )
         assert code == 2
+
+    def test_oracle_budget_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "DEFAULT_BUDGET", cli.BuildBudget(max_oracle_samples=200))
+        code = main(
+            ["build", "--expr", CUBIC, "--domain", "-2,2", "--delta", "1.6",
+             "--out", str(tmp_path / "x.net")]
+        )
+        assert code == cli.EXIT_BUDGET
+        assert "sample budget" in capsys.readouterr().err
+        assert not (tmp_path / "x.net").exists()
 
     def test_budget_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BOXCERT_BUDGET", "10")

@@ -10,6 +10,7 @@ environment variable is set; every command flag overrides it.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import re
@@ -66,6 +67,8 @@ def _budget_from_env() -> BuildBudget:
         raise _UsageError(f"BOXCERT_BUDGET must be an integer, got {raw!r}") from exc
 
 
+# Parsing leaves no state in the parser, so one parser serves every call.
+@functools.cache
 def _make_parser() -> _Parser:
     parser = _Parser(prog="boxcert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -22,7 +22,6 @@ loader reports cycles and forward references separately, each with the node id.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .intervals import BoxRegion
 from .network import Network, Node
@@ -68,22 +67,13 @@ def serialize(net: Network) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _RawNode(NamedTuple):
-    """A node line's fields, with the predecessor ids as written in the document."""
-
-    kind: str
-    preds: list[int]
-    index: int = -1
-    weights: tuple[tuple[float, ...], ...] = ()
-    bias: tuple[float, ...] = ()
-
-
-def _parse_node(node_id: int, kind: str, rest: list[str]) -> _RawNode:
+def _parse_node(node_id: int, kind: str, rest: list[str]) -> tuple:
+    """A node line's ``Node`` fields, with the predecessor ids as written in the document."""
     where = f"node {node_id}"
     if kind == "input":
         if len(rest) != 1:
             raise NetworkFormatError(f"{where}: input takes one index")
-        return _RawNode("input", [], index=int(rest[0]))
+        return "input", (), int(rest[0]), (), ()
     if kind == "affine":
         if len(rest) < 3:
             raise NetworkFormatError(f"{where}: affine needs pred, rows, cols")
@@ -96,20 +86,20 @@ def _parse_node(node_id: int, kind: str, rest: list[str]) -> _RawNode:
                 f"{where}: affine expects {rows + rows * cols} numbers, got {len(vals)}"
             )
         nums = [_parse_float(t, where) for t in vals]
-        weights = tuple(tuple(nums[rows + r * cols : rows + (r + 1) * cols]) for r in range(rows))
-        return _RawNode("affine", [pred], weights=weights, bias=tuple(nums[:rows]))
+        weights = tuple([tuple(nums[r : r + cols]) for r in range(rows, len(nums), cols)])
+        return "affine", (pred,), -1, weights, tuple(nums[:rows])
     if kind == "relu":
         if len(rest) != 1:
             raise NetworkFormatError(f"{where}: relu takes one predecessor")
-        return _RawNode("relu", [int(rest[0])])
+        return "relu", (int(rest[0]),), -1, (), ()
     if kind == "sum":
         if len(rest) < 2:
             raise NetworkFormatError(f"{where}: sum needs at least two predecessors")
-        return _RawNode("sum", [int(t) for t in rest])
+        return "sum", tuple([int(t) for t in rest]), -1, (), ()
     if kind == "concat":
         if not rest:
             raise NetworkFormatError(f"{where}: concat needs at least one predecessor")
-        return _RawNode("concat", [int(t) for t in rest])
+        return "concat", tuple([int(t) for t in rest]), -1, (), ()
     raise NetworkFormatError(f"{where}: unknown node kind {kind!r}")
 
 
@@ -127,12 +117,30 @@ def deserialize(text: str) -> Network:
     input_dim: int | None = None
     output_id: int | None = None
     metadata: dict[str, str] = {}
-    order: list[int] = []
-    raw: dict[int, _RawNode] = {}
+    preds_of: dict[int, tuple[int, ...]] = {}  # node id -> predecessor ids, in line order
+    position: dict[int, int] = {}  # node id -> index in the network
+    nodes: list[Node] = []
+    in_order = True  # every predecessor so far was listed before its user
 
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "input_dim":
+        if parts[0] == "node":
+            if len(parts) < 3:
+                raise NetworkFormatError(f"malformed node line: {ln!r}")
+            node_id = int(parts[1])
+            if node_id in preds_of:
+                raise NetworkFormatError(f"duplicate node id {node_id}")
+            kind, preds, index, weights, bias = _parse_node(node_id, parts[2], parts[3:])
+            preds_of[node_id] = preds
+            if in_order:
+                try:
+                    pred_positions = tuple([position[p] for p in preds])
+                except KeyError:
+                    in_order = False
+                else:
+                    nodes.append(Node(kind, pred_positions, index, weights, bias))
+            position[node_id] = len(position)
+        elif parts[0] == "input_dim":
             input_dim = int(parts[1])
         elif parts[0] == "output":
             output_id = int(parts[1])
@@ -140,54 +148,45 @@ def deserialize(text: str) -> Network:
             if len(parts) < 2:
                 raise NetworkFormatError("meta line needs a key")
             metadata[parts[1]] = ln.split(None, 2)[2] if len(parts) > 2 else ""
-        elif parts[0] == "node":
-            if len(parts) < 3:
-                raise NetworkFormatError(f"malformed node line: {ln!r}")
-            node_id = int(parts[1])
-            if node_id in raw:
-                raise NetworkFormatError(f"duplicate node id {node_id}")
-            raw[node_id] = _parse_node(node_id, parts[2], parts[3:])
-            order.append(node_id)
         else:
             raise NetworkFormatError(f"unknown directive {parts[0]!r}")
 
     if input_dim is None:
         raise NetworkFormatError("missing input_dim")
-    if not raw:
+    if not preds_of:
         raise NetworkFormatError("no output node (document defines no nodes)")
     if output_id is None:
         raise NetworkFormatError("no output node")
-    if output_id not in raw:
+    if output_id not in preds_of:
         raise NetworkFormatError(f"output references undefined node {output_id}")
-
-    for node_id, node in raw.items():
-        for p in node.preds:
-            if p not in raw:
-                raise NetworkFormatError(f"node {node_id} references undefined node {p}")
-
-    # Every predecessor listed earlier rules out a cycle; only an out-of-order
-    # document needs the cycle search, which tells a cycle from a forward reference.
-    position = {node_id: i for i, node_id in enumerate(order)}
-    nodes = []
-    for i, node_id in enumerate(order):
-        kind, preds, index, weights, bias = raw[node_id]
-        pred_positions = tuple(position[p] for p in preds)
-        for p, at in zip(preds, pred_positions):
-            if at >= i:
-                _reject_cycles(raw)
-                raise NetworkFormatError(f"node {node_id} listed before predecessor {p}")
-        nodes.append(Node(kind, pred_positions, index, weights, bias))
+    if not in_order:
+        _reject_order(preds_of, position)
     try:
         return Network(tuple(nodes), position[output_id], input_dim, metadata)
     except ValueError as exc:
         raise NetworkFormatError(f"invalid network document: {exc}") from exc
 
 
-def _reject_cycles(raw: dict[int, _RawNode]) -> None:
-    remaining = {node_id: set(node.preds) for node_id, node in raw.items()}
-    users: dict[int, list[int]] = {node_id: [] for node_id in raw}
-    for node_id, node in raw.items():
-        for p in set(node.preds):
+def _reject_order(preds_of: dict[int, tuple[int, ...]], position: dict[int, int]) -> None:
+    """Name the first undefined predecessor, else the cycle or forward reference."""
+    for node_id, preds in preds_of.items():
+        for p in preds:
+            if p not in preds_of:
+                raise NetworkFormatError(f"node {node_id} references undefined node {p}")
+    # Every predecessor listed earlier rules out a cycle; only an out-of-order
+    # document needs the cycle search, which tells a cycle from a forward reference.
+    for node_id, preds in preds_of.items():
+        for p in preds:
+            if position[p] >= position[node_id]:
+                _reject_cycles(preds_of)
+                raise NetworkFormatError(f"node {node_id} listed before predecessor {p}")
+
+
+def _reject_cycles(preds_of: dict[int, tuple[int, ...]]) -> None:
+    remaining = {node_id: set(preds) for node_id, preds in preds_of.items()}
+    users: dict[int, list[int]] = {node_id: [] for node_id in preds_of}
+    for node_id, preds in preds_of.items():
+        for p in set(preds):
             users[p].append(node_id)
     ready = [n for n, deps in remaining.items() if not deps]
     done = 0
@@ -198,7 +197,7 @@ def _reject_cycles(raw: dict[int, _RawNode]) -> None:
             remaining[u].discard(n)
             if not remaining[u]:
                 ready.append(u)
-    if done != len(raw):
+    if done != len(preds_of):
         stuck = sorted(n for n, deps in remaining.items() if deps)
         raise NetworkFormatError(f"cycle involving node(s) {stuck}")
 

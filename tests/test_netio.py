@@ -113,6 +113,19 @@ def test_undefined_predecessor():
         deserialize(text)
 
 
+def test_undefined_predecessor_reported_before_forward_reference():
+    text = (
+        f"{MAGIC} 1\n"
+        "input_dim 1\n"
+        "output 2\n"
+        "node 0 input 0\n"
+        "node 2 relu 1\n"
+        "node 1 relu 9\n"
+    )
+    with pytest.raises(NetworkFormatError, match="node 1 references undefined node 9"):
+        deserialize(text)
+
+
 def test_duplicate_node_id():
     text = f"{MAGIC} 1\ninput_dim 1\noutput 0\nnode 0 input 0\nnode 0 relu 0\n"
     with pytest.raises(NetworkFormatError, match="duplicate node id 0"):

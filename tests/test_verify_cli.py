@@ -156,6 +156,15 @@ class TestCli:
         main(["propagate", "--net", str(out), "--box", "0.25,0.25"])
         assert capsys.readouterr().out.strip() == "[0.75, 0.75]"
 
+    def test_repeated_calls_in_one_process(self, tmp_path, capsys):
+        out = tmp_path / "n1.net"
+        main(["fixtures", "--name", "fig2-n1", "--out", str(out)])
+        for box, want in [("0,1", "[0.0, 1.5]"), ("0.25,0.25", "[0.75, 0.75]")] * 2:
+            assert main(["propagate", "--net", str(out)]) == 3
+            capsys.readouterr()
+            assert main(["propagate", "--net", str(out), "--box", box]) == 0
+            assert capsys.readouterr().out.strip() == want
+
     def test_unknown_fixture_is_usage_error(self, tmp_path):
         assert main(["fixtures", "--name", "nope", "--out", str(tmp_path / "x")]) == 3
 

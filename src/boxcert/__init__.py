@@ -13,8 +13,6 @@ from .construct import (
     BuildReport,
     build_certified_network,
     build_slice_network,
-    build_vector_valued,
-    choose_grid_resolution,
     grid_resolution,
 )
 from .expr import FuncExpr, ParseError, parse_expr, parse_func, to_source
@@ -40,17 +38,10 @@ from .netio import NetworkFormatError, deserialize, load, save, serialize
 from .network import (
     Network,
     NetworkBuilder,
-    affine_post,
-    affine_pre,
-    compose,
-    concat_outputs,
-    constant_shift,
     eval_abstract,
     eval_abstract_many,
     eval_concrete,
-    identity_network,
     stats,
-    sum_outputs,
 )
 from .oracle import CertifiedBound, OracleBudgetError, certified_box_max, certified_box_min
 from .slicing import SliceSpec, make_slice_spec, slice_eval

@@ -30,7 +30,7 @@ from .gadgets import append_clip_above, append_local_bump
 from .grids import GridSpec, HyperRect, prune_maximal
 from .intervals import BoxRegion
 from .netio import format_box_text
-from .network import Network, NetworkBuilder, stats, sum_outputs, concat_outputs
+from .network import Network, NetworkBuilder, stats
 from .oracle import certified_box_range
 from .slicing import SliceSpec, make_slice_spec
 
@@ -97,10 +97,6 @@ def grid_resolution(lipschitz: float, delta: float) -> int:
     if lipschitz < 0:
         raise ValueError("Lipschitz bound must be nonnegative")
     return max(1, math.ceil(2.0 * lipschitz / delta))
-
-
-def choose_grid_resolution(f: FuncExpr, delta: float) -> int:
-    return grid_resolution(f.lipschitz, delta)
 
 
 class CellMinTable:
@@ -191,27 +187,34 @@ def delta_sets(
     return [prune_maximal(mins >= level, grid) for level in spec.levels[1:]]
 
 
-def build_slice_network(delta_k: Sequence[HyperRect], grid: GridSpec) -> Network:
-    """Clip-to-one of the sum of bumps; the constant-zero network when empty."""
-    b = NetworkBuilder(grid.dim)
-    source = b.concat(b.input_ids) if grid.dim > 1 else b.input_id(0)
+def _source(b: NetworkBuilder) -> int:
+    """The input vector: the concat of every input, or the single input itself."""
+    return b.concat(b.input_ids) if b.input_dim > 1 else b.input_id(0)
+
+
+def _constant(b: NetworkBuilder, value: float) -> int:
+    """Append a fresh input source and a zero-weight affine row that outputs ``value``."""
+    return b.affine(_source(b), [[0.0] * b.input_dim], [float(value)])
+
+
+def build_slice_network(b: NetworkBuilder, delta_k: Sequence[HyperRect], grid: GridSpec) -> int:
+    """Append a slice: clip-to-one of the sum of bumps; constant zero when empty."""
     if not delta_k:
-        out = b.affine(source, [[0.0] * grid.dim], [0.0])
-    else:
-        bumps = [append_local_bump(b, grid, rect, source) for rect in sorted(delta_k)]
-        total = b.sum(bumps) if len(bumps) > 1 else bumps[0]
-        out = append_clip_above(b, total, 1.0)
-    return b.finish(out, {"kind": "slice", "bumps": str(len(delta_k))})
+        return _constant(b, 0.0)
+    source = _source(b)
+    bumps = [append_local_bump(b, grid, rect, source) for rect in sorted(delta_k)]
+    total = b.sum(bumps) if len(bumps) > 1 else bumps[0]
+    return append_clip_above(b, total, 1.0)
 
 
-def _constant_network(dim: int, value: float) -> Network:
-    b = NetworkBuilder(dim)
-    source = b.concat(b.input_ids) if dim > 1 else b.input_id(0)
-    return b.finish(b.affine(source, [[0.0] * dim], [float(value)]))
+def sum_outputs(b: NetworkBuilder, outs: Sequence[int], coefficient: float, bias: float) -> int:
+    """Append ``bias + coefficient * sum(outs)`` over scalar nodes: one concat, one affine row."""
+    return b.affine(b.concat(outs), [[coefficient] * len(outs)], [bias])
 
 
 def _finalize(
-    net: Network,
+    b: NetworkBuilder,
+    out: int,
     f: FuncExpr,
     requested: float,
     adjusted: float,
@@ -224,7 +227,6 @@ def _finalize(
     started: float,
     levels: tuple[float, ...] = (),
 ) -> tuple[Network, BuildReport]:
-    counts = stats(net)
     metadata = {
         "generator": "boxcert-build",
         "expression": f.source,
@@ -238,7 +240,8 @@ def _finalize(
     }
     if levels:
         metadata["levels"] = " ".join(float(v).hex() for v in levels)
-    final = Network(net.nodes, net.output, net.input_dim, metadata)
+    net = b.finish(out, metadata)
+    counts = stats(net)
     report = BuildReport(
         expression=f.source,
         requested_delta=requested,
@@ -253,7 +256,7 @@ def _finalize(
         node_count=counts["node_count"],
         build_seconds=time.perf_counter() - started,
     )
-    return final, report
+    return net, report
 
 
 def build_certified_network(
@@ -276,9 +279,9 @@ def build_certified_network(
         fd = f.with_domain(domain)
         lipschitz = fd.lipschitz
         if lipschitz == 0.0:
-            value = fd.eval([b.mid for b in domain.bounds])
-            net = _constant_network(f.dim, value)
-            return _finalize(net, fd, delta, 0.0, 1, 1, 0.0, domain, (0,), 0, started)
+            b = NetworkBuilder(f.dim)
+            out = _constant(b, fd.eval([iv.mid for iv in domain.bounds]))
+            return _finalize(b, out, fd, delta, 0.0, 1, 1, 0.0, domain, (0,), 0, started)
         cmin, cmax = certified_box_range(
             fd, domain, delta / RANGE_MARGIN_FRACTION, budget.max_oracle_samples
         )
@@ -287,8 +290,9 @@ def build_certified_network(
             # flat sampled range but nonzero Lipschitz bound: the constant
             # network is still within delta because the range margin is far
             # below delta/2, and that is the honest tolerance to report
-            net = _constant_network(f.dim, cmin.value)
-            return _finalize(net, fd, delta, delta, 1, 1, lipschitz, domain, (0,), 0, started)
+            b = NetworkBuilder(f.dim)
+            out = _constant(b, cmin.value)
+            return _finalize(b, out, fd, delta, delta, 1, 1, lipschitz, domain, (0,), 0, started)
         cells = grid_resolution(lipschitz, spec.delta)
         snapped = GridSpec.for_box(f.domain, cells).domain
         if snapped == domain:
@@ -307,10 +311,11 @@ def build_certified_network(
             f"{total_bumps} bumps exceed the budget {budget.max_bumps}; raise delta"
         )
 
-    slice_nets = [build_slice_network(members, grid) for members in slice_sets]
-    assembled = sum_outputs(slice_nets, [spec.half_delta] * spec.count, bias=spec.bottom)
+    b = NetworkBuilder(f.dim)
+    outs = [build_slice_network(b, members, grid) for members in slice_sets]
     return _finalize(
-        assembled,
+        b,
+        sum_outputs(b, outs, spec.half_delta, spec.bottom),
         fd,
         delta,
         spec.delta,
@@ -323,24 +328,3 @@ def build_certified_network(
         started,
         levels=spec.levels,
     )
-
-
-def build_vector_valued(
-    fs: Sequence[FuncExpr], deltas: Sequence[float], budget: BuildBudget = DEFAULT_BUDGET
-) -> Network:
-    """Componentwise certified builds concatenated into one vector-valued network."""
-    if not fs:
-        raise ValueError("need at least one component function")
-    if len(fs) != len(deltas):
-        raise ValueError("need one delta per component")
-    domain = fs[0].domain
-    for g in fs[1:]:
-        if g.domain != domain:
-            raise ValueError("all components must share the same domain")
-    built = [build_certified_network(g, d, budget) for g, d in zip(fs, deltas)]
-    combined = concat_outputs([net for net, _ in built])
-    metadata: dict[str, str] = {"generator": "boxcert-build-vector", "components": str(len(built))}
-    for i, (net, _) in enumerate(built):
-        for key, value in net.metadata.items():
-            metadata[f"c{i}.{key}"] = value
-    return Network(combined.nodes, combined.output, combined.input_dim, metadata)

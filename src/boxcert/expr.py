@@ -422,7 +422,6 @@ class FuncExpr:
     dim: int
     domain: BoxRegion
     _lipschitz: float | None = field(default=None, repr=False)
-    range_enclosure: Interval | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.domain.dim != self.dim:

@@ -103,6 +103,16 @@ def _parse_node(node_id: int, kind: str, rest: list[str]) -> tuple:
     raise NetworkFormatError(f"{where}: unknown node kind {kind!r}")
 
 
+def _directive_int(parts: list[str]) -> int:
+    """The one integer value of an ``input_dim`` or ``output`` line."""
+    if len(parts) != 2:
+        raise NetworkFormatError(f"{parts[0]} takes exactly one value, got {len(parts) - 1}")
+    try:
+        return int(parts[1])
+    except ValueError:
+        raise NetworkFormatError(f"{parts[0]} value {parts[1]!r} is not an integer") from None
+
+
 def deserialize(text: str) -> Network:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -141,9 +151,9 @@ def deserialize(text: str) -> Network:
                     nodes.append(Node(kind, pred_positions, index, weights, bias))
             position[node_id] = len(position)
         elif parts[0] == "input_dim":
-            input_dim = int(parts[1])
+            input_dim = _directive_int(parts)
         elif parts[0] == "output":
-            output_id = int(parts[1])
+            output_id = _directive_int(parts)
         elif parts[0] == "meta":
             if len(parts) < 2:
                 raise NetworkFormatError("meta line needs a key")

@@ -26,8 +26,8 @@ that walk, a value anywhere in the network that leaves the finite doubles
 raises ``ValueError``.
 
 Networks are immutable after construction and evaluation is pure (each call
-owns its buffer), so instances can be shared freely across threads. Builders
-and combinators always produce new networks.
+owns its buffer), so instances can be shared freely across threads. A
+``NetworkBuilder`` appends nodes and constructs its network once, in ``finish``.
 """
 
 from __future__ import annotations
@@ -361,10 +361,6 @@ def stats(net: Network) -> dict[str, int]:
     }
 
 
-def stats_document(net: Network) -> str:
-    return "".join(f"{k} {v}\n" for k, v in stats(net).items())
-
-
 class NetworkBuilder:
     """Appends nodes in topological order and assigns positions as ids."""
 
@@ -404,126 +400,5 @@ class NetworkBuilder:
     def concat(self, preds: Sequence[int]) -> int:
         return self._append(concat_node(preds), sum(self._arities[p] for p in preds))
 
-    def select(self, pred: int, index: int) -> int:
-        """Extract one channel of a vector node via a unit affine row."""
-        row = [0.0] * self._arities[pred]
-        row[index] = 1.0
-        return self.affine(pred, [row], [0.0])
-
-    def instantiate(self, net: Network, inputs: Sequence[int] | None = None) -> int:
-        """Copy a network's nodes in, rewiring its input nodes onto existing ids."""
-        if inputs is None:
-            inputs = self.input_ids
-        if len(inputs) != net.input_dim:
-            raise ValueError(f"need {net.input_dim} input ids, got {len(inputs)}")
-        remap: dict[int, int] = {}
-        for i, node in enumerate(net.nodes):
-            if node.kind == "input":
-                remap[i] = inputs[node.index]
-            else:
-                moved = Node(
-                    node.kind,
-                    preds=tuple(remap[p] for p in node.preds),
-                    index=node.index,
-                    weights=node.weights,
-                    bias=node.bias,
-                )
-                remap[i] = self._append(moved, _moved_arity(self, moved))
-        return remap[net.output]
-
     def finish(self, output: int, metadata: dict[str, str] | None = None) -> Network:
         return Network(tuple(self._nodes), output, self.input_dim, dict(metadata or {}))
-
-
-def _moved_arity(b: NetworkBuilder, node: Node) -> int:
-    if node.kind == "affine":
-        return len(node.weights)
-    if node.kind in ("relu", "sum"):
-        return b.arity(node.preds[0])
-    return sum(b.arity(p) for p in node.preds)
-
-
-def identity_network(dim: int) -> Network:
-    b = NetworkBuilder(dim)
-    src = b.concat(b.input_ids) if dim > 1 else b.input_id(0)
-    rows = [[1.0 if j == i else 0.0 for j in range(dim)] for i in range(dim)]
-    out = b.affine(src, rows, [0.0] * dim)
-    return b.finish(out)
-
-
-def compose(f: Network, g: Network) -> Network:
-    """Network computing f(g(x))."""
-    if g.output_dim != f.input_dim:
-        raise ValueError(f"cannot compose: inner output dim {g.output_dim} != outer input dim {f.input_dim}")
-    b = NetworkBuilder(g.input_dim)
-    gid = b.instantiate(g)
-    channels = [b.select(gid, i) for i in range(f.input_dim)]
-    out = b.instantiate(f, channels)
-    return b.finish(out)
-
-
-def sum_outputs(nets: Sequence[Network], coefficients: Sequence[float], bias: float = 0.0) -> Network:
-    """Network computing bias + sum_i c_i * nets_i(x), all nets sharing the input."""
-    if len(nets) != len(coefficients):
-        raise ValueError("need one coefficient per network")
-    if not nets:
-        raise ValueError("need at least one network")
-    dim = nets[0].input_dim
-    width = nets[0].output_dim
-    for n in nets[1:]:
-        if n.input_dim != dim or n.output_dim != width:
-            raise ValueError("summed networks must agree on input and output dims")
-    b = NetworkBuilder(dim)
-    outs = [b.instantiate(n) for n in nets]
-    cat = b.concat(outs)
-    rows = []
-    for r in range(width):
-        row = [0.0] * (len(nets) * width)
-        for i, c in enumerate(coefficients):
-            row[i * width + r] = float(c)
-        rows.append(row)
-    out = b.affine(cat, rows, [float(bias)] * width)
-    return b.finish(out)
-
-
-def concat_outputs(nets: Sequence[Network]) -> Network:
-    if not nets:
-        raise ValueError("need at least one network")
-    dim = nets[0].input_dim
-    for n in nets[1:]:
-        if n.input_dim != dim:
-            raise ValueError("concatenated networks must share the input dimension")
-    b = NetworkBuilder(dim)
-    outs = [b.instantiate(n) for n in nets]
-    out = b.concat(outs) if len(outs) > 1 else outs[0]
-    return b.finish(out)
-
-
-def affine_pre(net: Network, weights: Sequence[Sequence[float]], bias: Sequence[float]) -> Network:
-    """Network computing net(W x + b)."""
-    rows = len(weights)
-    if rows != net.input_dim:
-        raise ValueError(f"pre-affine must produce {net.input_dim} rows, got {rows}")
-    cols = len(weights[0])
-    b = NetworkBuilder(cols)
-    src = b.concat(b.input_ids) if cols > 1 else b.input_id(0)
-    aff = b.affine(src, weights, bias)
-    channels = [b.select(aff, i) for i in range(rows)]
-    out = b.instantiate(net, channels)
-    return b.finish(out)
-
-
-def affine_post(net: Network, weights: Sequence[Sequence[float]], bias: Sequence[float]) -> Network:
-    """Network computing W net(x) + b."""
-    if len(weights[0]) != net.output_dim:
-        raise ValueError(f"post-affine expects {net.output_dim} columns, got {len(weights[0])}")
-    b = NetworkBuilder(net.input_dim)
-    out = b.instantiate(net)
-    return b.finish(b.affine(out, weights, bias))
-
-
-def constant_shift(net: Network, c: float) -> Network:
-    """Network computing net(x) + c in every output component."""
-    k = net.output_dim
-    rows = [[1.0 if j == i else 0.0 for j in range(k)] for i in range(k)]
-    return affine_post(net, rows, [float(c)] * k)

@@ -112,11 +112,3 @@ def certified_box_max(
     f: FuncExpr, box: BoxRegion, target_margin: float, budget: int = DEFAULT_SAMPLE_BUDGET
 ) -> CertifiedBound:
     return certified_box_range(f, box, target_margin, budget)[1]
-
-
-def certify_range(f: FuncExpr, target_margin: float, budget: int = DEFAULT_SAMPLE_BUDGET) -> Interval:
-    """Enclosure of f's range over its whole domain, cached on the FuncExpr."""
-    cmin, cmax = certified_box_range(f, f.domain, target_margin, budget)
-    enclosure = Interval(cmin.lo, cmax.hi)
-    f.range_enclosure = enclosure
-    return enclosure

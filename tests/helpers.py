@@ -74,6 +74,38 @@ def random_network(rng: random.Random, max_extra_nodes: int = 8) -> Network:
     return b.finish(ids[-1])
 
 
+def identity_network(dim: int) -> Network:
+    b = NetworkBuilder(dim)
+    src = b.concat(b.input_ids) if dim > 1 else b.input_id(0)
+    rows = [[1.0 if j == i else 0.0 for j in range(dim)] for i in range(dim)]
+    return b.finish(b.affine(src, rows, [0.0] * dim))
+
+
+def append_copy(b: NetworkBuilder, net: Network) -> int:
+    """Append a copy of ``net`` wired to ``b``'s inputs; return the copy's output id."""
+    ids: list[int] = []
+    for node in net.nodes:
+        preds = [ids[p] for p in node.preds]
+        if node.kind == "input":
+            ids.append(b.input_id(node.index))
+        elif node.kind == "affine":
+            ids.append(b.affine(preds[0], node.weights, node.bias))
+        elif node.kind == "relu":
+            ids.append(b.relu(preds[0]))
+        elif node.kind == "sum":
+            ids.append(b.sum(preds))
+        else:
+            ids.append(b.concat(preds))
+    return ids[net.output]
+
+
+def difference_network(net: Network) -> Network:
+    """``net(x) - net(x)`` for a scalar ``net``: two copies, a concat, and the affine row [1, -1]."""
+    b = NetworkBuilder(net.input_dim)
+    cat = b.concat([append_copy(b, net), append_copy(b, net)])
+    return b.finish(b.affine(cat, [[1.0, -1.0]], [0.0]))
+
+
 def random_box(rng: random.Random, dim: int, lo: float = -3.0, hi: float = 3.0) -> BoxRegion:
     pairs = []
     for _ in range(dim):

@@ -24,13 +24,13 @@ from boxcert.network import (
     eval_abstract,
     eval_abstract_many,
     eval_concrete,
-    identity_network,
-    sum_outputs,
 )
 from boxcert.slicing import make_slice_spec, slice_eval_many
 from boxcert.verify import RunConfig, verify_network
 
 from helpers import (
+    difference_network,
+    identity_network,
     point_inside,
     rand_dyadic,
     rand_dyadic_interval,
@@ -100,8 +100,7 @@ def test_criterion_1_reference_fixtures():
 
 def test_criterion_2_difference_network_precision_loss():
     with criterion(2, "x minus x widens to [-1, 1]", 5.0):
-        ident = identity_network(1)
-        diff = sum_outputs([ident, ident], [1.0, -1.0])
+        diff = difference_network(identity_network(1))
         out = eval_abstract(diff, BoxRegion.from_pairs([(0.0, 1.0)])).bounds[0]
         assert out == Interval(-1.0, 1.0)
 

@@ -14,8 +14,6 @@ from boxcert.construct import (
     CellMinTable,
     build_certified_network,
     build_slice_network,
-    build_vector_valued,
-    choose_grid_resolution,
     delta_sets,
     grid_resolution,
     samples_per_cell_for,
@@ -24,7 +22,8 @@ from boxcert.expr import parse_func
 from boxcert.grids import GridSpec, HyperRect, prune_maximal
 from boxcert.intervals import BoxRegion, Interval, iv_subset
 from boxcert.netio import deserialize, serialize
-from boxcert.network import eval_abstract, eval_concrete
+from boxcert import network
+from boxcert.network import NetworkBuilder, eval_abstract, eval_concrete
 from boxcert.oracle import OracleBudgetError, certified_box_range
 from boxcert.slicing import make_slice_spec
 from helpers import enumerate_rects, reference_prune_maximal
@@ -42,6 +41,12 @@ def member_rects(f, grid, spec, k):
     mins = CellMinTable(f, grid, s, BuildBudget()).all_rect_mins()
     corners = np.argwhere(mins >= spec.levels[k + 1]) + np.array(grid.index_lo * 2)
     return [HyperRect(tuple(c[: grid.dim]), tuple(c[grid.dim :])) for c in corners.tolist()]
+
+
+def slice_network(delta_k, grid):
+    """One slice on a fresh builder, as its own network."""
+    b = NetworkBuilder(grid.dim)
+    return b.finish(build_slice_network(b, delta_k, grid))
 
 
 def table_index(grid, rect):
@@ -66,7 +71,7 @@ class TestGridResolution:
 
     def test_from_function(self):
         f = parse_func(CUBIC, 1, BoxRegion.from_pairs([(-2, 2)]))
-        assert choose_grid_resolution(f, 8 / 5) == 19  # interval bound gives L = 15
+        assert grid_resolution(f.lipschitz, 8 / 5) == 19  # interval bound gives L = 15
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
@@ -225,7 +230,7 @@ class TestMaximalSelection:
 class TestSliceNetwork:
     def test_empty_set_is_constant_zero(self):
         grid = unit_grid(1, 4)
-        net = build_slice_network([], grid)
+        net = slice_network([], grid)
         rng = random.Random(0)
         for _ in range(50):
             a, b = sorted((rng.uniform(-2, 3), rng.uniform(-2, 3)))
@@ -234,7 +239,7 @@ class TestSliceNetwork:
 
     def test_single_full_domain_rect_saturates(self):
         grid = unit_grid(1, 4)
-        net = build_slice_network([HyperRect((0,), (4,))], grid)
+        net = slice_network([HyperRect((0,), (4,))], grid)
         rng = random.Random(1)
         for _ in range(50):
             a, b = sorted((rng.uniform(0, 1), rng.uniform(0, 1)))
@@ -243,7 +248,7 @@ class TestSliceNetwork:
 
     def test_image_stays_in_unit_interval(self):
         grid = unit_grid(1, 4)
-        net = build_slice_network(
+        net = slice_network(
             [HyperRect((0,), (1,)), HyperRect((2,), (3,)), HyperRect((1,), (2,))], grid
         )
         rng = random.Random(2)
@@ -267,7 +272,7 @@ class TestSliceDichotomy:
             box = BoxRegion.from_pairs([(a, b)])
             cmin, cmax = certified_box_range(f, box, spec.delta / 16)
             for k in range(spec.count):
-                n_k = build_slice_network(slice_sets[k], grid)
+                n_k = slice_network(slice_sets[k], grid)
                 out = eval_abstract(n_k, box).bounds[0]
                 if cmin.lo >= spec.levels[k + 1] + spec.half_delta:
                     assert out.lo == pytest.approx(1.0, abs=1e-9)
@@ -376,37 +381,17 @@ def test_build_documents_are_pinned(expr, domain, delta, net_sha):
     assert hashlib.sha256(serialize(net).encode()).hexdigest() == net_sha
 
 
-class TestVectorValued:
-    def test_duplicated_component(self):
-        dom = BoxRegion.from_pairs([(0, 1)])
-        f = parse_func("x0", 1, dom)
-        net = build_vector_valued([f, f], [0.5, 0.5])
-        assert net.output_dim == 2
-        rng = random.Random(8)
-        for _ in range(20):
-            a, b = sorted((rng.uniform(0, 1), rng.uniform(0, 1)))
-            out = eval_abstract(net, BoxRegion.from_pairs([(a, b)]))
-            assert out.bounds[0] == out.bounds[1]
 
-    def test_single_component_matches_scalar_build(self):
-        dom = BoxRegion.from_pairs([(0, 1)])
-        f = parse_func("x0", 1, dom)
-        net = build_vector_valued([f], [0.5])
-        scalar, _ = build_certified_network(f, 0.5)
-        box = BoxRegion.from_pairs([(0.2, 0.9)])
-        assert eval_abstract(net, box).bounds[0] == eval_abstract(scalar, box).bounds[0]
-
-    def test_constant_pair(self):
-        dom = BoxRegion.from_pairs([(0, 1)])
-        f0 = parse_func("0", 1, dom)
-        f1 = parse_func("1", 1, dom)
-        net = build_vector_valued([f0, f1], [0.3, 0.3])
-        out = eval_abstract(net, dom)
-        assert out.bounds[0] == Interval(0, 0)
-        assert out.bounds[1] == Interval(1, 1)
-
-    def test_domain_mismatch(self):
-        f0 = parse_func("x0", 1, BoxRegion.from_pairs([(0, 1)]))
-        f1 = parse_func("x0", 1, BoxRegion.from_pairs([(0, 2)]))
-        with pytest.raises(ValueError, match="domain"):
-            build_vector_valued([f0, f1], [0.5, 0.5])
+@pytest.mark.parametrize("expr, domain, slices", [
+    ("x0*x1", [(0, 1), (0, 1)], 8),
+    ("3.5", [(0, 1), (0, 1)], 1),
+    ("relu(x0) - relu(x0)", [(-1, 1)], 1),
+], ids=["product", "constant", "flat"])
+def test_build_constructs_one_network(monkeypatch, expr, domain, slices):
+    validate = network._validate
+    calls = []
+    monkeypatch.setattr(network, "_validate", lambda *args: calls.append(args) or validate(*args))
+    f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
+    _, report = build_certified_network(f, 0.25)
+    assert report.slice_count == slices
+    assert len(calls) == 1

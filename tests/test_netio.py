@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from boxcert.cli import EXIT_USAGE, main
 from boxcert.fixtures import fig2_n2
 from boxcert.intervals import BoxRegion, Interval
 from boxcert.netio import (
@@ -79,6 +80,29 @@ def test_empty_document_has_no_output_node():
     text = f"{MAGIC} 1\ninput_dim 1\n"
     with pytest.raises(NetworkFormatError, match="no output node"):
         deserialize(text)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("input_dim\noutput 0", "input_dim takes exactly one value, got 0"),
+        ("input_dim 1\noutput", "output takes exactly one value, got 0"),
+        ("input_dim 1 2\noutput 0", "input_dim takes exactly one value, got 2"),
+        ("input_dim 1\noutput 0 0", "output takes exactly one value, got 2"),
+        ("input_dim one\noutput 0", "input_dim value 'one' is not an integer"),
+    ],
+)
+def test_directive_needs_one_integer(header, message):
+    text = f"{MAGIC} 1\n{header}\nnode 0 input 0\n"
+    with pytest.raises(NetworkFormatError, match=message):
+        deserialize(text)
+
+
+def test_propagate_rejects_directive_without_value(tmp_path, capsys):
+    path = tmp_path / "bad.net"
+    path.write_text(f"{MAGIC} 1\ninput_dim 1\noutput\nnode 0 input 0\n", encoding="utf-8")
+    assert main(["propagate", "--net", str(path), "--box", "0,1"]) == EXIT_USAGE
+    assert "output takes exactly one value" in capsys.readouterr().err
 
 
 def test_cycle_detected():

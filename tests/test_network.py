@@ -4,26 +4,27 @@ import pytest
 
 from boxcert.fixtures import fig2_n1, fig2_n2, hat_function
 from boxcert.intervals import BoxRegion, Interval, box_subset
+from boxcert.construct import sum_outputs
 from boxcert.network import (
     Network,
     NetworkBuilder,
     affine_node,
-    affine_post,
-    affine_pre,
-    compose,
-    concat_outputs,
-    constant_shift,
     eval_abstract,
     eval_concrete,
-    identity_network,
     input_node,
     relu_node,
     stats,
-    stats_document,
-    sum_outputs,
 )
 
-from helpers import point_inside, random_box, random_network, shrink_box
+from helpers import (
+    append_copy,
+    difference_network,
+    identity_network,
+    point_inside,
+    random_box,
+    random_network,
+    shrink_box,
+)
 
 
 class TestValidation:
@@ -98,21 +99,8 @@ class TestCombinators:
             x = [0.3 * (i + 1) for i in range(dim)]
             assert eval_concrete(net, x) == tuple(x)
 
-    def test_compose_identity_is_identity(self):
-        n1 = fig2_n1()
-        net = compose(n1, identity_network(1))
-        rng = random.Random(0)
-        for _ in range(100):
-            x = rng.uniform(-2, 3)
-            assert eval_concrete(net, [x]) == eval_concrete(n1, [x])
-
-    def test_constant_shift(self):
-        shifted = constant_shift(fig2_n1(), -2.0)
-        assert eval_concrete(shifted, [0.25])[0] == 0.75 - 2.0
-
     def test_difference_network(self):
-        n1 = fig2_n1()
-        diff = sum_outputs([n1, n1], [1.0, -1.0])
+        diff = difference_network(fig2_n1())
         rng = random.Random(1)
         for _ in range(50):
             x = rng.uniform(-2, 3)
@@ -122,42 +110,20 @@ class TestCombinators:
         assert out == Interval(-1.5, 1.5)
 
     def test_x_minus_x(self):
-        ident = identity_network(1)
-        diff = sum_outputs([ident, ident], [1.0, -1.0])
+        diff = difference_network(identity_network(1))
         assert eval_concrete(diff, [0.7])[0] == 0.0
         assert eval_abstract(diff, BoxRegion.from_pairs([(0, 1)])).bounds[0] == Interval(-1, 1)
 
     def test_sum_outputs_bias(self):
-        ident = identity_network(1)
-        net = sum_outputs([ident], [1.0], bias=-2.0)
+        b = NetworkBuilder(1)
+        net = b.finish(sum_outputs(b, [b.input_id(0)], 1.0, -2.0))
         assert eval_concrete(net, [0.5])[0] == -1.5
 
     def test_concat_outputs(self):
-        net = concat_outputs([identity_network(1), fig2_n1()])
+        b = NetworkBuilder(1)
+        net = b.finish(b.concat([append_copy(b, identity_network(1)), append_copy(b, fig2_n1())]))
         assert net.output_dim == 2
         assert eval_concrete(net, [0.25]) == (0.25, 0.75)
-
-    def test_affine_pre_post(self):
-        n1 = fig2_n1()
-        pre = affine_pre(n1, [[2.0]], [0.0])  # n1(2x)
-        assert eval_concrete(pre, [0.25])[0] == eval_concrete(n1, [0.5])[0]
-        post = affine_post(n1, [[3.0]], [1.0])  # 3 n1(x) + 1
-        assert eval_concrete(post, [0.5])[0] == 3.0 * 0.5 + 1.0
-
-    def test_compose_matches_function_composition(self):
-        inner = constant_shift(identity_network(1), 0.25)
-        net = compose(fig2_n1(), inner)
-        rng = random.Random(3)
-        for _ in range(50):
-            x = rng.uniform(-2, 2)
-            assert eval_concrete(net, [x])[0] == eval_concrete(fig2_n1(), [x + 0.25])[0]
-
-    def test_compose_abstract_matches_chained_abstract(self):
-        inner = constant_shift(identity_network(1), 0.25)
-        net = compose(fig2_n1(), inner)
-        box = BoxRegion.from_pairs([(0, 1)])
-        chained = eval_abstract(fig2_n1(), eval_abstract(inner, box))
-        assert eval_abstract(net, box) == chained
 
 
 class TestStats:
@@ -172,12 +138,6 @@ class TestStats:
         out = b.affine(cat, [[1.0, 2.0], [3.0, 4.0]], [0.0, 0.0])
         s = stats(b.finish(out))
         assert s["param_count"] == 6
-
-    def test_document_is_flat_key_values(self):
-        doc = stats_document(fig2_n1())
-        lines = doc.strip().splitlines()
-        assert all(len(ln.split()) == 2 for ln in lines)
-        assert "relu_count 4" in doc
 
 
 class TestFuzz:

@@ -9,7 +9,6 @@ from boxcert.oracle import (
     certified_box_max,
     certified_box_min,
     certified_box_range,
-    certify_range,
 )
 
 CUBIC = "-x0*x0*x0 + 3*x0"
@@ -106,9 +105,3 @@ class TestEnclosureProperty:
             assert cmin.lo - 1e-12 <= best
             assert best >= cmin.lo  # sampled values can never beat the certificate floor
 
-
-def test_certify_range_caches_enclosure():
-    f = cubic()
-    enclosure = certify_range(f, 0.05)
-    assert enclosure.lo <= -2.0 <= 2.0 <= enclosure.hi
-    assert f.range_enclosure == enclosure

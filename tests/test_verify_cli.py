@@ -12,6 +12,8 @@ from boxcert.intervals import BoxRegion
 from boxcert.network import Network, eval_abstract, eval_concrete
 from boxcert.verify import RunConfig, network_delta, network_domain, sample_boxes, verify_network
 
+from helpers import identity_network
+
 CUBIC = "-x0*x0*x0 + 3*x0"
 
 
@@ -381,8 +383,6 @@ class TestCli:
             assert out.read_text().splitlines()[1:] == want
 
     def test_plot_data_rejects_3d(self, tmp_path):
-        from boxcert.network import identity_network
-
         path = tmp_path / "id3.net"
         netio.save(identity_network(3), str(path))
         code = main(

@@ -43,7 +43,7 @@ from .network import (
     eval_concrete,
     stats,
 )
-from .oracle import CertifiedBound, OracleBudgetError, certified_box_max, certified_box_min
+from .oracle import CertifiedBound, OracleBudgetError
 from .slicing import SliceSpec, make_slice_spec, slice_eval
 from .verify import RunConfig, VerificationReport, verify_network
 

@@ -137,10 +137,15 @@ def deserialize(text: str) -> Network:
         if parts[0] == "node":
             if len(parts) < 3:
                 raise NetworkFormatError(f"malformed node line: {ln!r}")
-            node_id = int(parts[1])
-            if node_id in preds_of:
-                raise NetworkFormatError(f"duplicate node id {node_id}")
-            kind, preds, index, weights, bias = _parse_node(node_id, parts[2], parts[3:])
+            try:
+                node_id = int(parts[1])
+                if node_id in preds_of:
+                    raise NetworkFormatError(f"duplicate node id {node_id}")
+                kind, preds, index, weights, bias = _parse_node(node_id, parts[2], parts[3:])
+            except NetworkFormatError:
+                raise
+            except ValueError as exc:  # a non-integer node id, predecessor id, index or affine size
+                raise NetworkFormatError(f"malformed node line {ln!r}: {exc}") from None
             preds_of[node_id] = preds
             if in_order:
                 try:

@@ -8,15 +8,18 @@ demand bit-exact equality draw from them.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Iterator, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
+from boxcert.expr import FuncExpr
 from boxcert.grids import GridSpec, HyperRect
 from boxcert.intervals import BoxRegion, Interval, iv_add, iv_affine_row, iv_relu
 from boxcert.network import Network, NetworkBuilder
+from boxcert.oracle import DEFAULT_SAMPLE_BUDGET, CertifiedBound, certified_box_range
 
 
 def dyadic(max_numerator: int = 2048, denominator_bits: int = 9) -> st.SearchStrategy[float]:
@@ -218,3 +221,43 @@ def reference_prune_maximal(rects: Sequence[HyperRect]) -> list[HyperRect]:
         proper = (lows[j] != lows).any(axis=1) | (highs[j] != highs).any(axis=1)
         dominated |= inside & proper
     return sorted(r for r, d in zip(items, dominated) if not d)
+
+
+def certified_box_min(
+    f: FuncExpr, box: BoxRegion, target_margin: float, budget: int = DEFAULT_SAMPLE_BUDGET
+) -> CertifiedBound:
+    return certified_box_range(f, box, target_margin, budget)[0]
+
+
+def certified_box_max(
+    f: FuncExpr, box: BoxRegion, target_margin: float, budget: int = DEFAULT_SAMPLE_BUDGET
+) -> CertifiedBound:
+    return certified_box_range(f, box, target_margin, budget)[1]
+
+
+def reference_box_range(
+    f: FuncExpr, box: BoxRegion, target_margin: float, budget: int = DEFAULT_SAMPLE_BUDGET
+) -> tuple[CertifiedBound, CertifiedBound] | None:
+    """One box sampled on its own ``np.linspace``/``meshgrid`` lattice; None over the budget.
+
+    The per-box reference for ``oracle.certified_box_ranges``: Python integer
+    cell counts and sample totals, ``np.argmin``/``np.argmax`` for the
+    first-occurrence extrema.
+    """
+    lipschitz = f.lipschitz
+    counts = [0] * box.dim
+    if lipschitz != 0.0:
+        h = 2.0 * target_margin / lipschitz
+        counts = [0 if b.width == 0 else max(1, math.ceil(b.width / h)) for b in box.bounds]
+    if math.prod(n + 1 for n in counts) > budget:
+        return None
+    axes = [np.linspace(b.lo, b.hi, n + 1) if n > 0 else np.array([b.lo]) for b, n in zip(box.bounds, counts)]
+    pts = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    vals = f.eval_many(pts)
+    spacings = [b.width / n for b, n in zip(box.bounds, counts) if n > 0]
+    margin = lipschitz * max(spacings, default=0.0) / 2.0
+    imin, imax = int(np.argmin(vals)), int(np.argmax(vals))
+    return (
+        CertifiedBound("min", float(vals[imin]), margin, tuple(pts[imin])),
+        CertifiedBound("max", float(vals[imax]), margin, tuple(pts[imax])),
+    )

@@ -155,3 +155,18 @@ def test_served_verify_reports_are_pinned(expr, domain, delta, net_sha, report_s
     assert hashlib.sha256(netio.serialize(net).encode()).hexdigest() == net_sha
     report = verify_network(net, f, RunConfig(boxes=200, seed=1))
     assert hashlib.sha256(report.to_document().encode()).hexdigest() == report_sha
+
+
+def test_mixed_budget_verify_report_is_pinned():
+    # At 150 samples per box 107 of the 200 boxes are inconclusive and the
+    # rest need many sampling passes: the report was recorded with the
+    # per-box oracle, before the campaign sampled its boxes in batches.
+    expr, domain, delta, net_sha, _ = SERVED[0]
+    f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
+    net, _ = build_certified_network(f, delta, BuildBudget())
+    assert hashlib.sha256(netio.serialize(net).encode()).hexdigest() == net_sha
+    report = verify_network(net, f, RunConfig(boxes=200, seed=1, oracle_budget=150))
+    assert (report.inconclusive, report.failures) == (107, 0)
+    assert hashlib.sha256(report.to_document().encode()).hexdigest() == (
+        "ae7e57cbb3a4da67bbcf47ccd926cd0826a4c067a2d4dca8256ee9be246fd5e6"
+    )

@@ -105,6 +105,23 @@ def test_propagate_rejects_directive_without_value(tmp_path, capsys):
     assert "output takes exactly one value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, token",
+    [
+        ("node x input 0", "'x'"),
+        ("node 1 input i", "'i'"),
+        ("node 1 relu a", "'a'"),
+        ("node 1 sum 0 b", "'b'"),
+        ("node 1 affine 0 r 1 0.0 1.0", "'r'"),
+        ("node 1 affine 0 1 c 0.0 1.0", "'c'"),
+    ],
+)
+def test_non_integer_in_node_line(line, token):
+    text = f"{MAGIC} 1\ninput_dim 1\noutput 0\nnode 0 input 0\n{line}\n"
+    with pytest.raises(NetworkFormatError, match=f"malformed node line {line!r}: .*{token}"):
+        deserialize(text)
+
+
 def test_cycle_detected():
     text = (
         f"{MAGIC} 1\n"

@@ -17,7 +17,6 @@ from .construct import (
 )
 from .expr import FuncExpr, ParseError, parse_expr, parse_func, to_source
 from .fixtures import FIXTURES, fig2_n1, fig2_n2
-from .gadgets import build_clip_above, build_local_bump, build_nmin2, build_nmin_n
 from .grids import GridSpec, HyperRect
 from .intervals import (
     BoxRegion,

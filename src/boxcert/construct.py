@@ -193,7 +193,7 @@ def _source(b: NetworkBuilder) -> int:
 
 
 def _constant(b: NetworkBuilder, value: float) -> int:
-    """Append a fresh input source and a zero-weight affine row that outputs ``value``."""
+    """Append the input source and a zero-weight affine row that outputs ``value``."""
     return b.affine(_source(b), [[0.0] * b.input_dim], [float(value)])
 
 

@@ -1,14 +1,19 @@
 """ReLU gadgets the certified construction is assembled from.
 
-``build_nmin2`` is the symmetric four-unit min network
+``append_nmin2`` is the symmetric four-unit min network
 
     min(x, y) = 1/2 * (1, -1, -1, -1) . R([[1, 1], [-1, -1], [1, -1], [-1, 1]] (x, y))
 
 whose interval behavior admits a closed form (see
-``intervals.nmin2_closed_form``). ``build_nmin_n`` splits its arguments in
+``intervals.nmin2_closed_form``). ``append_nmin_tree`` splits its arguments in
 halves of ceil(n/2) and n - ceil(n/2) and recurses. Local bumps clamp 2m ramps
 to 1, take the min, and rectify; the ramp steepness factor is large enough that
 a box one grid step away from the corner hull propagates to exactly [0, 0].
+
+Gadgets append to a ``NetworkBuilder``, which merges bit-identical nodes: bumps
+that share an axis bound share that ramp, and min subtrees over the same ramps
+are built once (in 1-d and 2-d each axis's ramp pair is such a subtree, and a
+1-d bump repeated in another slice is shared whole).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import math
 from typing import Sequence
 
 from .grids import GridSpec, HyperRect
-from .network import Network, NetworkBuilder
+from .network import NetworkBuilder
 
 NMIN2_HIDDEN = ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
 NMIN2_OUT = ((0.5, -0.5, -0.5, -0.5),)
@@ -40,20 +45,6 @@ def append_nmin_tree(b: NetworkBuilder, args: Sequence[int]) -> int:
     return append_nmin2(b, append_nmin_tree(b, args[:half]), append_nmin_tree(b, args[half:]))
 
 
-def build_nmin2() -> Network:
-    b = NetworkBuilder(2)
-    out = append_nmin2(b, b.input_id(0), b.input_id(1))
-    return b.finish(out)
-
-
-def build_nmin_n(n: int) -> Network:
-    if n < 1:
-        raise ValueError("min network needs at least one input")
-    b = NetworkBuilder(n)
-    out = append_nmin_tree(b, b.input_ids)
-    return b.finish(out)
-
-
 def append_clip_above(b: NetworkBuilder, pred: int, bound: float) -> int:
     """Elementwise bound - R(bound - x), saturating values above the bound."""
     width = b.arity(pred)
@@ -61,17 +52,6 @@ def append_clip_above(b: NetworkBuilder, pred: int, bound: float) -> int:
     biases = [float(bound)] * width
     inner = b.relu(b.affine(pred, neg_eye, biases))
     return b.affine(inner, neg_eye, biases)
-
-
-def build_clip_above(bound: float) -> Network:
-    b = NetworkBuilder(1)
-    out = append_clip_above(b, b.input_id(0), bound)
-    return b.finish(out)
-
-
-def bump_relu_budget(dim: int) -> int:
-    """Unit-count estimate 1 + 2(2m - 1) + 2m for a bump over an m-dim grid."""
-    return 1 + 2 * (2 * dim - 1) + 2 * dim
 
 
 def append_local_bump(b: NetworkBuilder, grid: GridSpec, rect: HyperRect, source: int) -> int:
@@ -101,33 +81,3 @@ def append_local_bump(b: NetworkBuilder, grid: GridSpec, rect: HyperRect, source
             inner = b.relu(b.affine(source, [row], [offset]))
             ramps.append(b.affine(inner, [[-1.0]], [1.0]))
     return b.relu(append_nmin_tree(b, ramps))
-
-
-def build_local_bump(grid: GridSpec, rect: HyperRect) -> Network:
-    b = NetworkBuilder(grid.dim)
-    source = b.concat(b.input_ids) if grid.dim > 1 else b.input_id(0)
-    out = append_local_bump(b, grid, rect, source)
-    return b.finish(
-        out,
-        {
-            "kind": "local-bump",
-            "relu_budget_formula": str(bump_relu_budget(grid.dim)),
-            "cells_per_unit": str(grid.cells_per_unit),
-        },
-    )
-
-
-def bump_closed_form(grid: GridSpec, rect: HyperRect, x: Sequence[float]) -> float:
-    """Direct evaluation of the bump's piecewise-linear shape, for testing.
-
-    Computes the ramps as written, M*ell*(x_k - i/M) + 1, then clamps the min
-    to [0, 1]; this follows a different float path than the network.
-    """
-    m = grid.cells_per_unit
-    steep = m * grid.ell
-    smallest = math.inf
-    for k in range(grid.dim):
-        lo_ramp = steep * (x[k] - rect.lower[k] / m) + 1.0
-        hi_ramp = steep * (rect.upper[k] / m - x[k]) + 1.0
-        smallest = min(smallest, lo_ramp, hi_ramp)
-    return max(0.0, min(1.0, smallest))

@@ -28,12 +28,19 @@ raises ``ValueError``.
 Networks are immutable after construction and evaluation is pure (each call
 owns its buffer), so instances can be shared freely across threads. A
 ``NetworkBuilder`` appends nodes and constructs its network once, in ``finish``.
+It merges bit-identical nodes: an append that repeats an earlier node (same
+kind, predecessors and input index, same float bits in weights and bias)
+returns the earlier id. A merged node propagates exactly as its copy would, so
+intervals are unchanged and only the node list shrinks. ``Network`` itself
+takes its nodes as given, so documents load exactly as written.
 """
 
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -59,8 +66,8 @@ def input_node(index: int) -> Node:
 
 
 def affine_node(pred: int, weights: Sequence[Sequence[float]], bias: Sequence[float]) -> Node:
-    w = tuple(tuple(float(v) for v in row) for row in weights)
-    return Node("affine", preds=(pred,), weights=w, bias=tuple(float(v) for v in bias))
+    w = tuple([tuple(map(float, row)) for row in weights])
+    return Node("affine", preds=(pred,), weights=w, bias=tuple(map(float, bias)))
 
 
 def relu_node(pred: int) -> Node:
@@ -361,13 +368,22 @@ def stats(net: Network) -> dict[str, int]:
     }
 
 
+def _float_bits(node: Node) -> bytes:
+    """The IEEE bytes of an affine node's bias and weights, which tell ``-0.0`` from ``0.0``."""
+    values = (*node.bias, *chain.from_iterable(node.weights))
+    return struct.pack(f"{len(values)}d", *values)
+
+
 class NetworkBuilder:
-    """Appends nodes in topological order and assigns positions as ids."""
+    """Appends nodes in topological order, assigns positions as ids, and merges repeats."""
 
     def __init__(self, input_dim: int):
         self.input_dim = input_dim
         self._nodes: list[Node] = [input_node(i) for i in range(input_dim)]
         self._arities: list[int] = [1] * input_dim
+        self._ids: dict[Node, int] = {node: i for i, node in enumerate(self._nodes)}
+        # Nodes equal to an indexed one but for the sign of a zero, keyed by their bits.
+        self._signed_zero_ids: dict[tuple[Node, bytes], int] = {}
 
     def input_id(self, index: int) -> int:
         return index
@@ -380,9 +396,16 @@ class NetworkBuilder:
         return self._arities[node_id]
 
     def _append(self, node: Node, arity: int) -> int:
+        new = len(self._nodes)
+        found = self._ids.setdefault(node, new)
+        # Equal floats can still differ in bits: 0.0 == -0.0, and both hash alike.
+        if found < new and node.kind == "affine" and _float_bits(node) != _float_bits(self._nodes[found]):
+            found = self._signed_zero_ids.setdefault((node, _float_bits(node)), new)
+        if found < new:
+            return found
         self._nodes.append(node)
         self._arities.append(arity)
-        return len(self._nodes) - 1
+        return new
 
     def affine(self, pred: int, weights: Sequence[Sequence[float]], bias: Sequence[float]) -> int:
         node = affine_node(pred, weights, bias)

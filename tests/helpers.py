@@ -16,9 +16,10 @@ import numpy as np
 from hypothesis import strategies as st
 
 from boxcert.expr import FuncExpr
+from boxcert.gadgets import append_clip_above, append_local_bump, append_nmin2, append_nmin_tree
 from boxcert.grids import GridSpec, HyperRect
 from boxcert.intervals import BoxRegion, Interval, iv_add, iv_affine_row, iv_relu
-from boxcert.network import Network, NetworkBuilder
+from boxcert.network import Network, NetworkBuilder, Node
 from boxcert.oracle import DEFAULT_SAMPLE_BUDGET, CertifiedBound, certified_box_range
 
 
@@ -47,6 +48,15 @@ def rand_dyadic_interval(rng: random.Random, lo: int = -4, hi: int = 4, bits: in
     a = rand_dyadic(rng, lo, hi, bits)
     b = rand_dyadic(rng, lo, hi, bits)
     return Interval(min(a, b), max(a, b))
+
+
+class PlainBuilder(NetworkBuilder):
+    """A builder that appends every node, merging none: the unmerged reference."""
+
+    def _append(self, node: Node, arity: int) -> int:
+        self._nodes.append(node)
+        self._arities.append(arity)
+        return len(self._nodes) - 1
 
 
 def random_network(rng: random.Random, max_extra_nodes: int = 8) -> Network:
@@ -104,9 +114,64 @@ def append_copy(b: NetworkBuilder, net: Network) -> int:
 
 def difference_network(net: Network) -> Network:
     """``net(x) - net(x)`` for a scalar ``net``: two copies, a concat, and the affine row [1, -1]."""
-    b = NetworkBuilder(net.input_dim)
+    b = PlainBuilder(net.input_dim)
     cat = b.concat([append_copy(b, net), append_copy(b, net)])
     return b.finish(b.affine(cat, [[1.0, -1.0]], [0.0]))
+
+
+def build_nmin2() -> Network:
+    b = NetworkBuilder(2)
+    out = append_nmin2(b, b.input_id(0), b.input_id(1))
+    return b.finish(out)
+
+
+def build_nmin_n(n: int) -> Network:
+    if n < 1:
+        raise ValueError("min network needs at least one input")
+    b = NetworkBuilder(n)
+    out = append_nmin_tree(b, b.input_ids)
+    return b.finish(out)
+
+
+def build_clip_above(bound: float) -> Network:
+    b = NetworkBuilder(1)
+    out = append_clip_above(b, b.input_id(0), bound)
+    return b.finish(out)
+
+
+def bump_relu_budget(dim: int) -> int:
+    """Unit-count estimate 1 + 2(2m - 1) + 2m for a bump over an m-dim grid."""
+    return 1 + 2 * (2 * dim - 1) + 2 * dim
+
+
+def build_local_bump(grid: GridSpec, rect: HyperRect) -> Network:
+    b = NetworkBuilder(grid.dim)
+    source = b.concat(b.input_ids) if grid.dim > 1 else b.input_id(0)
+    out = append_local_bump(b, grid, rect, source)
+    return b.finish(
+        out,
+        {
+            "kind": "local-bump",
+            "relu_budget_formula": str(bump_relu_budget(grid.dim)),
+            "cells_per_unit": str(grid.cells_per_unit),
+        },
+    )
+
+
+def bump_closed_form(grid: GridSpec, rect: HyperRect, x: Sequence[float]) -> float:
+    """Direct evaluation of the bump's piecewise-linear shape.
+
+    Computes the ramps as written, M*ell*(x_k - i/M) + 1, then clamps the min
+    to [0, 1]; this follows a different float path than the network.
+    """
+    m = grid.cells_per_unit
+    steep = m * grid.ell
+    smallest = math.inf
+    for k in range(grid.dim):
+        lo_ramp = steep * (x[k] - rect.lower[k] / m) + 1.0
+        hi_ramp = steep * (rect.upper[k] / m - x[k]) + 1.0
+        smallest = min(smallest, lo_ramp, hi_ramp)
+    return max(0.0, min(1.0, smallest))
 
 
 def random_box(rng: random.Random, dim: int, lo: float = -3.0, hi: float = 3.0) -> BoxRegion:

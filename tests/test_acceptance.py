@@ -16,7 +16,6 @@ from boxcert.cli import main as cli_main
 from boxcert.construct import build_certified_network
 from boxcert.expr import parse_func
 from boxcert.fixtures import fig2_n1, fig2_n2, hat_function
-from boxcert.gadgets import build_local_bump, build_nmin2, build_nmin_n, bump_closed_form
 from boxcert.grids import GridSpec, HyperRect
 from boxcert.intervals import BoxRegion, Interval, box_subset, iv_subset, nmin2_closed_form
 from boxcert.network import (
@@ -29,6 +28,10 @@ from boxcert.slicing import make_slice_spec, slice_eval_many
 from boxcert.verify import RunConfig, verify_network
 
 from helpers import (
+    build_local_bump,
+    build_nmin2,
+    build_nmin_n,
+    bump_closed_form,
     difference_network,
     identity_network,
     point_inside,

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 from types import SimpleNamespace
@@ -22,11 +23,11 @@ from boxcert.expr import parse_func
 from boxcert.grids import GridSpec, HyperRect, prune_maximal
 from boxcert.intervals import BoxRegion, Interval, iv_subset
 from boxcert.netio import deserialize, serialize
-from boxcert import network
-from boxcert.network import NetworkBuilder, eval_abstract, eval_concrete
+from boxcert import construct, network
+from boxcert.network import NetworkBuilder, eval_abstract, eval_abstract_many, eval_concrete, stats
 from boxcert.oracle import OracleBudgetError, certified_box_range
 from boxcert.slicing import make_slice_spec
-from helpers import enumerate_rects, reference_prune_maximal
+from helpers import PlainBuilder, enumerate_rects, reference_prune_maximal
 
 CUBIC = "-x0*x0*x0 + 3*x0"
 
@@ -359,17 +360,19 @@ class TestBuildCertifiedNetwork:
 
 
 # sha256 of the .net documents of the benchmark's build cases and of the cubic
-# at delta 0.1, recorded with the enumerate-and-prune construction that the
-# minima table replaced. The three served cases are pinned in test_compiled.
+# at delta 0.1, recorded with the builder that merges bit-identical nodes; the
+# unmerged-reference tests at the end of this file check that merging leaves
+# every propagated interval as it was. The three served cases are pinned in
+# test_compiled.
 PINNED_BUILDS = (
     (CUBIC, [(-2.0, 2.0)], 0.2,
-     "5b58b44838f63578e1f601423561e209d43c20c168a3df5ec1d6a07e87dc7e30"),
+     "ce0b34ade4573107fd93911f0268088523dddb14c726520da23e78a9159d109b"),
     (CUBIC, [(-2.0, 2.0)], 0.1,
-     "91762fe644ba69d0fcc225f63e53b6180414f4c16816743224ebd8c512244d5e"),
+     "1b2a0fb496739a12ab8b6b7e9f9070cec93074fa2bfe972f0d04189c547cfb91"),
     ("min(x0, x1)", [(0.0, 1.0), (0.0, 1.0)], 0.5,
-     "06181b0e9ef933739b54732a758be8bd52fdc7a74b4ff31fb61b4c54618026f9"),
+     "ff7fc72d2e0a761d69fa1b26a817c80b353d88bf92cf0e05b4858e12a259a1ca"),
     ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.25,
-     "83b41908d45b77eda77e0daea9c92ce1ee7349162d86c6ce8ce7a7a19cb2d8b6"),
+     "71b43463cc72557677fa8df2d048a0ed24dbf5eee3d815bd1151e46434fcfaac"),
 )
 
 
@@ -395,3 +398,88 @@ def test_build_constructs_one_network(monkeypatch, expr, domain, slices):
     _, report = build_certified_network(f, 0.25)
     assert report.slice_count == slices
     assert len(calls) == 1
+
+
+# The three served cases and min(x0, x1), with the sha256 of their documents as
+# built before the builder merged bit-identical nodes.
+UNMERGED_BUILDS = (
+    (CUBIC, [(-2.0, 2.0)], 0.4,
+     "40b9aff43ded8e65bb82514e7582cc2c0f83c70fd0bbd7accd4529023eec5912"),
+    ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.5,
+     "29c6df0c5a3be2eeb58d6e6deee7e1548d7d4e73a9503d72d4ed7199893f1c31"),
+    ("abs(x0 - 0.5)*relu(x1)", [(0.0, 1.0), (0.0, 1.0)], 0.25,
+     "76a97fd52c01f21963fe3c7d8ab92b6cd29e0a9bdb82cc029086723720d2273e"),
+    ("min(x0, x1)", [(0.0, 1.0), (0.0, 1.0)], 0.5,
+     "06181b0e9ef933739b54732a758be8bd52fdc7a74b4ff31fb61b4c54618026f9"),
+)
+
+
+@functools.cache
+def merged_and_unmerged(case):
+    """The build of ``UNMERGED_BUILDS[case]``, and the same build with nothing merged."""
+    expr, domain, delta, _ = UNMERGED_BUILDS[case]
+    f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
+    merged, _ = build_certified_network(f, delta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "NetworkBuilder", PlainBuilder)
+        unmerged, _ = build_certified_network(f, delta)
+    return merged, unmerged
+
+
+@pytest.mark.parametrize("case", range(len(UNMERGED_BUILDS)), ids=["cubic", "product", "abs-relu", "min"])
+def test_unmerged_reference_is_the_earlier_document(case):
+    merged, unmerged = merged_and_unmerged(case)
+    assert hashlib.sha256(serialize(unmerged).encode()).hexdigest() == UNMERGED_BUILDS[case][3]
+    small, large = stats(merged), stats(unmerged)
+    assert small["node_count"] <= large["node_count"]
+    assert small["relu_count"] <= large["relu_count"]
+
+
+@st.composite
+def reference_boxes(draw):
+    """A reference case and sub-boxes of its domain, some of them point boxes."""
+    case = draw(st.integers(0, len(UNMERGED_BUILDS) - 1))
+    domain = UNMERGED_BUILDS[case][1]
+    unit = st.floats(0.0, 1.0)
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        point = draw(st.booleans())
+        pairs = []
+        for lo, hi in domain:
+            s, t = draw(unit), draw(unit)
+            a, b = lo + (hi - lo) * min(s, t), lo + (hi - lo) * max(s, t)
+            pairs.append((a, a) if point else (a, b))
+        boxes.append(BoxRegion.from_pairs(pairs))
+    return case, boxes
+
+
+@settings(max_examples=80, deadline=None)
+@given(reference_boxes())
+def test_merged_builds_propagate_like_unmerged_ones(drawn):
+    case, boxes = drawn
+    merged, unmerged = merged_and_unmerged(case)
+    old_style = deserialize(serialize(unmerged))
+
+    def endpoints(net):
+        return [[(iv.lo.hex(), iv.hi.hex()) for iv in out.bounds] for out in eval_abstract_many(net, boxes)]
+
+    assert endpoints(merged) == endpoints(unmerged) == endpoints(old_style)
+
+
+@pytest.mark.parametrize("expr, domain, assembled", [
+    (CUBIC, [(-2, 2)], True),
+    ("x0*x1", [(0, 1), (0, 1)], True),
+    ("3.5", [(0, 1), (0, 1)], False),
+], ids=["cubic", "product", "constant"])
+def test_slices_and_assembly_run_through_module_names(monkeypatch, expr, domain, assembled):
+    # The benchmark times these two module globals as the slice and assembly stages.
+    calls = {"build_slice_network": 0, "sum_outputs": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(construct, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(construct, name, counted)
+    f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
+    _, report = build_certified_network(f, 0.4)
+    assert calls["build_slice_network"] == (report.slice_count if assembled else 0)
+    assert calls["sum_outputs"] == int(assembled)

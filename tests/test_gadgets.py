@@ -3,19 +3,21 @@ import random
 
 import pytest
 
-from boxcert.gadgets import (
+from boxcert.gadgets import append_local_bump
+from boxcert.grids import GridSpec, HyperRect, ramp_steepness
+from boxcert.intervals import BoxRegion, Interval, iv_subset, nmin2_closed_form
+from boxcert.network import NetworkBuilder, eval_abstract, eval_concrete, stats
+
+from helpers import (
     build_clip_above,
     build_local_bump,
     build_nmin2,
     build_nmin_n,
     bump_closed_form,
     bump_relu_budget,
+    rand_dyadic,
+    rand_dyadic_interval,
 )
-from boxcert.grids import GridSpec, HyperRect, ramp_steepness
-from boxcert.intervals import BoxRegion, Interval, iv_subset, nmin2_closed_form
-from boxcert.network import eval_abstract, eval_concrete, stats
-
-from helpers import rand_dyadic, rand_dyadic_interval
 
 
 def propagate1(net, *intervals):
@@ -191,6 +193,59 @@ def unit_grid(dim, cells):
     return GridSpec(cells, (0,) * dim, (cells,) * dim)
 
 
+def ancestors(net, node_id):
+    """The node and every node it reads from."""
+    seen, stack = set(), [node_id]
+    while stack:
+        i = stack.pop()
+        if i not in seen:
+            seen.add(i)
+            stack.extend(net.nodes[i].preds)
+    return seen
+
+
+def check_bump_contract(bump, grid, rect, rng):
+    """[1, 1] on boxes inside the corner hull, [0, 0] one grid step away, and never outside [0, 1]."""
+    dim = grid.dim
+    hull = rect.hull(grid)
+    m = grid.cells_per_unit
+    for _ in range(200):
+        # boxes inside the corner hull propagate to exactly [1, 1]
+        pairs = []
+        for k in range(dim):
+            a = rng.uniform(hull[k].lo, hull[k].hi)
+            b = rng.uniform(hull[k].lo, hull[k].hi)
+            pairs.append((min(a, b), max(a, b)))
+        assert eval_abstract(bump, BoxRegion.from_pairs(pairs)).bounds[0] == Interval(1, 1)
+    for _ in range(200):
+        # boxes separated one grid step from the hull collapse to [0, 0]
+        split = rng.randrange(dim)
+        side = rng.choice((-1, 1))
+        pairs = []
+        for k in range(dim):
+            if k == split:
+                if side < 0:
+                    b = hull[k].lo - 1.0 / m - 1e-6 * rng.uniform(1, 9)
+                    a = b - rng.uniform(0, 2)
+                else:
+                    a = hull[k].hi + 1.0 / m + 1e-6 * rng.uniform(1, 9)
+                    b = a + rng.uniform(0, 2)
+            else:
+                a = rng.uniform(-2, 2)
+                b = a + rng.uniform(0, 3)
+            pairs.append((min(a, b), max(a, b)))
+        assert eval_abstract(bump, BoxRegion.from_pairs(pairs)).bounds[0] == Interval(0, 0)
+    for _ in range(200):
+        # and the image never leaves [0, 1]
+        pairs = []
+        for k in range(dim):
+            a = rng.uniform(-3, 3)
+            b = a + rng.uniform(0, 4)
+            pairs.append((a, b))
+        out = eval_abstract(bump, BoxRegion.from_pairs(pairs)).bounds[0]
+        assert 0.0 <= out.lo <= out.hi <= 1.0
+
+
 class TestLocalBump:
     def test_unit_cell_values(self):
         grid = GridSpec(1, (-2,), (3,))
@@ -228,48 +283,28 @@ class TestLocalBump:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_abstract_contract(self, dim):
-        cells = 4
-        grid = unit_grid(dim, cells)
+        grid = unit_grid(dim, 4)
         rect = HyperRect((1,) * dim, (2,) * dim)
-        bump = build_local_bump(grid, rect)
-        hull = rect.hull(grid)
-        rng = random.Random(dim)
-        m = grid.cells_per_unit
-        for _ in range(200):
-            # boxes inside the corner hull propagate to exactly [1, 1]
-            pairs = []
-            for k in range(dim):
-                a = rng.uniform(hull[k].lo, hull[k].hi)
-                b = rng.uniform(hull[k].lo, hull[k].hi)
-                pairs.append((min(a, b), max(a, b)))
-            assert eval_abstract(bump, BoxRegion.from_pairs(pairs)).bounds[0] == Interval(1, 1)
-        for _ in range(200):
-            # boxes separated one grid step from the hull collapse to [0, 0]
-            split = rng.randrange(dim)
-            side = rng.choice((-1, 1))
-            pairs = []
-            for k in range(dim):
-                if k == split:
-                    if side < 0:
-                        b = hull[k].lo - 1.0 / m - 1e-6 * rng.uniform(1, 9)
-                        a = b - rng.uniform(0, 2)
-                    else:
-                        a = hull[k].hi + 1.0 / m + 1e-6 * rng.uniform(1, 9)
-                        b = a + rng.uniform(0, 2)
-                else:
-                    a = rng.uniform(-2, 2)
-                    b = a + rng.uniform(0, 3)
-                pairs.append((min(a, b), max(a, b)))
-            assert eval_abstract(bump, BoxRegion.from_pairs(pairs)).bounds[0] == Interval(0, 0)
-        for _ in range(200):
-            # and the image never leaves [0, 1]
-            pairs = []
-            for k in range(dim):
-                a = rng.uniform(-3, 3)
-                b = a + rng.uniform(0, 4)
-                pairs.append((a, b))
-            out = eval_abstract(bump, BoxRegion.from_pairs(pairs)).bounds[0]
-            assert 0.0 <= out.lo <= out.hi <= 1.0
+        check_bump_contract(build_local_bump(grid, rect), grid, rect, random.Random(dim))
+
+    def test_contract_holds_on_shared_ramps(self):
+        grid = unit_grid(2, 4)
+        first, second = HyperRect((1, 1), (2, 2)), HyperRect((1, 0), (3, 1))  # same lower[0]
+        b = NetworkBuilder(2)
+        source = b.concat(b.input_ids)
+        outs = [append_local_bump(b, grid, rect, source) for rect in (first, second)]
+        net = b.finish(outs[1])
+        ramps = [
+            {i for i in ancestors(net, out) if net.nodes[i].kind == "affine" and net.nodes[i].preds == (source,)}
+            for out in outs
+        ]
+        assert len(ramps[0]) == len(ramps[1]) == 4
+        (shared,) = ramps[0] & ramps[1]
+        steep = float(grid.cells_per_unit * grid.ell)
+        assert net.nodes[shared].weights == ((-steep, 0.0),)
+        assert net.nodes[shared].bias == (float(grid.ell * 1),)
+        for out, rect in zip(outs, (first, second)):
+            check_bump_contract(b.finish(out), grid, rect, random.Random(3))
 
     def test_degenerate_rect_is_a_point_bump(self):
         grid = unit_grid(1, 4)

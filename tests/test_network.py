@@ -4,7 +4,9 @@ import pytest
 
 from boxcert.fixtures import fig2_n1, fig2_n2, hat_function
 from boxcert.intervals import BoxRegion, Interval, box_subset
-from boxcert.construct import sum_outputs
+from boxcert.construct import build_certified_network, sum_outputs
+from boxcert.expr import parse_func
+from boxcert.netio import serialize
 from boxcert.network import (
     Network,
     NetworkBuilder,
@@ -124,6 +126,64 @@ class TestCombinators:
         net = b.finish(b.concat([append_copy(b, identity_network(1)), append_copy(b, fig2_n1())]))
         assert net.output_dim == 2
         assert eval_concrete(net, [0.25]) == (0.25, 0.75)
+
+
+class TestBuilderMerging:
+    def test_identical_appends_of_each_kind_share_an_id(self):
+        b = NetworkBuilder(2)
+        cat = b.concat([0, 1])
+        assert b.concat([0, 1]) == cat
+        aff = b.affine(cat, [[1.0, -2.0], [0.5, 0.0]], [0.25, -1.0])
+        assert b.affine(cat, [[1.0, -2.0], [0.5, 0.0]], [0.25, -1.0]) == aff
+        rel = b.relu(aff)
+        assert b.relu(aff) == rel
+        tot = b.sum([aff, rel])
+        assert b.sum([aff, rel]) == tot
+        assert b._append(input_node(1), 1) == 1
+        net = b.finish(tot)
+        assert len(net.nodes) == 6
+        assert [n.kind for n in net.nodes] == ["input", "input", "concat", "affine", "relu", "sum"]
+
+    @pytest.mark.parametrize("first, second", [
+        (([[1.0]], [0.0]), ([[1.0]], [-0.0])),
+        (([[0.0, 1.0]], [2.0]), ([[-0.0, 1.0]], [2.0])),
+    ], ids=["bias", "weight"])
+    def test_signed_zeros_stay_distinct(self, first, second):
+        b = NetworkBuilder(2)
+        src = b.concat([0, 1]) if len(first[0][0]) == 2 else 0
+        a = b.affine(src, *first)
+        c = b.affine(src, *second)
+        assert a != c
+        # each variant is indexed: repeating either returns its own node
+        assert b.affine(src, *first) == a
+        assert b.affine(src, *second) == c
+        net = b.finish(b.sum([a, c]))
+        lines = serialize(net).splitlines()
+        line_a = next(ln for ln in lines if ln.startswith(f"node {a} "))
+        line_c = next(ln for ln in lines if ln.startswith(f"node {c} "))
+        assert (-0.0).hex() not in line_a.split()
+        assert (-0.0).hex() in line_c.split()
+
+    def test_different_predecessors_or_inputs_are_not_merged(self):
+        b = NetworkBuilder(2)
+        assert b.relu(0) != b.relu(1)
+        assert b.affine(0, [[2.0]], [1.0]) != b.affine(1, [[2.0]], [1.0])
+        assert b.concat([0, 1]) != b.concat([1, 0])
+        r0, r1 = b.relu(0), b.relu(1)
+        assert b.sum([r0, r1]) != b.sum([r1, r0])
+        assert b._append(input_node(0), 1) != b._append(input_node(1), 1)
+
+    @pytest.mark.parametrize("expr, domain, delta", [
+        ("-x0*x0*x0 + 3*x0", [(-2.0, 2.0)], 0.4),
+        ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.5),
+        ("abs(x0 - 0.5)*relu(x1)", [(0.0, 1.0), (0.0, 1.0)], 0.25),
+    ], ids=["cubic", "product", "abs-relu"])
+    def test_served_builds_have_bit_distinct_nodes(self, expr, domain, delta):
+        f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
+        net, _ = build_certified_network(f, delta)
+        # a node line without its id: kind, predecessors or input index, hex floats
+        bodies = [ln.split(" ", 2)[2] for ln in serialize(net).splitlines() if ln.startswith("node ")]
+        assert len(bodies) == len(net.nodes) == len(set(bodies))
 
 
 class TestStats:

@@ -7,7 +7,7 @@ import pathlib
 import sys
 
 from boxcert import netio
-from boxcert.construct import build_certified_network
+from boxcert.construct import build_certified_network, format_cells
 from boxcert.expr import parse_func
 from boxcert.intervals import BoxRegion
 from boxcert.network import eval_abstract
@@ -29,7 +29,7 @@ def main() -> int:
     netio.save(net, str(out_dir / "cubic.net"))
     report.save(str(out_dir / "cubic.report"))
     print(
-        f"built: {report.slice_count} slices, {report.cells_per_unit} cells/unit, "
+        f"built: {report.slice_count} slices, {format_cells(report.cells_per_unit)} cells, "
         f"adjusted delta {report.delta:g}, {report.relu_count} ReLUs "
         f"({report.build_seconds:.2f}s)"
     )

@@ -6,7 +6,7 @@ import pathlib
 import sys
 
 from boxcert import netio
-from boxcert.construct import build_certified_network
+from boxcert.construct import build_certified_network, format_cells
 from boxcert.expr import parse_func
 from boxcert.intervals import BoxRegion
 from boxcert.network import stats
@@ -28,7 +28,7 @@ def main() -> int:
         netio.save(net, str(out_dir / f"{tag}.net"))
         report.save(str(out_dir / f"{tag}.report"))
         print(
-            f"{source}: {report.slice_count} slices, grid {report.cells_per_unit}/unit, "
+            f"{source}: {report.slice_count} slices, grid {format_cells(report.cells_per_unit)} cells per axis, "
             f"bumps per slice {report.bumps_per_slice}, "
             f"{stats(net)['relu_count']} ReLUs ({report.build_seconds:.2f}s)"
         )

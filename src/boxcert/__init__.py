@@ -18,21 +18,7 @@ from .construct import (
 from .expr import FuncExpr, ParseError, parse_expr, parse_func, to_source
 from .fixtures import FIXTURES, fig2_n1, fig2_n2
 from .grids import GridSpec, HyperRect
-from .intervals import (
-    BoxRegion,
-    Interval,
-    box_contains,
-    box_subset,
-    iv_add,
-    iv_affine_row,
-    iv_clip_above,
-    iv_contains,
-    iv_neg,
-    iv_relu,
-    iv_scale,
-    iv_subset,
-    nmin2_closed_form,
-)
+from .intervals import BoxRegion, Interval
 from .netio import NetworkFormatError, deserialize, load, save, serialize
 from .network import (
     Network,
@@ -43,7 +29,7 @@ from .network import (
     stats,
 )
 from .oracle import CertifiedBound, OracleBudgetError
-from .slicing import SliceSpec, make_slice_spec, slice_eval
+from .slicing import SliceSpec, make_slice_spec
 from .verify import RunConfig, VerificationReport, verify_network
 
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ from .construct import (
     BuildBudget,
     BuildBudgetError,
     build_certified_network,
+    format_cells,
 )
 from .expr import ParseError, parse_func
 from .fixtures import FIXTURES
@@ -121,7 +122,7 @@ def _expression_text(args: argparse.Namespace) -> str:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     domain = parse_box_text(args.domain)
-    if args.delta <= 0:
+    if not args.delta > 0:
         raise _UsageError("delta must be positive")
     f = parse_func(_expression_text(args), domain.dim, domain)
     budget = _budget_from_env()
@@ -132,7 +133,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     report_path = args.report or args.out + ".report"
     report.save(report_path)
     print(
-        f"built {args.out}: slices {report.slice_count}, cells/unit {report.cells_per_unit}, "
+        f"built {args.out}: slices {report.slice_count}, cells {format_cells(report.cells_per_unit)}, "
         f"delta {report.delta:g}, relus {report.relu_count}, {report.build_seconds:.2f}s"
     )
     print(f"report written to {report_path}")

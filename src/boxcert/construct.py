@@ -7,6 +7,12 @@ the maximal rectangles whose minimum clears the slice's upper level, sum a
 local bump per selected rectangle, clip, and stack the slices back up from the
 bottom level.
 
+Every network is built on the unit box: the grid has ``cells[k]`` cells along
+axis k of [0, 1]^m, sized from the domain's width on that axis, and the network
+first maps its input through ``A: x -> (x - lo) / w`` (left out when the domain
+is the unit box already). A grid rectangle's hull is the image under A's
+inverse of its unit-box corners, so the requested domain is the one certified.
+
 Membership uses the sampled (upper) end of the certified minimum. Any box that
 exceeds a slice's level by half a slab snaps to an enclosing rectangle whose
 true minimum still clears the level, so that rectangle (or a member containing
@@ -31,7 +37,7 @@ from .grids import GridSpec, HyperRect, prune_maximal
 from .intervals import BoxRegion
 from .netio import format_box_text
 from .network import Network, NetworkBuilder, stats
-from .oracle import certified_box_range
+from .oracle import DEFAULT_SAMPLE_BUDGET, certified_box_range
 from .slicing import SliceSpec, make_slice_spec
 
 RANGE_MARGIN_FRACTION = 16.0  # range margin target: delta / 16
@@ -42,7 +48,7 @@ RECT_MARGIN_FRACTION = 8.0  # per-rectangle margin target: delta' / 8
 class BuildBudget:
     max_candidates: int = 5_000_000
     max_bumps: int = 100_000
-    max_oracle_samples: int = 4_000_000
+    max_oracle_samples: int = DEFAULT_SAMPLE_BUDGET
 
 
 DEFAULT_BUDGET = BuildBudget()
@@ -58,7 +64,7 @@ class BuildReport:
     requested_delta: float
     delta: float
     slice_count: int
-    cells_per_unit: int
+    cells_per_unit: tuple[int, ...]  # grid cells along each axis of the unit box
     lipschitz: float
     domain: BoxRegion
     bumps_per_slice: tuple[int, ...]
@@ -74,7 +80,7 @@ class BuildReport:
             f"requested_delta {self.requested_delta!r}",
             f"delta {self.delta!r}",
             f"slices {self.slice_count}",
-            f"cells_per_unit {self.cells_per_unit}",
+            f"cells_per_unit {format_cells(self.cells_per_unit)}",
             f"lipschitz {self.lipschitz!r}",
             f"domain {format_box_text(self.domain, hex_floats=False)}",
             f"bumps_per_slice {','.join(str(n) for n in self.bumps_per_slice)}",
@@ -90,21 +96,33 @@ class BuildReport:
             fh.write(self.to_document())
 
 
-def grid_resolution(lipschitz: float, delta: float) -> int:
-    """Smallest cell count per unit so one cell moves f by at most delta/2."""
+def format_cells(cells: Sequence[int]) -> str:
+    """Per-axis cell counts as text: one integer when every axis has the same count."""
+    return str(cells[0]) if len(set(cells)) == 1 else ",".join(str(c) for c in cells)
+
+
+def grid_resolution(lipschitz: float, delta: float, width: float) -> int:
+    """Smallest cell count on an axis this wide so one cell moves f by at most delta/2."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     if lipschitz < 0:
         raise ValueError("Lipschitz bound must be nonnegative")
-    return max(1, math.ceil(2.0 * lipschitz / delta))
+    return max(1, math.ceil(width * (2.0 * lipschitz / delta)))
+
+
+def cell_density(grid: GridSpec, domain: BoxRegion) -> float:
+    """Cells per unit of input along the axis with the widest cells; inf on a point domain."""
+    return min((c / iv.width for c, iv in zip(grid.cells, domain.bounds) if iv.width > 0), default=math.inf)
 
 
 class CellMinTable:
     """Sampled minima of f over grid-rectangle hulls, from one shared lattice.
 
-    The lattice subdivides every grid cell ``samples_per_cell`` times and
-    includes all cell boundaries, so the minimum over a rectangle's hull is a
-    contiguous-slab minimum with certificate margin L / (2 M s).
+    The lattice spans f's domain with ``cells[k] * samples_per_cell``
+    intervals along axis k, so it subdivides every grid cell
+    ``samples_per_cell`` times and includes all cell boundaries. The minimum
+    over a rectangle's hull is then a contiguous-slab minimum with
+    certificate margin L / (2 d s), where 1/d is the widest cell's width.
     """
 
     def __init__(self, f: FuncExpr, grid: GridSpec, samples_per_cell: int, budget: BuildBudget):
@@ -112,28 +130,24 @@ class CellMinTable:
             raise ValueError("samples_per_cell must be at least 1")
         self.grid = grid
         self.samples_per_cell = samples_per_cell
-        shape = tuple(grid.cells(k) * samples_per_cell + 1 for k in range(grid.dim))
+        shape = tuple(c * samples_per_cell + 1 for c in grid.cells)
         total = math.prod(shape)
         if total > budget.max_oracle_samples:
             raise BuildBudgetError(
                 f"lattice of {total} samples exceeds the oracle budget "
                 f"{budget.max_oracle_samples}; raise delta or the budget"
             )
-        m = grid.cells_per_unit
-        axes = [
-            np.linspace(grid.index_lo[k] / m, grid.index_hi[k] / m, shape[k])
-            for k in range(grid.dim)
-        ]
+        axes = [np.linspace(iv.lo, iv.hi, n) for iv, n in zip(f.domain.bounds, shape)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.reshape(-1) for g in mesh], axis=1)
         self.values = f.eval_many(pts).reshape(shape)
-        self.margin = f.lipschitz / (2.0 * m * samples_per_cell)
+        self.margin = f.lipschitz / (2.0 * cell_density(grid, f.domain) * samples_per_cell)
 
     def all_rect_mins(self) -> np.ndarray:
         """Sampled minimum over every grid rectangle's hull, as one table.
 
-        The table is indexed by ``(lo_0..lo_{m-1}, hi_0..hi_{m-1})``, grid
-        points counted from ``grid.index_lo``, and holds -inf where some
+        The table is indexed by ``(lo_0..lo_{m-1}, hi_0..hi_{m-1})`` by grid
+        point index, and holds -inf where some
         ``lo_k > hi_k``. Each lattice axis in turn becomes a ``(lo, hi)`` pair
         of axes: per-cell slab minima, both boundary lines included, feed the
         running minimum ``min[lo, hi] = min(min[lo, hi-1], cell[hi-1])``.
@@ -143,7 +157,7 @@ class CellMinTable:
         s = self.samples_per_cell
         mins = self.values
         for k in range(self.grid.dim):
-            n = self.grid.cells(k)
+            n = self.grid.cells[k]
             rest = mins.shape[1:]
             points = mins[::s]
             cell = np.minimum(mins[:-1].reshape(n, s, *rest).min(axis=1), points[1:])
@@ -158,12 +172,13 @@ class CellMinTable:
         return np.ascontiguousarray(mins.transpose([*range(0, 2 * m, 2), *range(1, 2 * m, 2)]))
 
 
-def samples_per_cell_for(lipschitz: float, cells_per_unit: int, target_margin: float) -> int:
+def samples_per_cell_for(lipschitz: float, density: float, target_margin: float) -> int:
+    """Lattice points per cell so the margin L / (2 * density * s) is at most the target."""
     if target_margin <= 0:
         raise ValueError("target margin must be positive")
     if lipschitz == 0.0:
         return 1
-    return max(1, math.ceil(lipschitz / (2.0 * cells_per_unit * target_margin)))
+    return max(1, math.ceil(lipschitz / (2.0 * density * target_margin)))
 
 
 def delta_sets(
@@ -179,29 +194,44 @@ def delta_sets(
     if candidates > budget.max_candidates:
         raise BuildBudgetError(
             f"{candidates} candidate rectangles exceed the budget {budget.max_candidates}; "
-            f"raise delta or lower the input dimension (enumeration grows like M^(2m))"
+            f"raise delta or lower the input dimension (enumeration grows like the product of cells[k]^2)"
         )
     target = spec.delta / RECT_MARGIN_FRACTION
-    table = CellMinTable(f, grid, samples_per_cell_for(f.lipschitz, grid.cells_per_unit, target), budget)
+    s = samples_per_cell_for(f.lipschitz, cell_density(grid, f.domain), target)
+    table = CellMinTable(f, grid, s, budget)
     mins = table.all_rect_mins()
     return [prune_maximal(mins >= level, grid) for level in spec.levels[1:]]
 
 
-def _source(b: NetworkBuilder) -> int:
+def _inputs(b: NetworkBuilder) -> int:
     """The input vector: the concat of every input, or the single input itself."""
     return b.concat(b.input_ids) if b.input_dim > 1 else b.input_id(0)
 
 
+def _source(b: NetworkBuilder, domain: BoxRegion) -> int:
+    """The input vector mapped onto the unit box by ``x -> (x - lo) / w`` per axis.
+
+    The map is left out on the unit box. A zero-width axis keeps ``x - lo``.
+    """
+    x = _inputs(b)
+    if all(iv.lo == 0.0 and iv.hi == 1.0 for iv in domain.bounds):
+        return x
+    m = domain.dim
+    scales = [1.0 / iv.width if iv.width > 0 else 1.0 for iv in domain.bounds]
+    rows = [[scales[k] if j == k else 0.0 for j in range(m)] for k in range(m)]
+    return b.affine(x, rows, [-(iv.lo * r) for iv, r in zip(domain.bounds, scales)])
+
+
 def _constant(b: NetworkBuilder, value: float) -> int:
-    """Append the input source and a zero-weight affine row that outputs ``value``."""
-    return b.affine(_source(b), [[0.0] * b.input_dim], [float(value)])
+    """Append the input vector and a zero-weight affine row that outputs ``value``."""
+    return b.affine(_inputs(b), [[0.0] * b.input_dim], [float(value)])
 
 
-def build_slice_network(b: NetworkBuilder, delta_k: Sequence[HyperRect], grid: GridSpec) -> int:
-    """Append a slice: clip-to-one of the sum of bumps; constant zero when empty."""
+def build_slice_network(b: NetworkBuilder, delta_k: Sequence[HyperRect], grid: GridSpec, domain: BoxRegion) -> int:
+    """Append a slice: clip-to-one of the sum of bumps on ``domain`` mapped onto the unit box; zero when empty."""
     if not delta_k:
         return _constant(b, 0.0)
-    source = _source(b)
+    source = _source(b, domain)
     bumps = [append_local_bump(b, grid, rect, source) for rect in sorted(delta_k)]
     total = b.sum(bumps) if len(bumps) > 1 else bumps[0]
     return append_clip_above(b, total, 1.0)
@@ -219,9 +249,7 @@ def _finalize(
     requested: float,
     adjusted: float,
     spec_count: int,
-    cells: int,
-    lipschitz: float,
-    domain: BoxRegion,
+    cells: tuple[int, ...],
     bumps: tuple[int, ...],
     candidates: int,
     started: float,
@@ -230,12 +258,12 @@ def _finalize(
     metadata = {
         "generator": "boxcert-build",
         "expression": f.source,
-        "domain": format_box_text(domain, hex_floats=True),
+        "domain": format_box_text(f.domain, hex_floats=True),
         "delta_requested": float(requested).hex(),
         "delta": float(adjusted).hex(),
         "slices": str(spec_count),
-        "cells_per_unit": str(cells),
-        "lipschitz": float(lipschitz).hex(),
+        "cells_per_unit": format_cells(cells),
+        "lipschitz": float(f.lipschitz).hex(),
         "bumps": ",".join(str(n) for n in bumps),
     }
     if levels:
@@ -248,8 +276,8 @@ def _finalize(
         delta=adjusted,
         slice_count=spec_count,
         cells_per_unit=cells,
-        lipschitz=lipschitz,
-        domain=domain,
+        lipschitz=f.lipschitz,
+        domain=f.domain,
         bumps_per_slice=bumps,
         candidate_rects=candidates,
         relu_count=counts["relu_count"],
@@ -264,47 +292,28 @@ def build_certified_network(
 ) -> tuple[Network, BuildReport]:
     """Build a network whose propagated intervals bracket f's range within delta."""
     started = time.perf_counter()
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
 
-    # The grid snaps the domain outward to index points, and the Lipschitz
-    # bound and range must be certified over the snapped domain; iterate the
-    # sizing until the domain stops moving (immediately, for grid-aligned
-    # corners).
     domain = f.domain
-    spec: SliceSpec | None = None
-    cells = 1
-    lipschitz = 0.0
-    for _ in range(8):
-        fd = f.with_domain(domain)
-        lipschitz = fd.lipschitz
-        if lipschitz == 0.0:
-            b = NetworkBuilder(f.dim)
-            out = _constant(b, fd.eval([iv.mid for iv in domain.bounds]))
-            return _finalize(b, out, fd, delta, 0.0, 1, 1, 0.0, domain, (0,), 0, started)
-        cmin, cmax = certified_box_range(
-            fd, domain, delta / RANGE_MARGIN_FRACTION, budget.max_oracle_samples
-        )
-        spec = make_slice_spec(cmin.value, cmax.value, delta)
-        if spec.delta == 0.0:
-            # flat sampled range but nonzero Lipschitz bound: the constant
-            # network is still within delta because the range margin is far
-            # below delta/2, and that is the honest tolerance to report
-            b = NetworkBuilder(f.dim)
-            out = _constant(b, cmin.value)
-            return _finalize(b, out, fd, delta, delta, 1, 1, lipschitz, domain, (0,), 0, started)
-        cells = grid_resolution(lipschitz, spec.delta)
-        snapped = GridSpec.for_box(f.domain, cells).domain
-        if snapped == domain:
-            break
-        domain = snapped
-    else:
-        raise BuildBudgetError("grid sizing did not stabilize; check the domain bounds")
+    constant_cells = (1,) * f.dim
+    lipschitz = f.lipschitz
+    if lipschitz == 0.0:
+        b = NetworkBuilder(f.dim)
+        out = _constant(b, f.eval([iv.mid for iv in domain.bounds]))
+        return _finalize(b, out, f, delta, 0.0, 1, constant_cells, (0,), 0, started)
+    cmin, cmax = certified_box_range(f, domain, delta / RANGE_MARGIN_FRACTION, budget.max_oracle_samples)
+    spec = make_slice_spec(cmin.value, cmax.value, delta)
+    if spec.delta == 0.0:
+        # flat sampled range but nonzero Lipschitz bound: the constant
+        # network is still within delta because the range margin is far
+        # below delta/2, and that is the honest tolerance to report
+        b = NetworkBuilder(f.dim)
+        out = _constant(b, cmin.value)
+        return _finalize(b, out, f, delta, delta, 1, constant_cells, (0,), 0, started)
 
-    assert spec is not None
-    fd = f.with_domain(domain)
-    grid = GridSpec.for_box(f.domain, cells)
-    slice_sets = delta_sets(fd, grid, spec, budget)
+    grid = GridSpec(tuple(grid_resolution(lipschitz, spec.delta, iv.width) for iv in domain.bounds))
+    slice_sets = delta_sets(f, grid, spec, budget)
     total_bumps = sum(len(s) for s in slice_sets)
     if total_bumps > budget.max_bumps:
         raise BuildBudgetError(
@@ -312,17 +321,15 @@ def build_certified_network(
         )
 
     b = NetworkBuilder(f.dim)
-    outs = [build_slice_network(b, members, grid) for members in slice_sets]
+    outs = [build_slice_network(b, members, grid, domain) for members in slice_sets]
     return _finalize(
         b,
         sum_outputs(b, outs, spec.half_delta, spec.bottom),
-        fd,
+        f,
         delta,
         spec.delta,
         spec.count,
-        cells,
-        lipschitz,
-        domain,
+        grid.cells,
         tuple(len(s) for s in slice_sets),
         grid.rect_count(),
         started,

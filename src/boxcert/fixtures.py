@@ -30,13 +30,4 @@ def fig2_n2() -> Network:
     return _two_layer(((-0.5, -0.5), (-0.5, -0.5)), "fig2-n2")
 
 
-def hat_function(x: float) -> float:
-    """Reference values for both fixtures: 1, then 1 - x, then 0."""
-    if x <= 0.0:
-        return 1.0
-    if x >= 1.0:
-        return 0.0
-    return 1.0 - x
-
-
 FIXTURES = {"fig2-n1": fig2_n1, "fig2-n2": fig2_n2}

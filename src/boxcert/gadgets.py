@@ -4,8 +4,8 @@
 
     min(x, y) = 1/2 * (1, -1, -1, -1) . R([[1, 1], [-1, -1], [1, -1], [-1, 1]] (x, y))
 
-whose interval behavior admits a closed form (see
-``intervals.nmin2_closed_form``). ``append_nmin_tree`` splits its arguments in
+whose interval behavior admits a closed form (``nmin2_closed_form`` in
+``tests/helpers.py``). ``append_nmin_tree`` splits its arguments in
 halves of ceil(n/2) and n - ceil(n/2) and recurses. Local bumps clamp 2m ramps
 to 1, take the min, and rectify; the ramp steepness factor is large enough that
 a box one grid step away from the corner hull propagates to exactly [0, 0].
@@ -57,19 +57,19 @@ def append_clip_above(b: NetworkBuilder, pred: int, bound: float) -> int:
 def append_local_bump(b: NetworkBuilder, grid: GridSpec, rect: HyperRect, source: int) -> int:
     """Bump that is 1 on the rect's hull and 0 one grid step beyond it.
 
-    ``source`` must be an m-wide node carrying the raw input coordinates. Each
-    ramp is fused with the first clipping stage, so its affine row computes
-    1 - ramp directly from integer-exact weights M*ell and ell*index.
+    ``source`` must be an m-wide node carrying unit-box coordinates. Each ramp
+    is fused with the first clipping stage, so its affine row computes
+    1 - ramp directly from integer-exact weights cells[k]*ell and ell*index.
     """
     m = grid.dim
     if rect.dim != m:
         raise ValueError(f"rect is {rect.dim}-d but grid is {m}-d")
     for k in range(m):
-        if rect.lower[k] < grid.index_lo[k] or rect.upper[k] > grid.index_hi[k]:
+        if rect.lower[k] < 0 or rect.upper[k] > grid.cells[k]:
             raise ValueError(f"rect corner outside the grid in dimension {k}")
-    steep = float(grid.cells_per_unit * grid.ell)
     ramps: list[int] = []
     for k in range(m):
+        steep = float(grid.cells[k] * grid.ell)
         row_lo = [0.0] * m
         row_lo[k] = -steep
         row_hi = [0.0] * m

@@ -1,9 +1,8 @@
-"""Closed-interval arithmetic: the abstract domain that network propagation runs in.
+"""Closed intervals and boxes: the abstract domain that network propagation runs in.
 
-Every value is a plain ``Interval`` of finite doubles; every operation is a pure
-function. There is no outward rounding: on degenerate inputs ``[x, x]`` each
-transformer performs the same floating-point operations as the concrete map, so
-point boxes propagate bit-exactly.
+Every value is a plain ``Interval`` of finite doubles, and a ``BoxRegion`` is
+one per dimension. There is no outward rounding (see ``network``), so point
+boxes propagate bit-exactly.
 """
 
 from __future__ import annotations
@@ -78,84 +77,3 @@ class BoxRegion:
 
     def __repr__(self) -> str:
         return "Box(" + "; ".join(repr(b) for b in self.bounds) + ")"
-
-
-def iv_add(x: Interval, y: Interval) -> Interval:
-    return Interval(x.lo + y.lo, x.hi + y.hi)
-
-
-def iv_neg(x: Interval) -> Interval:
-    return Interval(-x.hi, -x.lo)
-
-
-def iv_scale(lam: float, x: Interval) -> Interval:
-    """Scale by a nonnegative factor. Negative factors must go through iv_neg."""
-    if lam < 0:
-        raise ValueError("scale factor must be nonnegative; compose with iv_neg instead")
-    return Interval(lam * x.lo, lam * x.hi)
-
-
-def iv_relu(x: Interval) -> Interval:
-    return Interval(max(0.0, x.lo), max(0.0, x.hi))
-
-
-def iv_clip_above(b: float, x: Interval) -> Interval:
-    """Map both endpoints through t -> b - max(0, b - t), saturating values above b."""
-    return Interval(b - max(0.0, b - x.lo), b - max(0.0, b - x.hi))
-
-
-def iv_affine_row(weights: Sequence[float], bias: float, inputs: Sequence[Interval]) -> Interval:
-    """One affine row over interval inputs: bias + sum_i w_i * inputs_i.
-
-    A term with w_i < 0 equals iv_neg(iv_scale(-w_i, inputs_i)); the direct
-    endpoint swap below is bit-identical because IEEE negation is exact and
-    rounding is sign-symmetric. Accumulation is left to right with the bias
-    added last, mirroring the concrete evaluation order.
-    """
-    if len(weights) != len(inputs):
-        raise ValueError(f"affine row has {len(weights)} weights but {len(inputs)} inputs")
-    lo = 0.0
-    hi = 0.0
-    for w, iv in zip(weights, inputs):
-        if w >= 0:
-            lo += w * iv.lo
-            hi += w * iv.hi
-        else:
-            lo += w * iv.hi
-            hi += w * iv.lo
-    return Interval(lo + bias, hi + bias)
-
-
-def nmin2_closed_form(x: Interval, y: Interval) -> Interval:
-    """Closed-form image of the two-input min gadget under interval propagation.
-
-    Used only as a test oracle against the network-based evaluator; symmetric in
-    its arguments.
-    """
-    a, b = x.lo, x.hi
-    c, d = y.lo, y.hi
-    if d <= a:
-        return Interval(c + (a - b) / 2, d + (b - a) / 2)
-    if b <= c:
-        return Interval(a + (c - d) / 2, b + (d - c) / 2)
-    return Interval(a + c - (b + d) / 2, (b + d) / 2)
-
-
-def iv_subset(x: Interval, y: Interval, tol: float = 0.0) -> bool:
-    return y.lo - tol <= x.lo and x.hi <= y.hi + tol
-
-
-def iv_contains(x: Interval, p: float, tol: float = 0.0) -> bool:
-    return x.lo - tol <= p <= x.hi + tol
-
-
-def box_subset(x: BoxRegion, y: BoxRegion, tol: float = 0.0) -> bool:
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    return all(iv_subset(a, b, tol) for a, b in zip(x.bounds, y.bounds))
-
-
-def box_contains(x: BoxRegion, p: Sequence[float], tol: float = 0.0) -> bool:
-    if x.dim != len(p):
-        raise ValueError(f"dimension mismatch: box is {x.dim}-d, point is {len(p)}-d")
-    return all(iv_contains(b, v, tol) for b, v in zip(x.bounds, p))

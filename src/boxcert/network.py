@@ -12,8 +12,9 @@ the affine rows, relus and sums of one level each run as one array stage over
 all boxes at once. ``eval_abstract_many`` runs the program; ``eval_abstract``
 is its one-box case and ``eval_concrete`` its point-box case.
 
-The stages repeat the interval transformers of ``intervals`` bit for bit, so a
-point box propagates to exactly the concrete value:
+The stages repeat the scalar interval transformers (``iv_affine_row``,
+``iv_add`` and ``iv_relu`` in ``tests/helpers.py``) bit for bit, so a point box
+propagates to exactly the concrete value:
 
 * an affine row adds its nonzero terms in stored order to ``+0.0`` and the bias
   last, taking a term's lower end from the upper input end when the weight is

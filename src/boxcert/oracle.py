@@ -165,7 +165,7 @@ def certified_box_ranges(
     for box in boxes:
         if box.dim != f.dim:
             raise ValueError(f"box is {box.dim}-d but function expects {f.dim}-d")
-    if target_margin <= 0:
+    if not target_margin > 0:
         raise ValueError("target margin must be positive")
     if not boxes:
         return []

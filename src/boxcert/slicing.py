@@ -9,11 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
-
-from .expr import FuncExpr
 
 # forgiveness for float dust when the slice count lands on an exact integer
 _COUNT_SLACK = 1e-9
@@ -66,20 +61,3 @@ def make_slice_spec(xi_min: float, xi_max: float, delta: float) -> SliceSpec:
     levels[0] = xi_min
     levels[count] = xi_max
     return SliceSpec(count, tuple(levels), adjusted)
-
-
-def slice_eval(f: FuncExpr, spec: SliceSpec, k: int, x: Sequence[float]) -> float:
-    """Value of slice k at a point: 0 below its level, clamped to the slab height."""
-    if not 0 <= k < spec.count:
-        raise ValueError(f"slice index {k} out of range for {spec.count} slices")
-    lo = spec.levels[k]
-    height = spec.levels[k + 1] - lo
-    return min(max(f.eval(x) - lo, 0.0), height)
-
-
-def slice_eval_many(f: FuncExpr, spec: SliceSpec, k: int, pts: np.ndarray) -> np.ndarray:
-    if not 0 <= k < spec.count:
-        raise ValueError(f"slice index {k} out of range for {spec.count} slices")
-    lo = spec.levels[k]
-    height = spec.levels[k + 1] - lo
-    return np.minimum(np.maximum(f.eval_many(pts) - lo, 0.0), height)

@@ -24,7 +24,7 @@ from .expr import FuncExpr
 from .intervals import BoxRegion, Interval
 from .netio import parse_box_text
 from .network import Network, eval_abstract, eval_abstract_many
-from .oracle import Bounds, CertifiedBound, certified_box_ranges
+from .oracle import DEFAULT_SAMPLE_BUDGET, Bounds, CertifiedBound, certified_box_ranges
 
 MARGIN_FRACTION = 8.0  # per-box oracle margin target: delta / 8
 
@@ -38,12 +38,12 @@ class RunConfig:
     boxes: int
     seed: int
     tolerance: float = 1e-9
-    oracle_budget: int = 4_000_000
+    oracle_budget: int = DEFAULT_SAMPLE_BUDGET
 
     def __post_init__(self) -> None:
         if self.boxes < 0:
             raise ValueError("box count must be nonnegative")
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:
             raise ValueError("tolerance must be nonnegative")
 
 

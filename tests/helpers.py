@@ -1,8 +1,13 @@
-"""Shared strategies and generators for the test suite.
+"""Shared strategies, generators and reference oracles for the test suite.
 
 Dyadic rationals (small integer / power of two) make every sum, difference and
 halving in the interval transformers exact in double precision, so tests that
 demand bit-exact equality draw from them.
+
+The scalar interval transformers (``iv_*``), the containment checks, the
+closed form of the min gadget, pointwise slice values and the hat function are
+test oracles: the package propagates through its compiled network program and
+never calls them.
 """
 
 from __future__ import annotations
@@ -18,9 +23,91 @@ from hypothesis import strategies as st
 from boxcert.expr import FuncExpr
 from boxcert.gadgets import append_clip_above, append_local_bump, append_nmin2, append_nmin_tree
 from boxcert.grids import GridSpec, HyperRect
-from boxcert.intervals import BoxRegion, Interval, iv_add, iv_affine_row, iv_relu
+from boxcert.intervals import BoxRegion, Interval
 from boxcert.network import Network, NetworkBuilder, Node
 from boxcert.oracle import DEFAULT_SAMPLE_BUDGET, CertifiedBound, certified_box_range
+from boxcert.slicing import SliceSpec
+
+
+def iv_add(x: Interval, y: Interval) -> Interval:
+    return Interval(x.lo + y.lo, x.hi + y.hi)
+
+
+def iv_neg(x: Interval) -> Interval:
+    return Interval(-x.hi, -x.lo)
+
+
+def iv_scale(lam: float, x: Interval) -> Interval:
+    """Scale by a nonnegative factor. Negative factors must go through iv_neg."""
+    if lam < 0:
+        raise ValueError("scale factor must be nonnegative; compose with iv_neg instead")
+    return Interval(lam * x.lo, lam * x.hi)
+
+
+def iv_relu(x: Interval) -> Interval:
+    return Interval(max(0.0, x.lo), max(0.0, x.hi))
+
+
+def iv_clip_above(b: float, x: Interval) -> Interval:
+    """Map both endpoints through t -> b - max(0, b - t), saturating values above b."""
+    return Interval(b - max(0.0, b - x.lo), b - max(0.0, b - x.hi))
+
+
+def iv_affine_row(weights: Sequence[float], bias: float, inputs: Sequence[Interval]) -> Interval:
+    """One affine row over interval inputs: bias + sum_i w_i * inputs_i.
+
+    A term with w_i < 0 equals iv_neg(iv_scale(-w_i, inputs_i)); the direct
+    endpoint swap below is bit-identical because IEEE negation is exact and
+    rounding is sign-symmetric. Accumulation is left to right with the bias
+    added last, mirroring the concrete evaluation order.
+    """
+    if len(weights) != len(inputs):
+        raise ValueError(f"affine row has {len(weights)} weights but {len(inputs)} inputs")
+    lo = 0.0
+    hi = 0.0
+    for w, iv in zip(weights, inputs):
+        if w >= 0:
+            lo += w * iv.lo
+            hi += w * iv.hi
+        else:
+            lo += w * iv.hi
+            hi += w * iv.lo
+    return Interval(lo + bias, hi + bias)
+
+
+def nmin2_closed_form(x: Interval, y: Interval) -> Interval:
+    """Closed-form image of the two-input min gadget under interval propagation.
+
+    Used only as a test oracle against the network-based evaluator; symmetric in
+    its arguments.
+    """
+    a, b = x.lo, x.hi
+    c, d = y.lo, y.hi
+    if d <= a:
+        return Interval(c + (a - b) / 2, d + (b - a) / 2)
+    if b <= c:
+        return Interval(a + (c - d) / 2, b + (d - c) / 2)
+    return Interval(a + c - (b + d) / 2, (b + d) / 2)
+
+
+def iv_subset(x: Interval, y: Interval, tol: float = 0.0) -> bool:
+    return y.lo - tol <= x.lo and x.hi <= y.hi + tol
+
+
+def iv_contains(x: Interval, p: float, tol: float = 0.0) -> bool:
+    return x.lo - tol <= p <= x.hi + tol
+
+
+def box_subset(x: BoxRegion, y: BoxRegion, tol: float = 0.0) -> bool:
+    if x.dim != y.dim:
+        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    return all(iv_subset(a, b, tol) for a, b in zip(x.bounds, y.bounds))
+
+
+def box_contains(x: BoxRegion, p: Sequence[float], tol: float = 0.0) -> bool:
+    if x.dim != len(p):
+        raise ValueError(f"dimension mismatch: box is {x.dim}-d, point is {len(p)}-d")
+    return all(iv_contains(b, v, tol) for b, v in zip(x.bounds, p))
 
 
 def dyadic(max_numerator: int = 2048, denominator_bits: int = 9) -> st.SearchStrategy[float]:
@@ -139,6 +226,37 @@ def build_clip_above(bound: float) -> Network:
     return b.finish(out)
 
 
+def slice_eval(f: FuncExpr, spec: SliceSpec, k: int, x: Sequence[float]) -> float:
+    """Value of slice k at a point: 0 below its level, clamped to the slab height."""
+    if not 0 <= k < spec.count:
+        raise ValueError(f"slice index {k} out of range for {spec.count} slices")
+    lo = spec.levels[k]
+    height = spec.levels[k + 1] - lo
+    return min(max(f.eval(x) - lo, 0.0), height)
+
+
+def slice_eval_many(f: FuncExpr, spec: SliceSpec, k: int, pts: np.ndarray) -> np.ndarray:
+    if not 0 <= k < spec.count:
+        raise ValueError(f"slice index {k} out of range for {spec.count} slices")
+    lo = spec.levels[k]
+    height = spec.levels[k + 1] - lo
+    return np.minimum(np.maximum(f.eval_many(pts) - lo, 0.0), height)
+
+
+def hat_function(x: float) -> float:
+    """Reference values for both fixtures: 1, then 1 - x, then 0."""
+    if x <= 0.0:
+        return 1.0
+    if x >= 1.0:
+        return 0.0
+    return 1.0 - x
+
+
+def rect_hull(rect: HyperRect, grid: GridSpec) -> BoxRegion:
+    """A grid rectangle's corners as a box of unit-box coordinates."""
+    return BoxRegion.from_pairs([(lo / c, hi / c) for lo, hi, c in zip(rect.lower, rect.upper, grid.cells)])
+
+
 def bump_relu_budget(dim: int) -> int:
     """Unit-count estimate 1 + 2(2m - 1) + 2m for a bump over an m-dim grid."""
     return 1 + 2 * (2 * dim - 1) + 2 * dim
@@ -153,7 +271,7 @@ def build_local_bump(grid: GridSpec, rect: HyperRect) -> Network:
         {
             "kind": "local-bump",
             "relu_budget_formula": str(bump_relu_budget(grid.dim)),
-            "cells_per_unit": str(grid.cells_per_unit),
+            "cells_per_unit": ",".join(str(c) for c in grid.cells),
         },
     )
 
@@ -161,15 +279,14 @@ def build_local_bump(grid: GridSpec, rect: HyperRect) -> Network:
 def bump_closed_form(grid: GridSpec, rect: HyperRect, x: Sequence[float]) -> float:
     """Direct evaluation of the bump's piecewise-linear shape.
 
-    Computes the ramps as written, M*ell*(x_k - i/M) + 1, then clamps the min
-    to [0, 1]; this follows a different float path than the network.
+    Computes the ramps as written, c_k*ell*(x_k - i/c_k) + 1, then clamps the
+    min to [0, 1]; this follows a different float path than the network.
     """
-    m = grid.cells_per_unit
-    steep = m * grid.ell
     smallest = math.inf
-    for k in range(grid.dim):
-        lo_ramp = steep * (x[k] - rect.lower[k] / m) + 1.0
-        hi_ramp = steep * (rect.upper[k] / m - x[k]) + 1.0
+    for k, c in enumerate(grid.cells):
+        steep = c * grid.ell
+        lo_ramp = steep * (x[k] - rect.lower[k] / c) + 1.0
+        hi_ramp = steep * (rect.upper[k] / c - x[k]) + 1.0
         smallest = min(smallest, lo_ramp, hi_ramp)
     return max(0.0, min(1.0, smallest))
 
@@ -260,10 +377,7 @@ def reference_eval_abstract(net: Network, box: BoxRegion) -> BoxRegion:
 
 def enumerate_rects(grid: GridSpec) -> Iterator[HyperRect]:
     """All grid hyperrectangles (degenerate sides included), in sorted index order."""
-    per_dim = []
-    for k in range(grid.dim):
-        lo, hi = grid.index_lo[k], grid.index_hi[k]
-        per_dim.append([(i, j) for i in range(lo, hi + 1) for j in range(i, hi + 1)])
+    per_dim = [[(i, j) for i in range(c + 1) for j in range(i, c + 1)] for c in grid.cells]
     for combo in itertools.product(*per_dim):
         yield HyperRect(tuple(p[0] for p in combo), tuple(p[1] for p in combo))
 

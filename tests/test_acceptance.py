@@ -15,31 +15,37 @@ from boxcert import netio
 from boxcert.cli import main as cli_main
 from boxcert.construct import build_certified_network
 from boxcert.expr import parse_func
-from boxcert.fixtures import fig2_n1, fig2_n2, hat_function
+from boxcert.fixtures import fig2_n1, fig2_n2
 from boxcert.grids import GridSpec, HyperRect
-from boxcert.intervals import BoxRegion, Interval, box_subset, iv_subset, nmin2_closed_form
+from boxcert.intervals import BoxRegion, Interval
 from boxcert.network import (
     Network,
     eval_abstract,
     eval_abstract_many,
     eval_concrete,
 )
-from boxcert.slicing import make_slice_spec, slice_eval_many
+from boxcert.slicing import make_slice_spec
 from boxcert.verify import RunConfig, verify_network
 
 from helpers import (
+    box_subset,
     build_local_bump,
     build_nmin2,
     build_nmin_n,
     bump_closed_form,
     difference_network,
+    hat_function,
+    rect_hull,
     identity_network,
+    iv_subset,
+    nmin2_closed_form,
     point_inside,
     rand_dyadic,
     rand_dyadic_interval,
     random_box,
     random_network,
     shrink_box,
+    slice_eval_many,
 )
 
 CUBIC = "-x0*x0*x0 + 3*x0"
@@ -190,16 +196,16 @@ def test_criterion_5_local_bump_contract():
     with criterion(5, "local bump contract", 30.0):
         rng = random.Random(55)
         for dim in (1, 2):
-            for cells_per_unit in (2, 4, 8):
-                grid = GridSpec(cells_per_unit, (0,) * dim, (2 * cells_per_unit,) * dim)
-                lower = tuple(rng.randint(1, cells_per_unit) for _ in range(dim))
+            for half in (2, 4, 8):
+                grid = GridSpec((2 * half,) * dim)
+                lower = tuple(rng.randint(1, half) for _ in range(dim))
                 upper = tuple(
-                    rng.randint(l, min(l + cells_per_unit, 2 * cells_per_unit - 1)) for l in lower
+                    rng.randint(l, min(l + half, 2 * half - 1)) for l in lower
                 )
                 rect = HyperRect(lower, upper)
                 bump = build_local_bump(grid, rect)
-                hull = rect.hull(grid)
-                step = 1.0 / cells_per_unit
+                hull = rect_hull(rect, grid)
+                step = 1.0 / (2 * half)
 
                 for _ in range(100):  # inside the corner hull: exactly one
                     pairs = []

@@ -15,87 +15,72 @@ from boxcert.construct import (
     CellMinTable,
     build_certified_network,
     build_slice_network,
+    cell_density,
     delta_sets,
     grid_resolution,
     samples_per_cell_for,
 )
 from boxcert.expr import parse_func
 from boxcert.grids import GridSpec, HyperRect, prune_maximal
-from boxcert.intervals import BoxRegion, Interval, iv_subset
+from boxcert.intervals import BoxRegion, Interval
 from boxcert.netio import deserialize, serialize
 from boxcert import construct, network
 from boxcert.network import NetworkBuilder, eval_abstract, eval_abstract_many, eval_concrete, stats
 from boxcert.oracle import OracleBudgetError, certified_box_range
 from boxcert.slicing import make_slice_spec
-from helpers import PlainBuilder, enumerate_rects, reference_prune_maximal
+from boxcert.verify import RunConfig, network_domain, verify_network
+from helpers import PlainBuilder, enumerate_rects, iv_subset, rect_hull, reference_prune_maximal
 
 CUBIC = "-x0*x0*x0 + 3*x0"
 
 
 def unit_grid(dim, cells):
-    return GridSpec(cells, (0,) * dim, (cells,) * dim)
+    return GridSpec((cells,) * dim)
+
+
+def unit_box(dim):
+    return BoxRegion.from_pairs([(0.0, 1.0)] * dim)
 
 
 def member_rects(f, grid, spec, k):
     """Every grid rectangle of slice k before pruning, from the table the build fills."""
-    s = samples_per_cell_for(f.lipschitz, grid.cells_per_unit, spec.delta / RECT_MARGIN_FRACTION)
+    s = samples_per_cell_for(f.lipschitz, cell_density(grid, f.domain), spec.delta / RECT_MARGIN_FRACTION)
     mins = CellMinTable(f, grid, s, BuildBudget()).all_rect_mins()
-    corners = np.argwhere(mins >= spec.levels[k + 1]) + np.array(grid.index_lo * 2)
+    corners = np.argwhere(mins >= spec.levels[k + 1])
     return [HyperRect(tuple(c[: grid.dim]), tuple(c[grid.dim :])) for c in corners.tolist()]
 
 
 def slice_network(delta_k, grid):
-    """One slice on a fresh builder, as its own network."""
+    """One slice on a fresh builder, as its own network on unit-box inputs."""
     b = NetworkBuilder(grid.dim)
-    return b.finish(build_slice_network(b, delta_k, grid))
+    return b.finish(build_slice_network(b, delta_k, grid, unit_box(grid.dim)))
 
 
-def table_index(grid, rect):
+def table_index(rect):
     """Where ``CellMinTable.all_rect_mins`` keeps a rectangle's minimum."""
-    return tuple(i - o for i, o in zip(rect.lower + rect.upper, grid.index_lo * 2))
+    return rect.lower + rect.upper
 
 
-def slab_min(values, grid, s, rect):
+def slab_min(values, s, rect):
     """A rectangle's minimum read straight off the lattice: every sample of its hull."""
-    sel = tuple(
-        slice((lo - grid.index_lo[k]) * s, (hi - grid.index_lo[k]) * s + 1)
-        for k, (lo, hi) in enumerate(zip(rect.lower, rect.upper))
-    )
-    return values[sel].min()
+    return values[tuple(slice(lo * s, hi * s + 1) for lo, hi in zip(rect.lower, rect.upper))].min()
 
 
 class TestGridResolution:
     def test_formula(self):
-        assert grid_resolution(9.0, 8 / 5) == 12  # ceil(11.25)
-        assert grid_resolution(0.0, 0.3) == 1
-        assert grid_resolution(1.0, 2.0) == 1
+        assert grid_resolution(9.0, 8 / 5, 1.0) == 12  # ceil(11.25)
+        assert grid_resolution(0.0, 0.3, 1.0) == 1
+        assert grid_resolution(1.0, 2.0, 1.0) == 1
+        assert grid_resolution(9.0, 8 / 5, 4.0) == 45  # cells across a domain 4 units wide
+        assert grid_resolution(9.0, 8 / 5, 0.0) == 1  # a point axis still has one cell
 
     def test_from_function(self):
         f = parse_func(CUBIC, 1, BoxRegion.from_pairs([(-2, 2)]))
-        assert grid_resolution(f.lipschitz, 8 / 5) == 19  # interval bound gives L = 15
+        assert grid_resolution(f.lipschitz, 8 / 5, 1.0) == 19  # interval bound gives L = 15
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
-            grid_resolution(1.0, 0.0)
-
-
-class TestGridSnap:
-    def test_integer_corners_unchanged(self):
-        grid = GridSpec.for_box(BoxRegion.from_pairs([(-2.0, 2.0)]), 19)
-        assert grid.index_lo == (-38,)
-        assert grid.index_hi == (38,)
-        assert grid.domain == BoxRegion.from_pairs([(-2.0, 2.0)])
-
-    def test_snaps_outward(self):
-        grid = GridSpec.for_box(BoxRegion.from_pairs([(0.1, 0.95)]), 4)
-        assert grid.index_lo == (0,)
-        assert grid.index_hi == (4,)
-
-    def test_near_integer_product_snaps_exactly(self):
-        # 0.3 * 10 = 2.9999999999999996 in floats; must not gain a cell
-        grid = GridSpec.for_box(BoxRegion.from_pairs([(0.3, 0.7)]), 10)
-        assert grid.index_lo == (3,)
-        assert grid.index_hi == (7,)
+            grid_resolution(1.0, 0.0, 1.0)
 
 
 class TestEnumerateRects:
@@ -132,7 +117,7 @@ class TestEnumerateRects:
 class TestDeltaSets:
     def test_constant_above_threshold_prunes_to_full_domain(self):
         grid = unit_grid(1, 4)
-        f = parse_func("5", 1, grid.domain)
+        f = parse_func("5", 1, unit_box(1))
         spec = make_slice_spec(0.0, 8.0, 8.0)  # levels 0, 4, 8
         members = delta_sets(f, grid, spec)[0]
         assert members == [HyperRect((0,), (4,))]
@@ -141,7 +126,7 @@ class TestDeltaSets:
 
     def test_constant_below_threshold_is_empty(self):
         grid = unit_grid(1, 4)
-        f = parse_func("0", 1, grid.domain)
+        f = parse_func("0", 1, unit_box(1))
         spec = make_slice_spec(0.0, 8.0, 8.0)
         assert delta_sets(f, grid, spec)[0] == []
 
@@ -149,22 +134,22 @@ class TestDeltaSets:
         # oracle-first: brute-force certified minima over every rect hull pick
         # exactly the rects with lower corner at or above the level
         grid = unit_grid(1, 4)
-        f = parse_func("x0", 1, grid.domain)
+        f = parse_func("x0", 1, unit_box(1))
         spec = make_slice_spec(0.0, 1.0, 0.5)  # levels 0, .25, .5, .75, 1
         expected_members = []
         for rect in enumerate_rects(grid):
-            cmin, _ = certified_box_range(f, rect.hull(grid), 1e-6)
+            cmin, _ = certified_box_range(f, rect_hull(rect, grid), 1e-6)
             if cmin.value >= 0.5:
                 expected_members.append(rect)
         members = member_rects(f, grid, spec, 1)
         assert members == sorted(expected_members)
         pruned = delta_sets(f, grid, spec)[1]
         assert pruned == [HyperRect((2,), (4,))]
-        assert pruned[0].hull(grid) == BoxRegion.from_pairs([(0.5, 1.0)])
+        assert rect_hull(pruned[0], grid) == BoxRegion.from_pairs([(0.5, 1.0)])
 
     def test_budget_guard(self):
         grid = unit_grid(2, 30)
-        f = parse_func("x0", 2, grid.domain)
+        f = parse_func("x0", 2, unit_box(2))
         spec = make_slice_spec(0.0, 1.0, 0.5)
         with pytest.raises(BuildBudgetError, match="candidate"):
             delta_sets(f, grid, spec, budget=BuildBudget(max_candidates=1000))
@@ -173,7 +158,7 @@ class TestDeltaSets:
 class TestCellMinTable:
     def test_matches_direct_oracle(self):
         grid = unit_grid(2, 3)
-        f = parse_func("x0*x1 - x0", 2, grid.domain)
+        f = parse_func("x0*x1 - x0", 2, unit_box(2))
         table = CellMinTable(f, grid, 4, BuildBudget())
         mins = table.all_rect_mins()
         rng = random.Random(9)
@@ -181,22 +166,22 @@ class TestCellMinTable:
             lower = tuple(rng.randint(0, 2) for _ in range(2))
             upper = tuple(rng.randint(l, 3) for l in lower)
             rect = HyperRect(lower, upper)
-            got = mins[table_index(grid, rect)]
-            cmin, _ = certified_box_range(f, rect.hull(grid), 0.01)
+            got = mins[table_index(rect)]
+            cmin, _ = certified_box_range(f, rect_hull(rect, grid), 0.01)
             assert got >= cmin.lo - 1e-12
             assert got <= cmin.value + table.margin + 1e-12
 
 
     def test_table_equals_slab_minima(self):
-        grid = GridSpec(2, (-1, 1), (2, 3))
-        f = parse_func("x0*x1 - x0", 2, grid.domain)
+        grid = GridSpec((3, 2))  # on the domain below: cells 1/2 wide, as in one grid of 2 per unit
+        f = parse_func("x0*x1 - x0", 2, BoxRegion.from_pairs([(-0.5, 1.0), (0.5, 1.5)]))
         table = CellMinTable(f, grid, 3, BuildBudget())
         mins = table.all_rect_mins()
         assert mins.shape == (4, 3, 4, 3)
         rects = list(enumerate_rects(grid))
         assert np.isfinite(mins).sum() == len(rects)  # -inf wherever lo > hi
         for rect in rects:
-            assert mins[table_index(grid, rect)] == slab_min(table.values, grid, 3, rect)
+            assert mins[table_index(rect)] == slab_min(table.values, 3, rect)
 
 
 @st.composite
@@ -204,8 +189,7 @@ def lattices(draw):
     """A grid, a samples-per-cell count and small-integer lattice values (ties, plateaus)."""
     dim = draw(st.integers(1, 3))
     cells = [draw(st.integers(1, (8, 4, 2)[dim - 1])) for _ in range(dim)]
-    lower = tuple(draw(st.integers(-3, 3)) for _ in range(dim))
-    grid = GridSpec(draw(st.integers(1, 3)), lower, tuple(a + c for a, c in zip(lower, cells)))
+    grid = GridSpec(tuple(cells))
     s = draw(st.integers(1, 3))
     shape = tuple(c * s + 1 for c in cells)
     top = draw(st.integers(0, 3))  # 0: a constant field
@@ -220,9 +204,9 @@ class TestMaximalSelection:
         grid, s, values = lattice
         mins = CellMinTable.all_rect_mins(SimpleNamespace(grid=grid, samples_per_cell=s, values=values))
         rects = list(enumerate_rects(grid))
-        direct = {rect: slab_min(values, grid, s, rect) for rect in rects}
+        direct = {rect: slab_min(values, s, rect) for rect in rects}
         for rect, value in direct.items():
-            assert mins[table_index(grid, rect)] == value
+            assert mins[table_index(rect)] == value
         for level in sorted(set(values.flat)) + [values.max() + 1.0]:
             members = [rect for rect in rects if direct[rect] >= level]
             assert prune_maximal(mins >= level, grid) == reference_prune_maximal(members)
@@ -263,7 +247,7 @@ class TestSliceDichotomy:
     def test_certified_extremes_force_saturation(self):
         f = parse_func(CUBIC, 1, BoxRegion.from_pairs([(-2, 2)]))
         net, report = build_certified_network(f, 0.8)
-        grid = GridSpec.for_box(f.domain, report.cells_per_unit)
+        grid = GridSpec(report.cells_per_unit)
         spec = make_slice_spec(-2.0, 2.0, 0.8)
         slice_sets = delta_sets(f, grid, spec)
         rng = random.Random(31)
@@ -271,10 +255,11 @@ class TestSliceDichotomy:
         for _ in range(400):
             a, b = sorted((rng.uniform(-2, 2), rng.uniform(-2, 2)))
             box = BoxRegion.from_pairs([(a, b)])
+            unit = BoxRegion.from_pairs([((a + 2) / 4, (b + 2) / 4)])  # A: x -> (x - lo) / w
             cmin, cmax = certified_box_range(f, box, spec.delta / 16)
             for k in range(spec.count):
                 n_k = slice_network(slice_sets[k], grid)
-                out = eval_abstract(n_k, box).bounds[0]
+                out = eval_abstract(n_k, unit).bounds[0]
                 if cmin.lo >= spec.levels[k + 1] + spec.half_delta:
                     assert out.lo == pytest.approx(1.0, abs=1e-9)
                     assert out.hi == pytest.approx(1.0, abs=1e-9)
@@ -290,6 +275,11 @@ class TestBuildCertifiedNetwork:
         f = parse_func("x0", 1, BoxRegion.from_pairs([(0, 1)]))
         with pytest.raises(ValueError, match="delta"):
             build_certified_network(f, 0.0)
+
+    def test_rejects_nan_delta(self):
+        f = parse_func("x0", 1, BoxRegion.from_pairs([(0, 1)]))
+        with pytest.raises(ValueError, match="delta must be positive"):
+            build_certified_network(f, float("nan"))
 
     def test_constant_function(self):
         f = parse_func("3.5", 2, BoxRegion.from_pairs([(0, 1), (0, 1)]))
@@ -317,7 +307,7 @@ class TestBuildCertifiedNetwork:
         net, report = build_certified_network(f, 0.5)
         assert report.slice_count == 4
         assert report.delta == 0.5
-        assert report.cells_per_unit == 4
+        assert report.cells_per_unit == (4,)
         box = BoxRegion.from_pairs([(0.3, 0.8)])
         out = eval_abstract(net, box).bounds[0]
         # requested lower bracket [0.8, 0.3] is empty (vacuous); the outer
@@ -328,7 +318,8 @@ class TestBuildCertifiedNetwork:
         f = parse_func(CUBIC, 1, BoxRegion.from_pairs([(-2, 2)]))
         net, report = build_certified_network(f, 8 / 5)
         assert report.slice_count == 5
-        assert report.cells_per_unit == 19
+        assert report.cells_per_unit == (75,)  # 19 cells per unit of input, 4 units wide
+        assert net.metadata["cells_per_unit"] == "75"
         assert report.delta == 8 / 5
         assert report.requested_delta == 8 / 5
         assert net.metadata["slices"] == "5"
@@ -359,16 +350,41 @@ class TestBuildCertifiedNetwork:
             build_certified_network(f, 8 / 5, BuildBudget(max_oracle_samples=200))
 
 
+# Domains off the unit box, with the grid cells each axis of [0, 1]^m gets: every
+# build maps its input onto the unit box and certifies exactly the requested domain.
+OFF_UNIT_BUILDS = (
+    ("x0*x1", [(0.1, 0.93), (0.2, 0.7)], 0.1, "28,17"),  # non-dyadic bounds
+    ("x0*x1", [(0.5, 0.5 + 1e-9), (0.0, 1.0)], 0.25, "1,15"),  # thin
+    ("x0*x0", [(-1e6, 1e6)], 2e10, "400"),  # wide: 2,000,003,000,001 candidates at one cell per unit
+    ("x0*x0 + x1", [(-1e3, 1e3), (0.0, 1.0)], 4e4, "201,1"),  # anisotropic
+)
+
+
+@pytest.mark.parametrize("expr, domain, delta, cells", OFF_UNIT_BUILDS,
+                         ids=["non-dyadic", "thin", "wide", "anisotropic"])
+def test_off_unit_domains_are_certified_as_requested(expr, domain, delta, cells):
+    box = BoxRegion.from_pairs(domain)
+    f = parse_func(expr, len(domain), box)
+    net, report = build_certified_network(f, delta)
+    assert report.domain == box
+    assert network_domain(net) == box
+    assert net.metadata["cells_per_unit"] == cells
+    campaign = verify_network(net, f, RunConfig(boxes=300, seed=5))
+    assert (campaign.failures, campaign.inconclusive) == (0, 0)
+
+
 # sha256 of the .net documents of the benchmark's build cases and of the cubic
 # at delta 0.1, recorded with the builder that merges bit-identical nodes; the
 # unmerged-reference tests at the end of this file check that merging leaves
-# every propagated interval as it was. The three served cases are pinned in
+# every propagated interval as it was. The cubic's documents were re-recorded
+# when builds moved onto the unit box: they gained the input map A and a
+# cells_per_unit of cells per axis. The three served cases are pinned in
 # test_compiled.
 PINNED_BUILDS = (
     (CUBIC, [(-2.0, 2.0)], 0.2,
-     "ce0b34ade4573107fd93911f0268088523dddb14c726520da23e78a9159d109b"),
+     "e5f9e27fd2b22738bcde8af4290dd9a38fd109eae44fe2842382bea33de21238"),
     (CUBIC, [(-2.0, 2.0)], 0.1,
-     "1b2a0fb496739a12ab8b6b7e9f9070cec93074fa2bfe972f0d04189c547cfb91"),
+     "862630d680eaf8a6a938608bc984a07124ba17742afafba93810c6b3bb6c5738"),
     ("min(x0, x1)", [(0.0, 1.0), (0.0, 1.0)], 0.5,
      "ff7fc72d2e0a761d69fa1b26a817c80b353d88bf92cf0e05b4858e12a259a1ca"),
     ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.25,
@@ -401,10 +417,11 @@ def test_build_constructs_one_network(monkeypatch, expr, domain, slices):
 
 
 # The three served cases and min(x0, x1), with the sha256 of their documents as
-# built before the builder merged bit-identical nodes.
+# built before the builder merged bit-identical nodes (the cubic's with the
+# unit-box input map A, which the unmerged build appends once per slice).
 UNMERGED_BUILDS = (
     (CUBIC, [(-2.0, 2.0)], 0.4,
-     "40b9aff43ded8e65bb82514e7582cc2c0f83c70fd0bbd7accd4529023eec5912"),
+     "b689d59d6f249087d148bb0141b58cbb4b7d6926003ca7aee86df7369ceebced"),
     ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.5,
      "29c6df0c5a3be2eeb58d6e6deee7e1548d7d4e73a9503d72d4ed7199893f1c31"),
     ("abs(x0 - 0.5)*relu(x1)", [(0.0, 1.0), (0.0, 1.0)], 0.25,

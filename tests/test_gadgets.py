@@ -5,7 +5,7 @@ import pytest
 
 from boxcert.gadgets import append_local_bump
 from boxcert.grids import GridSpec, HyperRect, ramp_steepness
-from boxcert.intervals import BoxRegion, Interval, iv_subset, nmin2_closed_form
+from boxcert.intervals import BoxRegion, Interval
 from boxcert.network import NetworkBuilder, eval_abstract, eval_concrete, stats
 
 from helpers import (
@@ -15,6 +15,10 @@ from helpers import (
     build_nmin_n,
     bump_closed_form,
     bump_relu_budget,
+    rect_hull,
+    iv_clip_above,
+    iv_subset,
+    nmin2_closed_form,
     rand_dyadic,
     rand_dyadic_interval,
 )
@@ -175,8 +179,6 @@ class TestClip:
         n = build_clip_above(1.0)
         assert propagate1(n, Interval(0.5, 2)) == Interval(0.5, 1)
         rng = random.Random(2)
-        from boxcert.intervals import iv_clip_above
-
         for _ in range(1000):
             x = rand_dyadic_interval(rng)
             assert propagate1(n, x) == iv_clip_above(1.0, x)
@@ -190,7 +192,7 @@ class TestSteepness:
 
 
 def unit_grid(dim, cells):
-    return GridSpec(cells, (0,) * dim, (cells,) * dim)
+    return GridSpec((cells,) * dim)
 
 
 def ancestors(net, node_id):
@@ -207,8 +209,7 @@ def ancestors(net, node_id):
 def check_bump_contract(bump, grid, rect, rng):
     """[1, 1] on boxes inside the corner hull, [0, 0] one grid step away, and never outside [0, 1]."""
     dim = grid.dim
-    hull = rect.hull(grid)
-    m = grid.cells_per_unit
+    hull = rect_hull(rect, grid)
     for _ in range(200):
         # boxes inside the corner hull propagate to exactly [1, 1]
         pairs = []
@@ -225,10 +226,10 @@ def check_bump_contract(bump, grid, rect, rng):
         for k in range(dim):
             if k == split:
                 if side < 0:
-                    b = hull[k].lo - 1.0 / m - 1e-6 * rng.uniform(1, 9)
+                    b = hull[k].lo - 1.0 / grid.cells[k] - 1e-6 * rng.uniform(1, 9)
                     a = b - rng.uniform(0, 2)
                 else:
-                    a = hull[k].hi + 1.0 / m + 1e-6 * rng.uniform(1, 9)
+                    a = hull[k].hi + 1.0 / grid.cells[k] + 1e-6 * rng.uniform(1, 9)
                     b = a + rng.uniform(0, 2)
             else:
                 a = rng.uniform(-2, 2)
@@ -248,11 +249,11 @@ def check_bump_contract(bump, grid, rect, rng):
 
 class TestLocalBump:
     def test_unit_cell_values(self):
-        grid = GridSpec(1, (-2,), (3,))
-        bump = build_local_bump(grid, HyperRect((0,), (1,)))
-        assert eval_concrete(bump, [0.5])[0] == 1.0
-        assert eval_concrete(bump, [-0.25])[0] == 0.0  # support ends 1/(M*ell) out
-        assert eval_concrete(bump, [-0.125])[0] == 0.5
+        grid = unit_grid(1, 4)
+        bump = build_local_bump(grid, HyperRect((1,), (2,)))  # 1 on [0.25, 0.5]
+        assert eval_concrete(bump, [0.375])[0] == 1.0
+        assert eval_concrete(bump, [0.25 - 1 / 16])[0] == 0.0  # support ends 1/(cells*ell) out
+        assert eval_concrete(bump, [0.25 - 1 / 32])[0] == 0.5
 
     def test_corner_outside_grid_rejected(self):
         grid = unit_grid(1, 4)
@@ -260,7 +261,7 @@ class TestLocalBump:
             build_local_bump(grid, HyperRect((2,), (5,)))
 
     def test_relu_count_and_budget_formula(self):
-        bump1 = build_local_bump(GridSpec(1, (0,), (4,)), HyperRect((1,), (2,)))
+        bump1 = build_local_bump(unit_grid(1, 4), HyperRect((1,), (2,)))
         assert stats(bump1)["relu_count"] == 7
         assert bump1.metadata["relu_budget_formula"] == str(bump_relu_budget(1)) == "5"
         bump2 = build_local_bump(unit_grid(2, 4), HyperRect((1, 1), (2, 3)))
@@ -300,7 +301,7 @@ class TestLocalBump:
         ]
         assert len(ramps[0]) == len(ramps[1]) == 4
         (shared,) = ramps[0] & ramps[1]
-        steep = float(grid.cells_per_unit * grid.ell)
+        steep = float(grid.cells[0] * grid.ell)
         assert net.nodes[shared].weights == ((-steep, 0.0),)
         assert net.nodes[shared].bias == (float(grid.ell * 1),)
         for out, rect in zip(outs, (first, second)):

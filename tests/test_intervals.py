@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxcert.intervals import (
-    BoxRegion,
-    Interval,
+from boxcert.intervals import BoxRegion, Interval
+
+from helpers import (
     box_contains,
     box_subset,
+    dyadic_interval,
+    finite_interval,
     iv_add,
     iv_affine_row,
     iv_clip_above,
@@ -19,8 +21,6 @@ from boxcert.intervals import (
     iv_subset,
     nmin2_closed_form,
 )
-
-from helpers import dyadic_interval, finite_interval
 
 
 class TestConstruction:

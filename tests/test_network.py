@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from boxcert.fixtures import fig2_n1, fig2_n2, hat_function
-from boxcert.intervals import BoxRegion, Interval, box_subset
+from boxcert.fixtures import fig2_n1, fig2_n2
+from boxcert.intervals import BoxRegion, Interval
 from boxcert.construct import build_certified_network, sum_outputs
 from boxcert.expr import parse_func
 from boxcert.netio import serialize
@@ -20,7 +20,9 @@ from boxcert.network import (
 
 from helpers import (
     append_copy,
+    box_subset,
     difference_network,
+    hat_function,
     identity_network,
     point_inside,
     random_box,

@@ -62,6 +62,10 @@ class TestCertifiedExtrema:
         with pytest.raises(ValueError):
             certified_box_min(cubic(), DOMAIN, 0.0)
 
+    def test_rejects_nan_margin(self):
+        with pytest.raises(ValueError, match="target margin must be positive"):
+            certified_box_min(cubic(), DOMAIN, float("nan"))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             certified_box_min(cubic(), BoxRegion.from_pairs([(0, 1), (0, 1)]), 0.1)

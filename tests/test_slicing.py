@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from boxcert.expr import parse_func
 from boxcert.intervals import BoxRegion
-from boxcert.slicing import SliceSpec, make_slice_spec, slice_eval, slice_eval_many
+from boxcert.slicing import SliceSpec, make_slice_spec
+
+from helpers import slice_eval, slice_eval_many
 
 CUBIC = "-x0*x0*x0 + 3*x0"
 DOMAIN = BoxRegion.from_pairs([(-2.0, 2.0)])

@@ -86,6 +86,11 @@ class TestSampling:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("tolerance", [-1e-9, float("nan")])
+    def test_config_rejects_bad_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            RunConfig(boxes=1, seed=0, tolerance=tolerance)
+
     def test_clean_network_passes(self, cubic_net):
         f, net, _, _ = cubic_net
         report = verify_network(net, f, RunConfig(boxes=150, seed=42))
@@ -235,6 +240,24 @@ class TestCli:
         )
         assert code == 3
         assert "delta must be positive" in capsys.readouterr().err
+
+    def test_nan_delta_is_usage_error(self, tmp_path, capsys):
+        code = main(
+            ["build", "--expr", "x0", "--domain", "0,1", "--delta", "nan",
+             "--out", str(tmp_path / "x.net")]
+        )
+        assert code == 3
+        assert "delta must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerance", ["-1e-9", "nan"])
+    def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, cubic_net, tolerance):
+        _, _, _, net_path = cubic_net
+        code = main(
+            ["verify", "--net", net_path, "--expr", CUBIC, "--boxes", "20", "--tolerance", tolerance,
+             "--out", str(tmp_path / "r.txt")]
+        )
+        assert code == 3
+        assert "tolerance must be nonnegative" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, tmp_path):
         code = main(

@@ -389,11 +389,14 @@ PINNED_BUILDS = (
      "ff7fc72d2e0a761d69fa1b26a817c80b353d88bf92cf0e05b4858e12a259a1ca"),
     ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.25,
      "71b43463cc72557677fa8df2d048a0ed24dbf5eee3d815bd1151e46434fcfaac"),
+    # M 40, 20 slices, 741,321 candidate rectangles
+    ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.1,
+     "3fc4b230b15908f7f7c88844cd048691ee06210d8e61dadc851ad6423a57a4c8"),
 )
 
 
 @pytest.mark.parametrize("expr, domain, delta, net_sha", PINNED_BUILDS,
-                         ids=["cubic-0.2", "cubic-0.1", "min", "product-0.25"])
+                         ids=["cubic-0.2", "cubic-0.1", "min", "product-0.25", "product-0.1"])
 def test_build_documents_are_pinned(expr, domain, delta, net_sha):
     f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
     net, _ = build_certified_network(f, delta, BuildBudget())

@@ -2,10 +2,10 @@
 
 Pipeline: certify the range of f, slice it into slabs half a tolerance tall,
 pick a grid fine enough that one cell moves f by at most half a slab, fill one
-table of sampled minima over every grid hyperrectangle, select for every slice
-the maximal rectangles whose minimum clears the slice's upper level, sum a
-local bump per selected rectangle, clip, and stack the slices back up from the
-bottom level.
+table holding, for every grid hyperrectangle, how many slices' upper levels its
+sampled minimum clears, select every slice's maximal rectangles from that
+table in one pass, sum a local bump per selected rectangle, clip, and stack the
+slices back up from the bottom level.
 
 Every network is built on the unit box: the grid has ``cells[k]`` cells along
 axis k of [0, 1]^m, sized from the domain's width on that axis, and the network
@@ -101,13 +101,21 @@ def format_cells(cells: Sequence[int]) -> str:
     return str(cells[0]) if len(set(cells)) == 1 else ",".join(str(c) for c in cells)
 
 
-def grid_resolution(lipschitz: float, delta: float, width: float) -> int:
-    """Smallest cell count on an axis this wide so one cell moves f by at most delta/2."""
+def grid_resolution(lipschitz: float, delta: float, width: float, axis: int = 0) -> int:
+    """Smallest cell count on an axis this wide so one cell moves f by at most delta/2.
+
+    ``axis`` only names the axis when the count is not a finite number.
+    """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if lipschitz < 0:
         raise ValueError("Lipschitz bound must be nonnegative")
-    return max(1, math.ceil(width * (2.0 * lipschitz / delta)))
+    cells = width * (2.0 * lipschitz / delta)
+    if not math.isfinite(cells):
+        raise BuildBudgetError(
+            f"axis {axis} ({width!r} wide) needs {cells} grid cells at delta {delta!r}; raise delta"
+        )
+    return max(1, math.ceil(cells))
 
 
 def cell_density(grid: GridSpec, domain: BoxRegion) -> float:
@@ -143,33 +151,47 @@ class CellMinTable:
         self.values = f.eval_many(pts).reshape(shape)
         self.margin = f.lipschitz / (2.0 * cell_density(grid, f.domain) * samples_per_cell)
 
-    def all_rect_mins(self) -> np.ndarray:
-        """Sampled minimum over every grid rectangle's hull, as one table.
+    def all_rect_mins(self, levels: Sequence[float]) -> np.ndarray:
+        """For every grid rectangle's hull, how many of ``levels[1:]`` its sampled minimum clears.
+
+        A lattice sample ``v`` maps to the number of ``levels[1:]`` at or
+        below it (0 for NaN), in the narrowest unsigned dtype that holds the
+        slice count; slice k then holds a rectangle exactly when
+        ``k < table[rect]``. The levels are non-decreasing, so the map is
+        monotone and commutes with ``min``: the table equals the rectangles'
+        float minima mapped entry by entry, at one byte an entry up to 255
+        slices.
 
         The table is indexed by ``(lo_0..lo_{m-1}, hi_0..hi_{m-1})`` by grid
-        point index, and holds -inf where some
-        ``lo_k > hi_k``. Each lattice axis in turn becomes a ``(lo, hi)`` pair
-        of axes: per-cell slab minima, both boundary lines included, feed the
+        point index, and holds 0 where some ``lo_k > hi_k``. The lattice axes
+        are paired from the last one back, each in place: axis k becomes
+        ``lo_k`` where it stands and ``hi_k`` right after the last ``lo``
+        axis. Per-cell slab minima, both boundary lines included, feed the
         running minimum ``min[lo, hi] = min(min[lo, hi-1], cell[hi-1])``.
-        ``min`` is exact, so every entry is the minimum of the rectangle's
-        lattice samples.
         """
-        s = self.samples_per_cell
-        mins = self.values
-        for k in range(self.grid.dim):
+        tops = np.asarray(levels[1:], dtype=float)
+        index = np.searchsorted(tops, self.values, side="right")
+        index[np.isnan(self.values)] = 0
+        mins = index.astype(np.min_scalar_type(len(tops)))
+        s, m = self.samples_per_cell, self.grid.dim
+        for k in reversed(range(m)):
             n = self.grid.cells[k]
-            rest = mins.shape[1:]
-            points = mins[::s]
-            cell = np.minimum(mins[:-1].reshape(n, s, *rest).min(axis=1), points[1:])
-            pairs = np.full((n + 1, n + 1, *rest), -np.inf)
-            pairs[0, 0] = points[0]
+            # mins is (lattice axes 0..k, lo_{k+1}.., hi_{k+1}..)
+            lead, rest = mins.shape[:k], mins.shape[k + 1 :]
+            ax = (slice(None),) * k
+            points = mins[ax + (slice(None, None, s),)]
+            slabs = mins[ax + (slice(None, -1),)].reshape(*lead, n, s, *rest).min(axis=k + 1)
+            cell = np.minimum(slabs, points[ax + (slice(1, None),)])
+            los = m - 1 - k
+            pairs = np.zeros((*lead, n + 1, *rest[:los], n + 1, *rest[los:]), mins.dtype)
+            view = np.moveaxis(pairs, k + 1 + los, k + 1)  # hi_k right after lo_k
+            view[ax + (0, 0)] = points[ax + (0,)]
             for hi in range(1, n + 1):
-                pairs[:hi, hi] = np.minimum(pairs[:hi, hi - 1], cell[hi - 1])
-                pairs[hi, hi] = points[hi]
-            # the next lattice axis comes to the front, the finished pair goes last
-            mins = np.moveaxis(pairs, (0, 1), (-2, -1))
-        m = self.grid.dim
-        return np.ascontiguousarray(mins.transpose([*range(0, 2 * m, 2), *range(1, 2 * m, 2)]))
+                np.minimum(view[ax + (slice(hi), hi - 1)], cell[ax + (slice(hi - 1, hi),)],
+                           out=view[ax + (slice(hi), hi)])
+                view[ax + (hi, hi)] = points[ax + (hi,)]
+            mins = pairs
+        return mins
 
 
 def samples_per_cell_for(lipschitz: float, density: float, target_margin: float) -> int:
@@ -188,7 +210,9 @@ def delta_sets(
 
     All minima come from one lattice, so a sub-rectangle's minimum is never
     below its parent's and each slice's members are closed under taking
-    sub-rectangles, which is what ``prune_maximal`` needs.
+    sub-rectangles. The slices are nested, so one table of slice counts
+    (``CellMinTable.all_rect_mins``) holds them all, and one
+    ``prune_maximal`` pass over it selects every slice's maximal rectangles.
     """
     candidates = grid.rect_count()
     if candidates > budget.max_candidates:
@@ -199,8 +223,16 @@ def delta_sets(
     target = spec.delta / RECT_MARGIN_FRACTION
     s = samples_per_cell_for(f.lipschitz, cell_density(grid, f.domain), target)
     table = CellMinTable(f, grid, s, budget)
-    mins = table.all_rect_mins()
-    return [prune_maximal(mins >= level, grid) for level in spec.levels[1:]]
+    return slice_members(table.all_rect_mins(spec.levels), grid, spec.count)
+
+
+def slice_members(table: np.ndarray, grid: GridSpec, count: int) -> list[list[HyperRect]]:
+    """Each of ``count`` slices' maximal rectangles in sorted order, from a table of slice counts."""
+    slices: list[list[HyperRect]] = [[] for _ in range(count)]
+    for rect, first, stop in prune_maximal(table, grid):
+        for k in range(first, stop):
+            slices[k].append(rect)
+    return slices
 
 
 def _inputs(b: NetworkBuilder) -> int:
@@ -312,7 +344,9 @@ def build_certified_network(
         out = _constant(b, cmin.value)
         return _finalize(b, out, f, delta, delta, 1, constant_cells, (0,), 0, started)
 
-    grid = GridSpec(tuple(grid_resolution(lipschitz, spec.delta, iv.width) for iv in domain.bounds))
+    grid = GridSpec(tuple(
+        grid_resolution(lipschitz, spec.delta, iv.width, axis) for axis, iv in enumerate(domain.bounds)
+    ))
     slice_sets = delta_sets(f, grid, spec, budget)
     total_bumps = sum(len(s) for s in slice_sets)
     if total_bumps > budget.max_bumps:

@@ -70,24 +70,30 @@ class HyperRect:
         return len(self.lower)
 
 
-def prune_maximal(members: np.ndarray, grid: GridSpec) -> list[HyperRect]:
-    """Maximal rectangles of a member mask closed under sub-rectangles, in sorted order.
+def prune_maximal(table: np.ndarray, grid: GridSpec) -> list[tuple[HyperRect, int, int]]:
+    """Every rectangle maximal in some slice, as ``(rect, first, stop)`` in sorted order.
 
-    ``members`` is indexed ``(lo_0..lo_{m-1}, hi_0..hi_{m-1})`` by grid point
-    index. Every sub-rectangle of a member must be a member; then a member is
-    maximal exactly when none of its one-step extensions (``lo_k - 1`` or
-    ``hi_k + 1``) is one. Flat indices run in row-major order, which is
-    ``HyperRect`` order.
+    ``table`` is indexed ``(lo_0..lo_{m-1}, hi_0..hi_{m-1})`` by grid point
+    index, and slice k holds the rectangle there exactly when
+    ``k < table[lo, hi]``. A sub-rectangle's entry must be at least its
+    parent's, so every slice is closed under sub-rectangles; then a member
+    is maximal in slice k exactly when none of its one-step extensions
+    (``lo_k - 1`` or ``hi_k + 1``) is one, that is when ``k`` is at least
+    the largest extension entry (0 off the table). The rectangle is thus
+    maximal in slices ``first..stop-1``. Flat indices run in row-major
+    order, which is ``HyperRect`` order.
     """
     m = grid.dim
-    keep = members.copy()
+    reach = np.zeros_like(table)
     for axis in range(2 * m):
         lead = (slice(None),) * axis
         later, earlier = lead + (slice(1, None),), lead + (slice(None, -1),)
-        if axis < m:  # lower corner: the member at lo - 1 extends the one at lo
-            keep[later] &= ~members[earlier]
-        else:  # upper corner: the member at hi + 1 extends the one at hi
-            keep[earlier] &= ~members[later]
-    # one flat scan: a multi-axis np.nonzero is many times slower on large masks
-    corners = np.stack(np.unravel_index(np.flatnonzero(keep), keep.shape), axis=1)
-    return [HyperRect(tuple(c[:m]), tuple(c[m:])) for c in corners.tolist()]
+        if axis < m:  # lower corner: the rectangle at lo - 1 extends the one at lo
+            np.maximum(reach[later], table[earlier], out=reach[later])
+        else:  # upper corner: the rectangle at hi + 1 extends the one at hi
+            np.maximum(reach[earlier], table[later], out=reach[earlier])
+    # one flat scan: a multi-axis np.nonzero is many times slower on large tables
+    flat = np.flatnonzero(table > reach)
+    corners = np.stack(np.unravel_index(flat, table.shape), axis=1).tolist()
+    firsts, stops = reach.ravel()[flat].tolist(), table.ravel()[flat].tolist()
+    return [(HyperRect(tuple(c[:m]), tuple(c[m:])), a, b) for c, a, b in zip(corners, firsts, stops)]

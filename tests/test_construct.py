@@ -1,11 +1,13 @@
 import functools
 import hashlib
+import math
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxcert.construct import (
@@ -19,6 +21,7 @@ from boxcert.construct import (
     delta_sets,
     grid_resolution,
     samples_per_cell_for,
+    slice_members,
 )
 from boxcert.expr import parse_func
 from boxcert.grids import GridSpec, HyperRect, prune_maximal
@@ -45,8 +48,8 @@ def unit_box(dim):
 def member_rects(f, grid, spec, k):
     """Every grid rectangle of slice k before pruning, from the table the build fills."""
     s = samples_per_cell_for(f.lipschitz, cell_density(grid, f.domain), spec.delta / RECT_MARGIN_FRACTION)
-    mins = CellMinTable(f, grid, s, BuildBudget()).all_rect_mins()
-    corners = np.argwhere(mins >= spec.levels[k + 1])
+    counts = CellMinTable(f, grid, s, BuildBudget()).all_rect_mins(spec.levels)
+    corners = np.argwhere(counts > k)
     return [HyperRect(tuple(c[: grid.dim]), tuple(c[grid.dim :])) for c in corners.tolist()]
 
 
@@ -57,7 +60,7 @@ def slice_network(delta_k, grid):
 
 
 def table_index(rect):
-    """Where ``CellMinTable.all_rect_mins`` keeps a rectangle's minimum."""
+    """Where ``CellMinTable.all_rect_mins`` keeps a rectangle's slice count."""
     return rect.lower + rect.upper
 
 
@@ -81,6 +84,16 @@ class TestGridResolution:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             grid_resolution(1.0, 0.0, 1.0)
+
+    def test_unbounded_cell_count_is_a_budget_error(self):
+        with pytest.raises(BuildBudgetError, match="axis 1 .* grid cells"):
+            grid_resolution(1.0, 5e-324, 1.0, axis=1)
+
+    def test_build_on_a_subnormal_axis_fails_fast(self):
+        # the range is 5e-324 wide, so the tolerance shrinks until 2L/delta overflows
+        f = parse_func("x0*x1", 2, BoxRegion.from_pairs([(0.0, 5e-324), (0.0, 1.0)]))
+        with pytest.raises(BuildBudgetError, match="axis 0"):
+            build_certified_network(f, 0.25)
 
 
 class TestEnumerateRects:
@@ -155,61 +168,100 @@ class TestDeltaSets:
             delta_sets(f, grid, spec, budget=BuildBudget(max_candidates=1000))
 
 
+def brute_force_counts(tops, minima):
+    """How many of the levels ``tops`` each float minimum clears; 0 for NaN."""
+    counts = np.searchsorted(np.asarray(tops, dtype=float), minima, side="right")
+    return np.where(np.isnan(minima), 0, counts)
+
+
 class TestCellMinTable:
     def test_matches_direct_oracle(self):
         grid = unit_grid(2, 3)
         f = parse_func("x0*x1 - x0", 2, unit_box(2))
         table = CellMinTable(f, grid, 4, BuildBudget())
-        mins = table.all_rect_mins()
+        levels = tuple(np.linspace(-1.0, 0.0, 65))  # slabs 1/64 tall over the range [-1, 0]
+        counts = table.all_rect_mins(levels)
         rng = random.Random(9)
         for _ in range(40):
             lower = tuple(rng.randint(0, 2) for _ in range(2))
             upper = tuple(rng.randint(l, 3) for l in lower)
             rect = HyperRect(lower, upper)
-            got = mins[table_index(rect)]
+            got = counts[table_index(rect)]
             cmin, _ = certified_box_range(f, rect_hull(rect, grid), 0.01)
-            assert got >= cmin.lo - 1e-12
-            assert got <= cmin.value + table.margin + 1e-12
-
+            # every level the sampled minimum clears is at most its upper end,
+            # and every level at or below the certified lower end is cleared
+            assert got >= brute_force_counts(levels[1:], cmin.lo - 1e-12)
+            assert got <= brute_force_counts(levels[1:], cmin.value + table.margin + 1e-12)
 
     def test_table_equals_slab_minima(self):
         grid = GridSpec((3, 2))  # on the domain below: cells 1/2 wide, as in one grid of 2 per unit
         f = parse_func("x0*x1 - x0", 2, BoxRegion.from_pairs([(-0.5, 1.0), (0.5, 1.5)]))
         table = CellMinTable(f, grid, 3, BuildBudget())
-        mins = table.all_rect_mins()
-        assert mins.shape == (4, 3, 4, 3)
+        levels = (-3.0, -2.0, -0.5, -0.25, 0.0, 0.1, 0.25, 1.0)  # -2 is below all of f
+        counts = table.all_rect_mins(levels)
+        assert counts.shape == (4, 3, 4, 3)
+        assert counts.dtype == np.uint8
         rects = list(enumerate_rects(grid))
-        assert np.isfinite(mins).sum() == len(rects)  # -inf wherever lo > hi
+        assert np.count_nonzero(counts) == len(rects)  # 0 wherever lo > hi
         for rect in rects:
-            assert mins[table_index(rect)] == slab_min(table.values, 3, rect)
+            assert counts[table_index(rect)] == brute_force_counts(levels[1:], slab_min(table.values, 3, rect))
+
+    def test_wide_slice_count_widens_the_table(self):
+        grid = unit_grid(1, 2)
+        f = parse_func("x0", 1, unit_box(1))
+        table = CellMinTable(f, grid, 1, BuildBudget())
+        for count, dtype in [(255, np.uint8), (256, np.uint16), (70_000, np.uint32)]:
+            levels = tuple(np.linspace(-1.0, 1.0, count + 1))
+            counts = table.all_rect_mins(levels)
+            assert counts.dtype == dtype
+            assert counts[2, 2] == count  # f = 1 on the right end clears every level
+            assert counts[0, 2] == brute_force_counts(levels[1:], 0.0)
 
 
 @st.composite
 def lattices(draw):
-    """A grid, a samples-per-cell count and small-integer lattice values (ties, plateaus)."""
+    """A grid, a samples-per-cell count, small-integer lattice values (ties, plateaus, NaN) and levels."""
     dim = draw(st.integers(1, 3))
     cells = [draw(st.integers(1, (8, 4, 2)[dim - 1])) for _ in range(dim)]
     grid = GridSpec(tuple(cells))
     s = draw(st.integers(1, 3))
     shape = tuple(c * s + 1 for c in cells)
     top = draw(st.integers(0, 3))  # 0: a constant field
-    flat = draw(st.lists(st.integers(0, top), min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
-    return grid, s, np.array(flat, dtype=float).reshape(shape)
+    sample = st.integers(0, top).map(float)
+    if draw(st.booleans()):
+        sample = sample | st.just(math.nan)
+    flat = draw(st.lists(sample, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    # levels on and between lattice values, with ties
+    level = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+    levels = sorted(draw(st.lists(level, min_size=2, max_size=9)))
+    return grid, s, np.array(flat, dtype=float).reshape(shape), tuple(levels)
 
 
 class TestMaximalSelection:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(lattices())
     def test_matches_brute_force_pruning(self, lattice):
-        grid, s, values = lattice
-        mins = CellMinTable.all_rect_mins(SimpleNamespace(grid=grid, samples_per_cell=s, values=values))
+        grid, s, values, levels = lattice
+        counts = CellMinTable.all_rect_mins(SimpleNamespace(grid=grid, samples_per_cell=s, values=values), levels)
         rects = list(enumerate_rects(grid))
         direct = {rect: slab_min(values, s, rect) for rect in rects}
         for rect, value in direct.items():
-            assert mins[table_index(rect)] == value
-        for level in sorted(set(values.flat)) + [values.max() + 1.0]:
-            members = [rect for rect in rects if direct[rect] >= level]
-            assert prune_maximal(mins >= level, grid) == reference_prune_maximal(members)
+            assert counts[table_index(rect)] == brute_force_counts(levels[1:], value)
+        assert np.count_nonzero(counts) == sum(1 for v in direct.values() if v >= levels[1])
+        selected = slice_members(counts, grid, len(levels) - 1)
+        for k, level in enumerate(levels[1:]):
+            members = [rect for rect in rects if direct[rect] >= level]  # NaN clears no level
+            assert selected[k] == reference_prune_maximal(members)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e300, 1e300), st.floats(0.0, 1e300), st.integers(1, 2000))
+    def test_slice_levels_never_decrease(self, xi_min, span, count):
+        # all_rect_mins counts levels with searchsorted, which needs them sorted
+        xi_max = xi_min + span
+        delta = 2.0 * (xi_max - xi_min) / count if xi_max > xi_min else 1.0
+        assume(delta > 0.0)
+        spec = make_slice_spec(xi_min, xi_max, delta)
+        assert all(a <= b for a, b in zip(spec.levels, spec.levels[1:]))
 
 
 class TestSliceNetwork:
@@ -401,6 +453,19 @@ def test_build_documents_are_pinned(expr, domain, delta, net_sha):
     f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
     net, _ = build_certified_network(f, delta, BuildBudget())
     assert hashlib.sha256(serialize(net).encode()).hexdigest() == net_sha
+
+
+def test_build_memory_stays_below_the_float_table():
+    # 741,321 candidate rectangles: a float64 minima table alone would be 5.7 MiB
+    # and its per-slice masks and copies took the peak to about 45 MiB
+    f = parse_func("x0*x1", 2, unit_box(2))
+    tracemalloc.start()
+    try:
+        build_certified_network(f, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 

@@ -278,6 +278,16 @@ class TestCli:
         )
         assert code == 2
 
+    def test_unbounded_grid_exit_code(self, tmp_path, capsys):
+        code = main(
+            ["build", "--expr", "x0*x1", "--domain", "0,5e-324;0,1", "--delta", "0.25",
+             "--out", str(tmp_path / "x.net")]
+        )
+        assert code == cli.EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err.startswith("error: axis 0 ") and err.count("\n") == 1
+        assert not (tmp_path / "x.net").exists()
+
     def test_oracle_budget_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "DEFAULT_BUDGET", cli.BuildBudget(max_oracle_samples=200))
         code = main(

@@ -101,10 +101,10 @@ def format_cells(cells: Sequence[int]) -> str:
     return str(cells[0]) if len(set(cells)) == 1 else ",".join(str(c) for c in cells)
 
 
-def grid_resolution(lipschitz: float, delta: float, width: float, axis: int = 0) -> int:
-    """Smallest cell count on an axis this wide so one cell moves f by at most delta/2.
+def grid_resolution(lipschitz: float, delta: float, width: float, axis: int) -> int:
+    """Smallest cell count on an axis ``width`` wide so one cell moves f by at most delta/2.
 
-    ``axis`` only names the axis when the count is not a finite number.
+    ``axis`` names the axis in the error raised when the count is not finite.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -163,35 +163,30 @@ class CellMinTable:
         slices.
 
         The table is indexed by ``(lo_0..lo_{m-1}, hi_0..hi_{m-1})`` by grid
-        point index, and holds 0 where some ``lo_k > hi_k``. The lattice axes
-        are paired from the last one back, each in place: axis k becomes
-        ``lo_k`` where it stands and ``hi_k`` right after the last ``lo``
-        axis. Per-cell slab minima, both boundary lines included, feed the
-        running minimum ``min[lo, hi] = min(min[lo, hi-1], cell[hi-1])``.
+        point index, and holds 0 where some ``lo_k > hi_k``. Each lattice axis
+        in turn becomes a ``(lo, hi)`` pair of axes: per-cell slab minima, both
+        boundary lines included, feed the running minimum
+        ``min[lo, hi] = min(min[lo, hi-1], cell[hi-1])``.
         """
         tops = np.asarray(levels[1:], dtype=float)
         index = np.searchsorted(tops, self.values, side="right")
         index[np.isnan(self.values)] = 0
         mins = index.astype(np.min_scalar_type(len(tops)))
-        s, m = self.samples_per_cell, self.grid.dim
-        for k in reversed(range(m)):
+        s = self.samples_per_cell
+        for k in range(self.grid.dim):
             n = self.grid.cells[k]
-            # mins is (lattice axes 0..k, lo_{k+1}.., hi_{k+1}..)
-            lead, rest = mins.shape[:k], mins.shape[k + 1 :]
-            ax = (slice(None),) * k
-            points = mins[ax + (slice(None, None, s),)]
-            slabs = mins[ax + (slice(None, -1),)].reshape(*lead, n, s, *rest).min(axis=k + 1)
-            cell = np.minimum(slabs, points[ax + (slice(1, None),)])
-            los = m - 1 - k
-            pairs = np.zeros((*lead, n + 1, *rest[:los], n + 1, *rest[los:]), mins.dtype)
-            view = np.moveaxis(pairs, k + 1 + los, k + 1)  # hi_k right after lo_k
-            view[ax + (0, 0)] = points[ax + (0,)]
+            rest = mins.shape[1:]
+            points = mins[::s]
+            cell = np.minimum(mins[:-1].reshape(n, s, *rest).min(axis=1), points[1:])
+            pairs = np.zeros((n + 1, n + 1, *rest), mins.dtype)
+            pairs[0, 0] = points[0]
             for hi in range(1, n + 1):
-                np.minimum(view[ax + (slice(hi), hi - 1)], cell[ax + (slice(hi - 1, hi),)],
-                           out=view[ax + (slice(hi), hi)])
-                view[ax + (hi, hi)] = points[ax + (hi,)]
-            mins = pairs
-        return mins
+                pairs[:hi, hi] = np.minimum(pairs[:hi, hi - 1], cell[hi - 1])
+                pairs[hi, hi] = points[hi]
+            # the next lattice axis comes to the front, the finished pair goes last
+            mins = np.moveaxis(pairs, (0, 1), (-2, -1))
+        m = self.grid.dim
+        return np.ascontiguousarray(mins.transpose([*range(0, 2 * m, 2), *range(1, 2 * m, 2)]))
 
 
 def samples_per_cell_for(lipschitz: float, density: float, target_margin: float) -> int:

@@ -102,7 +102,7 @@ def _make_parser() -> _Parser:
     p_plot.add_argument("--net", required=True)
     _add_expr_args(p_plot)
     p_plot.add_argument("--samples", type=int, default=201, help="sample count per dimension")
-    p_plot.add_argument("--domain", help="override box when the network carries none")
+    p_plot.add_argument("--domain", help="box to sample instead of the network's domain")
     p_plot.add_argument("--out", required=True)
     return parser
 
@@ -200,10 +200,11 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
                 [BoxRegion.from_pairs(cell) for cell in boxes[at : at + PLOT_CHUNK]]
                 + [BoxRegion.point(x) for x in chunk],
             )
-            for x, prop, value in zip(chunk, props, props[len(chunk) :]):
+            f_values = f.eval_many(chunk).tolist()
+            for x, f_x, prop, value in zip(chunk, f_values, props, props[len(chunk) :]):
                 coords = ",".join(repr(v) for v in x)
                 lo, hi = prop.bounds[0].lo, prop.bounds[0].hi
-                fh.write(f"{coords},{f.eval(list(x))!r},{value.bounds[0].lo!r},{lo!r},{hi!r}\n")
+                fh.write(f"{coords},{f_x!r},{value.bounds[0].lo!r},{lo!r},{hi!r}\n")
     print(f"wrote plot data to {args.out}")
     return EXIT_OK
 

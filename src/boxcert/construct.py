@@ -5,7 +5,9 @@ pick a grid fine enough that one cell moves f by at most half a slab, fill one
 table holding, for every grid hyperrectangle, how many slices' upper levels its
 sampled minimum clears, select every slice's maximal rectangles from that
 table in one pass, sum a local bump per selected rectangle, clip, and stack the
-slices back up from the bottom level.
+slices back up from the bottom level. Each slice is ``1 - R(1 - sum of bumps)``
+with the sum folded into its first affine row, and the stack is one affine row
+over the slices.
 
 Every network is built on the unit box: the grid has ``cells[k]`` cells along
 axis k of [0, 1]^m, sized from the domain's width on that axis, and the network
@@ -71,7 +73,7 @@ class BuildReport:
     candidate_rects: int
     relu_count: int
     node_count: int
-    build_seconds: float
+    build_seconds: float  # wall-clock time: printed by the CLI, kept out of the document
 
     def to_document(self) -> str:
         lines = [
@@ -87,7 +89,6 @@ class BuildReport:
             f"candidate_rects {self.candidate_rects}",
             f"relu_count {self.relu_count}",
             f"node_count {self.node_count}",
-            f"build_seconds {self.build_seconds:.3f}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -230,28 +231,23 @@ def slice_members(table: np.ndarray, grid: GridSpec, count: int) -> list[list[Hy
     return slices
 
 
-def _inputs(b: NetworkBuilder) -> int:
-    """The input vector: the concat of every input, or the single input itself."""
-    return b.concat(b.input_ids) if b.input_dim > 1 else b.input_id(0)
-
-
-def _source(b: NetworkBuilder, domain: BoxRegion) -> int:
+def _source(b: NetworkBuilder, domain: BoxRegion) -> list[int]:
     """The input vector mapped onto the unit box by ``x -> (x - lo) / w`` per axis.
 
-    The map is left out on the unit box. A zero-width axis keeps ``x - lo``.
+    On the unit box the map is left out and the input nodes are the source.
+    A zero-width axis keeps ``x - lo``.
     """
-    x = _inputs(b)
     if all(iv.lo == 0.0 and iv.hi == 1.0 for iv in domain.bounds):
-        return x
+        return b.input_ids
     m = domain.dim
     scales = [1.0 / iv.width if iv.width > 0 else 1.0 for iv in domain.bounds]
     rows = [[scales[k] if j == k else 0.0 for j in range(m)] for k in range(m)]
-    return b.affine(x, rows, [-(iv.lo * r) for iv, r in zip(domain.bounds, scales)])
+    return [b.affine(b.input_ids, rows, [-(iv.lo * r) for iv, r in zip(domain.bounds, scales)])]
 
 
 def _constant(b: NetworkBuilder, value: float) -> int:
-    """Append the input vector and a zero-weight affine row that outputs ``value``."""
-    return b.affine(_inputs(b), [[0.0] * b.input_dim], [float(value)])
+    """Append a zero-weight affine row over the inputs that outputs ``value``."""
+    return b.affine(b.input_ids, [[0.0] * b.input_dim], [float(value)])
 
 
 def build_slice_network(b: NetworkBuilder, delta_k: Sequence[HyperRect], grid: GridSpec, domain: BoxRegion) -> int:
@@ -260,13 +256,12 @@ def build_slice_network(b: NetworkBuilder, delta_k: Sequence[HyperRect], grid: G
         return _constant(b, 0.0)
     source = _source(b, domain)
     bumps = [append_local_bump(b, grid, rect, source) for rect in sorted(delta_k)]
-    total = b.sum(bumps) if len(bumps) > 1 else bumps[0]
-    return append_clip_above(b, total, 1.0)
+    return append_clip_above(b, bumps, 1.0)
 
 
 def sum_outputs(b: NetworkBuilder, outs: Sequence[int], coefficient: float, bias: float) -> int:
-    """Append ``bias + coefficient * sum(outs)`` over scalar nodes: one concat, one affine row."""
-    return b.affine(b.concat(outs), [[coefficient] * len(outs)], [bias])
+    """Append ``bias + coefficient * sum(outs)`` over scalar nodes: one affine row."""
+    return b.affine(outs, [[coefficient] * len(outs)], [bias])
 
 
 def _finalize(

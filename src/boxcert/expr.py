@@ -215,30 +215,6 @@ def parse_expr(source: str, dim: int) -> Expr:
     return _Parser(source, dim).parse()
 
 
-def eval_expr(e: Expr, x: Sequence[float]) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return float(x[e.index])
-    if isinstance(e, Add):
-        return eval_expr(e.left, x) + eval_expr(e.right, x)
-    if isinstance(e, Sub):
-        return eval_expr(e.left, x) - eval_expr(e.right, x)
-    if isinstance(e, Mul):
-        return eval_expr(e.left, x) * eval_expr(e.right, x)
-    if isinstance(e, Neg):
-        return -eval_expr(e.arg, x)
-    if isinstance(e, Min):
-        return min(eval_expr(e.left, x), eval_expr(e.right, x))
-    if isinstance(e, Max):
-        return max(eval_expr(e.left, x), eval_expr(e.right, x))
-    if isinstance(e, Relu):
-        return max(0.0, eval_expr(e.arg, x))
-    if isinstance(e, Abs):
-        return abs(eval_expr(e.arg, x))
-    raise TypeError(f"unknown expression node {type(e).__name__}")
-
-
 def eval_expr_many(e: Expr, pts: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over an (n, m) array of points."""
     if isinstance(e, Const):
@@ -434,9 +410,10 @@ class FuncExpr:
         return self._lipschitz
 
     def eval(self, x: Sequence[float]) -> float:
+        """f at one point: the one-point case of ``eval_many``."""
         if len(x) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got {len(x)}")
-        return eval_expr(self.expr, x)
+        return float(self.eval_many([x])[0])
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)

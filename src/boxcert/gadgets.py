@@ -9,6 +9,8 @@ whose interval behavior admits a closed form (``nmin2_closed_form`` in
 halves of ceil(n/2) and n - ceil(n/2) and recurses. Local bumps clamp 2m ramps
 to 1, take the min, and rectify; the ramp steepness factor is large enough that
 a box one grid step away from the corner hull propagates to exactly [0, 0].
+``append_clip_above`` saturates a sum of bumps at a bound, with the sum folded
+into its first affine row.
 
 Gadgets append to a ``NetworkBuilder``, which merges bit-identical nodes: bumps
 that share an axis bound share that ramp, and min subtrees over the same ramps
@@ -30,8 +32,7 @@ NMIN2_OUT = ((0.5, -0.5, -0.5, -0.5),)
 
 def append_nmin2(b: NetworkBuilder, left: int, right: int) -> int:
     """Min of two scalar nodes via the four-unit gadget."""
-    pair = b.concat([left, right])
-    hidden = b.relu(b.affine(pair, NMIN2_HIDDEN, (0.0, 0.0, 0.0, 0.0)))
+    hidden = b.relu(b.affine((left, right), NMIN2_HIDDEN, (0.0, 0.0, 0.0, 0.0)))
     return b.affine(hidden, NMIN2_OUT, (0.0,))
 
 
@@ -45,19 +46,24 @@ def append_nmin_tree(b: NetworkBuilder, args: Sequence[int]) -> int:
     return append_nmin2(b, append_nmin_tree(b, args[:half]), append_nmin_tree(b, args[half:]))
 
 
-def append_clip_above(b: NetworkBuilder, pred: int, bound: float) -> int:
-    """Elementwise bound - R(bound - x), saturating values above the bound."""
-    width = b.arity(pred)
-    neg_eye = [[-1.0 if j == i else 0.0 for j in range(width)] for i in range(width)]
-    biases = [float(bound)] * width
-    inner = b.relu(b.affine(pred, neg_eye, biases))
-    return b.affine(inner, neg_eye, biases)
+def append_clip_above(b: NetworkBuilder, preds: Sequence[int], bound: float) -> int:
+    """``bound - R(bound - sum(preds))`` over scalar nodes: their sum, saturated above the bound.
+
+    The first row has weight -1 on every term and the bound as its bias. For
+    terms that are never ``-0.0`` (ReLU outputs, such as bumps) it propagates
+    bit-identically to summing first and then clipping: IEEE round-to-nearest
+    is symmetric in sign, so the partial sums of the ``-t_i`` are exactly the
+    negated partial sums of the ``t_i``.
+    """
+    inner = b.relu(b.affine(preds, [[-1.0] * len(preds)], [float(bound)]))
+    return b.affine(inner, [[-1.0]], [float(bound)])
 
 
-def append_local_bump(b: NetworkBuilder, grid: GridSpec, rect: HyperRect, source: int) -> int:
+def append_local_bump(b: NetworkBuilder, grid: GridSpec, rect: HyperRect, source: Sequence[int]) -> int:
     """Bump that is 1 on the rect's hull and 0 one grid step beyond it.
 
-    ``source`` must be an m-wide node carrying unit-box coordinates. Each ramp
+    ``source`` lists nodes whose outputs, laid end to end, are the m unit-box
+    coordinates: the m input nodes, or one m-wide affine node. Each ramp
     is fused with the first clipping stage, so its affine row computes
     1 - ramp directly from integer-exact weights cells[k]*ell and ell*index.
     """

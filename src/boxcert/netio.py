@@ -1,22 +1,30 @@
 """Text document format for networks: versioned, line-oriented, bit-exact.
 
-Layout::
+Layout (version 2)::
 
-    boxcert-net 1
+    boxcert-net 2
     input_dim 2
-    output 7
+    output 5
     meta delta 0x1.999999999999ap-2
     node 0 input 0
     node 1 input 1
-    node 2 concat 0 1
-    node 3 affine 2 1 2 0x0p+0 0x1p+0 -0x1p+0
-    node 7 relu 3
+    node 2 affine 0,1 1 2 0x0p+0 0x1p+0 -0x1p+0
+    node 5 relu 2
 
-Affine lines carry ``<pred> <rows> <cols>`` followed by ``rows`` bias entries
-and ``rows*cols`` row-major weights. The writer always emits hex floats, the
-bit-exact canonical form; the reader also accepts decimal literals. Node ids in
-a document are arbitrary integers, but the line order must be topological; the
-loader reports cycles and forward references separately, each with the node id.
+Affine lines carry ``<preds> <rows> <cols>``, where ``preds`` lists the
+comma-separated predecessor ids whose outputs the node reads end to end,
+followed by ``rows`` bias entries and ``rows*cols`` row-major weights. The
+writer always emits hex floats, the bit-exact canonical form; the reader also
+accepts decimal literals. Node ids in a document are arbitrary integers, but
+the line order must be topological; the loader reports cycles and forward
+references separately, each with the node id.
+
+Version 1 documents still load. Their ``sum`` and ``concat`` nodes are
+rewritten: a concat is spliced into the predecessor lists of the affine nodes
+that read it, and one read by a relu or named as the output becomes an
+identity affine node; a sum becomes an affine node with one identity block per
+operand. Values are unchanged, except that a ``-0.0`` endpoint of a sum or of
+an output concat can load as ``+0.0``: an affine row starts from ``+0.0``.
 """
 
 from __future__ import annotations
@@ -24,10 +32,10 @@ from __future__ import annotations
 import math
 
 from .intervals import BoxRegion
-from .network import Network, Node
+from .network import Network, Node, affine_node
 
 MAGIC = "boxcert-net"
-VERSION = 1
+VERSION = 2
 
 
 class NetworkFormatError(ValueError):
@@ -61,13 +69,14 @@ def serialize(net: Network) -> str:
             toks = [_fmt(b) for b in node.bias]
             for row in node.weights:
                 toks.extend(_fmt(w) for w in row)
-            lines.append(f"node {i} affine {node.preds[0]} {rows} {cols} " + " ".join(toks))
+            preds = ",".join(map(str, node.preds))
+            lines.append(f"node {i} affine {preds} {rows} {cols} " + " ".join(toks))
         else:
-            lines.append(f"node {i} {node.kind} " + " ".join(str(p) for p in node.preds))
+            lines.append(f"node {i} relu {node.preds[0]}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_node(node_id: int, kind: str, rest: list[str]) -> tuple:
+def _parse_node(node_id: int, kind: str, rest: list[str], version: int) -> tuple:
     """A node line's ``Node`` fields, with the predecessor ids as written in the document."""
     where = f"node {node_id}"
     if kind == "input":
@@ -76,8 +85,8 @@ def _parse_node(node_id: int, kind: str, rest: list[str]) -> tuple:
         return "input", (), int(rest[0]), (), ()
     if kind == "affine":
         if len(rest) < 3:
-            raise NetworkFormatError(f"{where}: affine needs pred, rows, cols")
-        pred, rows, cols = int(rest[0]), int(rest[1]), int(rest[2])
+            raise NetworkFormatError(f"{where}: affine needs preds, rows, cols")
+        preds, rows, cols = tuple(map(int, rest[0].split(","))), int(rest[1]), int(rest[2])
         if rows < 1 or cols < 1:
             raise NetworkFormatError(f"{where}: affine rows and cols must be positive")
         vals = rest[3:]
@@ -87,16 +96,16 @@ def _parse_node(node_id: int, kind: str, rest: list[str]) -> tuple:
             )
         nums = [_parse_float(t, where) for t in vals]
         weights = tuple([tuple(nums[r : r + cols]) for r in range(rows, len(nums), cols)])
-        return "affine", (pred,), -1, weights, tuple(nums[:rows])
+        return "affine", preds, -1, weights, tuple(nums[:rows])
     if kind == "relu":
         if len(rest) != 1:
             raise NetworkFormatError(f"{where}: relu takes one predecessor")
         return "relu", (int(rest[0]),), -1, (), ()
-    if kind == "sum":
+    if kind == "sum" and version == 1:
         if len(rest) < 2:
             raise NetworkFormatError(f"{where}: sum needs at least two predecessors")
         return "sum", tuple([int(t) for t in rest]), -1, (), ()
-    if kind == "concat":
+    if kind == "concat" and version == 1:
         if not rest:
             raise NetworkFormatError(f"{where}: concat needs at least one predecessor")
         return "concat", tuple([int(t) for t in rest]), -1, (), ()
@@ -121,8 +130,9 @@ def deserialize(text: str) -> Network:
     head = lines[0].split()
     if len(head) != 2 or head[0] != MAGIC:
         raise NetworkFormatError(f"missing magic line, expected '{MAGIC} <version>'")
-    if head[1] != str(VERSION):
+    if head[1] not in ("1", str(VERSION)):
         raise NetworkFormatError(f"unsupported schema version {head[1]}")
+    version = int(head[1])
 
     input_dim: int | None = None
     output_id: int | None = None
@@ -141,7 +151,7 @@ def deserialize(text: str) -> Network:
                 node_id = int(parts[1])
                 if node_id in preds_of:
                     raise NetworkFormatError(f"duplicate node id {node_id}")
-                kind, preds, index, weights, bias = _parse_node(node_id, parts[2], parts[3:])
+                kind, preds, index, weights, bias = _parse_node(node_id, parts[2], parts[3:], version)
             except NetworkFormatError:
                 raise
             except ValueError as exc:  # a non-integer node id, predecessor id, index or affine size
@@ -176,10 +186,55 @@ def deserialize(text: str) -> Network:
         raise NetworkFormatError(f"output references undefined node {output_id}")
     if not in_order:
         _reject_order(preds_of, position)
+    output = position[output_id]
     try:
-        return Network(tuple(nodes), position[output_id], input_dim, metadata)
+        if version == 1:
+            nodes, output = _from_v1(nodes, output)
+        return Network(tuple(nodes), output, input_dim, metadata)
     except ValueError as exc:
         raise NetworkFormatError(f"invalid network document: {exc}") from exc
+
+
+def _identity_blocks(preds: tuple[int, ...], width: int, count: int) -> Node:
+    """An affine node adding ``count`` operands ``width`` wide, read end to end; one is a copy."""
+    rows = [[1.0 if j % width == r else 0.0 for j in range(width * count)] for r in range(width)]
+    return affine_node(preds, rows, [0.0] * width)
+
+
+def _from_v1(old: list[Node], output: int) -> tuple[list[Node], int]:
+    """A version-1 node list and output position, rewritten into the three node kinds."""
+    nodes: list[Node] = []
+    parts: list[tuple[int, ...]] = []  # per old node: the new nodes holding its output, end to end
+    widths: list[int] = []  # per old node
+    copies: dict[int, int] = {}  # old concat -> its identity node
+
+    def single(i: int) -> int:
+        """Old node ``i`` as one new node; a concat of several gets an identity node."""
+        if len(parts[i]) > 1 and i not in copies:
+            nodes.append(_identity_blocks(parts[i], widths[i], 1))
+            copies[i] = len(nodes) - 1
+        return copies.get(i, parts[i][0])
+
+    for i, node in enumerate(old):
+        spliced = tuple([q for p in node.preds for q in parts[p]])
+        if node.kind == "concat":
+            parts.append(spliced)
+            widths.append(sum(widths[p] for p in node.preds))
+            continue
+        width = widths[node.preds[0]] if node.preds else 1
+        if node.kind == "relu":
+            node = Node("relu", (single(node.preds[0]),))
+        elif node.kind == "affine":
+            node, width = Node("affine", spliced, -1, node.weights, node.bias), len(node.weights)
+        elif node.kind == "sum":
+            found = sorted({widths[p] for p in node.preds})
+            if len(found) != 1:
+                raise NetworkFormatError(f"node {i}: sum predecessors disagree on arity: {found}")
+            node = _identity_blocks(spliced, width, len(node.preds))
+        nodes.append(node)
+        parts.append((len(nodes) - 1,))
+        widths.append(width)
+    return nodes, single(output)
 
 
 def _reject_order(preds_of: dict[int, tuple[int, ...]], position: dict[int, int]) -> None:

@@ -2,24 +2,25 @@
 
 A network is a tuple of nodes stored in one fixed topological order (a node's
 predecessors are always earlier in the tuple, so positions double as ids).
+There are three node kinds: ``input``, ``affine`` and ``relu``. An affine node
+reads its predecessors' outputs laid end to end, so its rows are as wide as
+the sum of their arities; a relu reads one predecessor.
 
 On first evaluation a network is lowered once into a levelled array program
-(``Network.program``). Each non-concat node owns a contiguous range of columns
+(``Network.program``). Each non-input node owns a contiguous range of columns
 in one float64 buffer of shape ``(boxes, 2, columns)`` holding the lower and
-upper ends of every box; concat nodes are column index lists only. A node's
-level is one more than its deepest predecessor's (concat nodes add none), and
-the affine rows, relus and sums of one level each run as one array stage over
-all boxes at once. ``eval_abstract_many`` runs the program; ``eval_abstract``
-is its one-box case and ``eval_concrete`` its point-box case.
+upper ends of every box. A node's level is one more than its deepest
+predecessor's, and the affine rows and relus of one level each run as one
+array stage over all boxes at once. ``eval_abstract_many`` runs the program;
+``eval_abstract`` is its one-box case and ``eval_concrete`` its point-box case.
 
-The stages repeat the scalar interval transformers (``iv_affine_row``,
-``iv_add`` and ``iv_relu`` in ``tests/helpers.py``) bit for bit, so a point box
-propagates to exactly the concrete value:
+The stages repeat the scalar interval transformers (``iv_affine_row`` and
+``iv_relu`` in ``tests/helpers.py``) bit for bit, so a point box propagates to
+exactly the concrete value:
 
 * an affine row adds its nonzero terms in stored order to ``+0.0`` and the bias
   last, taking a term's lower end from the upper input end when the weight is
   negative (no matrix product, whose summation order is unspecified);
-* a sum adds its predecessors left to right;
 * a relu maps ``t`` to ``t if t > 0.0 else 0.0``, which is ``max(0.0, t)``.
 
 The test suite keeps the per-node ``Interval`` walk as the reference. As in
@@ -48,7 +49,7 @@ import numpy as np
 
 from .intervals import BoxRegion, Interval
 
-KINDS = ("input", "affine", "relu", "sum", "concat")
+KINDS = ("input", "affine", "relu")
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,21 +67,15 @@ def input_node(index: int) -> Node:
     return Node("input", index=index)
 
 
-def affine_node(pred: int, weights: Sequence[Sequence[float]], bias: Sequence[float]) -> Node:
+def affine_node(preds: int | Sequence[int], weights: Sequence[Sequence[float]], bias: Sequence[float]) -> Node:
+    """An affine node over one predecessor or over several, read end to end."""
     w = tuple([tuple(map(float, row)) for row in weights])
-    return Node("affine", preds=(pred,), weights=w, bias=tuple(map(float, bias)))
+    preds = (preds,) if isinstance(preds, int) else tuple(preds)
+    return Node("affine", preds=preds, weights=w, bias=tuple(map(float, bias)))
 
 
 def relu_node(pred: int) -> Node:
     return Node("relu", preds=(pred,))
-
-
-def sum_node(preds: Sequence[int]) -> Node:
-    return Node("sum", preds=tuple(preds))
-
-
-def concat_node(preds: Sequence[int]) -> Node:
-    return Node("concat", preds=tuple(preds))
 
 
 @dataclass(frozen=True)
@@ -131,12 +126,12 @@ def _validate(nodes: tuple[Node, ...], output: int, input_dim: int) -> tuple[int
             seen_inputs[node.index] = i
             arities.append(1)
         elif node.kind == "affine":
-            if len(node.preds) != 1:
-                raise ValueError(f"node {i}: affine takes exactly one predecessor")
+            if not node.preds:
+                raise ValueError(f"node {i}: affine needs at least one predecessor")
             rows = len(node.weights)
             if rows == 0 or len(node.bias) != rows:
                 raise ValueError(f"node {i}: affine needs matching weight rows and bias entries")
-            cols = arities[node.preds[0]]
+            cols = sum(arities[p] for p in node.preds)
             for row in node.weights:
                 if len(row) != cols:
                     raise ValueError(f"node {i}: affine row width {len(row)} != predecessor arity {cols}")
@@ -145,17 +140,6 @@ def _validate(nodes: tuple[Node, ...], output: int, input_dim: int) -> tuple[int
             if len(node.preds) != 1:
                 raise ValueError(f"node {i}: relu takes exactly one predecessor")
             arities.append(arities[node.preds[0]])
-        elif node.kind == "sum":
-            if len(node.preds) < 2:
-                raise ValueError(f"node {i}: sum needs at least two predecessors")
-            widths = {arities[p] for p in node.preds}
-            if len(widths) != 1:
-                raise ValueError(f"node {i}: sum predecessors disagree on arity: {sorted(widths)}")
-            arities.append(widths.pop())
-        elif node.kind == "concat":
-            if not node.preds:
-                raise ValueError(f"node {i}: concat needs at least one predecessor")
-            arities.append(sum(arities[p] for p in node.preds))
         else:
             raise ValueError(f"node {i}: unknown kind {node.kind!r}")
     if len(seen_inputs) != input_dim:
@@ -183,21 +167,6 @@ class _AffineStage(NamedTuple):
         np.add(acc, self.bias, out=x[:, :, self.start : self.stop])
 
 
-class _SumStage(NamedTuple):
-    """The sum nodes of one level: each output column adds its source columns in order."""
-
-    start: int
-    stop: int
-    src: np.ndarray  # (terms, columns)
-
-    def run(self, x: np.ndarray) -> None:
-        terms = x.take(self.src, axis=2)
-        acc = terms[:, :, 0]
-        for k in range(1, terms.shape[2]):
-            acc += terms[:, :, k]
-        x[:, :, self.start : self.stop] = acc
-
-
 class _ReluStage(NamedTuple):
     """The relu nodes of one level."""
 
@@ -214,15 +183,15 @@ class Program(NamedTuple):
     """A network lowered to levelled array stages over one ``(boxes, 2, columns)`` buffer.
 
     Column ``k < input_dim`` holds input ``k``. The last column holds ``-0.0``,
-    the identity of IEEE addition, which pads rows and sums shorter than the
-    longest of their stage. Affine stages index the buffer flattened to
+    the identity of IEEE addition, which pads rows shorter than the longest of
+    their stage. Affine stages index the buffer flattened to
     ``(boxes, 2 * columns)``: the lower end of column ``c`` at ``c``, the upper
     end at ``columns + c``.
     """
 
     input_dim: int
     columns: int
-    stages: tuple[_AffineStage | _SumStage | _ReluStage, ...]
+    stages: tuple[_AffineStage | _ReluStage, ...]
     output: np.ndarray  # the output node's columns
 
     def run(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,15 +222,12 @@ def _compile(net: Network) -> Program:
             continue
         preds = node.preds
         top = level[preds[0]] if len(preds) == 1 else max(level[p] for p in preds)
-        if kind == "concat":
-            level[i] = top
-        else:
-            level[i] = top + 1
-            groups.setdefault((top + 1, kind), []).append(i)
+        level[i] = top + 1
+        groups.setdefault((top + 1, kind), []).append(i)
     keys = sorted(groups)
 
     # Columns: inputs first, then each stage's nodes in a contiguous block.
-    cols: list[Sequence[int]] = [()] * len(nodes)
+    cols: list[Sequence[int]] = [(node.index,) for node in nodes]  # kept for inputs only
     spans = []
     nxt = net.input_dim
     for key in keys:
@@ -270,33 +236,23 @@ def _compile(net: Network) -> Program:
             cols[i] = range(nxt, nxt + arities[i])
             nxt += arities[i]
         spans.append((start, nxt))
-    for i, node in enumerate(nodes):
-        if node.kind == "input":
-            cols[i] = (node.index,)
-        elif node.kind == "concat":
-            cols[i] = [c for p in node.preds for c in cols[p]]
     pad = nxt  # the -0.0 column
     columns = nxt + 1
 
-    stages: list[_AffineStage | _SumStage | _ReluStage] = []
+    stages: list[_AffineStage | _ReluStage] = []
     for key, (start, stop) in zip(keys, spans):
-        kind = key[1]
         members = [nodes[i] for i in groups[key]]
-        if kind == "relu":
+        if key[1] == "relu":
             src = [c for node in members for c in cols[node.preds[0]]]
             stages.append(_ReluStage(start, stop, np.array(src, dtype=np.intp)))
-        elif kind == "sum":
-            rows = [t for node in members for t in zip(*(cols[p] for p in node.preds))]
-            depth = max(len(r) for r in rows)
-            src = [r + (pad,) * (depth - len(r)) for r in rows]
-            stages.append(_SumStage(start, stop, np.array(src, dtype=np.intp).T.copy()))
         else:
             flat_w: list[float] = []
             flat_c: list[int] = []
             widths: list[int] = []
             bias: list[float] = []
             for node in members:
-                pred_cols = cols[node.preds[0]]
+                preds = node.preds
+                pred_cols = cols[preds[0]] if len(preds) == 1 else [c for p in preds for c in cols[p]]
                 for row in node.weights:
                     flat_w.extend(row)
                     flat_c.extend(pred_cols)
@@ -408,21 +364,14 @@ class NetworkBuilder:
         self._arities.append(arity)
         return new
 
-    def affine(self, pred: int, weights: Sequence[Sequence[float]], bias: Sequence[float]) -> int:
-        node = affine_node(pred, weights, bias)
+    def affine(
+        self, preds: int | Sequence[int], weights: Sequence[Sequence[float]], bias: Sequence[float]
+    ) -> int:
+        node = affine_node(preds, weights, bias)
         return self._append(node, len(node.weights))
 
     def relu(self, pred: int) -> int:
         return self._append(relu_node(pred), self._arities[pred])
-
-    def sum(self, preds: Sequence[int]) -> int:
-        widths = {self._arities[p] for p in preds}
-        if len(widths) != 1:
-            raise ValueError(f"sum predecessors disagree on arity: {sorted(widths)}")
-        return self._append(sum_node(preds), self._arities[preds[0]])
-
-    def concat(self, preds: Sequence[int]) -> int:
-        return self._append(concat_node(preds), sum(self._arities[p] for p in preds))
 
     def finish(self, output: int, metadata: dict[str, str] | None = None) -> Network:
         return Network(tuple(self._nodes), output, self.input_dim, dict(metadata or {}))

@@ -16,6 +16,7 @@ byte-identical report document (wall-clock time is kept out of it).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -43,8 +44,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.boxes < 0:
             raise ValueError("box count must be nonnegative")
-        if not self.tolerance >= 0:
-            raise ValueError("tolerance must be nonnegative")
+        if not 0 <= self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be nonnegative and finite, got {self.tolerance!r}")
 
 
 @dataclass(frozen=True)

@@ -147,38 +147,33 @@ class PlainBuilder(NetworkBuilder):
 
 
 def random_network(rng: random.Random, max_extra_nodes: int = 8) -> Network:
-    """A random small DAG over all node kinds with bounded weights."""
+    """A random small DAG over all node kinds with bounded weights.
+
+    An affine node reads one to three earlier nodes, repeats allowed, at most
+    six columns in all.
+    """
     dim = rng.randint(1, 3)
     b = NetworkBuilder(dim)
     ids = list(b.input_ids)
     for _ in range(rng.randint(1, max_extra_nodes)):
-        kind = rng.choice(("affine", "relu", "sum", "concat"))
-        if kind == "affine":
-            pred = rng.choice(ids)
-            cols = b.arity(pred)
-            rows = rng.randint(1, 3)
-            weights = [[rng.uniform(-2, 2) for _ in range(cols)] for _ in range(rows)]
-            bias = [rng.uniform(-1, 1) for _ in range(rows)]
-            ids.append(b.affine(pred, weights, bias))
-        elif kind == "relu":
+        if rng.random() < 0.5:
             ids.append(b.relu(rng.choice(ids)))
-        elif kind == "sum":
-            pred = rng.choice(ids)
-            same = [p for p in ids if b.arity(p) == b.arity(pred)]
-            picks = [pred] + [rng.choice(same) for _ in range(rng.randint(1, 2))]
-            ids.append(b.sum(picks))
-        else:
-            picks = [rng.choice(ids) for _ in range(rng.randint(1, 3))]
-            if sum(b.arity(p) for p in picks) <= 6:
-                ids.append(b.concat(picks))
+            continue
+        preds = [rng.choice(ids) for _ in range(rng.randint(1, 3))]
+        cols = sum(b.arity(p) for p in preds)
+        if cols > 6:
+            preds, cols = preds[:1], b.arity(preds[0])
+        rows = rng.randint(1, 3)
+        weights = [[rng.uniform(-2, 2) for _ in range(cols)] for _ in range(rows)]
+        bias = [rng.uniform(-1, 1) for _ in range(rows)]
+        ids.append(b.affine(preds, weights, bias))
     return b.finish(ids[-1])
 
 
 def identity_network(dim: int) -> Network:
     b = NetworkBuilder(dim)
-    src = b.concat(b.input_ids) if dim > 1 else b.input_id(0)
     rows = [[1.0 if j == i else 0.0 for j in range(dim)] for i in range(dim)]
-    return b.finish(b.affine(src, rows, [0.0] * dim))
+    return b.finish(b.affine(b.input_ids, rows, [0.0] * dim))
 
 
 def append_copy(b: NetworkBuilder, net: Network) -> int:
@@ -189,21 +184,16 @@ def append_copy(b: NetworkBuilder, net: Network) -> int:
         if node.kind == "input":
             ids.append(b.input_id(node.index))
         elif node.kind == "affine":
-            ids.append(b.affine(preds[0], node.weights, node.bias))
-        elif node.kind == "relu":
-            ids.append(b.relu(preds[0]))
-        elif node.kind == "sum":
-            ids.append(b.sum(preds))
+            ids.append(b.affine(preds, node.weights, node.bias))
         else:
-            ids.append(b.concat(preds))
+            ids.append(b.relu(preds[0]))
     return ids[net.output]
 
 
 def difference_network(net: Network) -> Network:
-    """``net(x) - net(x)`` for a scalar ``net``: two copies, a concat, and the affine row [1, -1]."""
+    """``net(x) - net(x)`` for a scalar ``net``: two copies and the affine row [1, -1] over both."""
     b = PlainBuilder(net.input_dim)
-    cat = b.concat([append_copy(b, net), append_copy(b, net)])
-    return b.finish(b.affine(cat, [[1.0, -1.0]], [0.0]))
+    return b.finish(b.affine([append_copy(b, net), append_copy(b, net)], [[1.0, -1.0]], [0.0]))
 
 
 def build_nmin2() -> Network:
@@ -222,7 +212,7 @@ def build_nmin_n(n: int) -> Network:
 
 def build_clip_above(bound: float) -> Network:
     b = NetworkBuilder(1)
-    out = append_clip_above(b, b.input_id(0), bound)
+    out = append_clip_above(b, [b.input_id(0)], bound)
     return b.finish(out)
 
 
@@ -264,8 +254,7 @@ def bump_relu_budget(dim: int) -> int:
 
 def build_local_bump(grid: GridSpec, rect: HyperRect) -> Network:
     b = NetworkBuilder(grid.dim)
-    source = b.concat(b.input_ids) if grid.dim > 1 else b.input_id(0)
-    out = append_local_bump(b, grid, rect, source)
+    out = append_local_bump(b, grid, rect, b.input_ids)
     return b.finish(
         out,
         {
@@ -317,14 +306,15 @@ def shrink_box(rng: random.Random, box: BoxRegion) -> BoxRegion:
 def reference_eval_concrete(net: Network, x) -> tuple[float, ...]:
     """Per-node walk at a point: affine rows accumulate left to right from 0.0, bias last.
 
-    The reference the compiled evaluator must match bit for bit.
+    An affine node reads its predecessors' values laid end to end. The
+    reference the compiled evaluator must match bit for bit.
     """
     vals: list[tuple[float, ...]] = []
     for node in net.nodes:
         if node.kind == "input":
             vals.append((float(x[node.index]),))
         elif node.kind == "affine":
-            v = vals[node.preds[0]]
+            v = [t for p in node.preds for t in vals[p]]
             out = []
             for row, b in zip(node.weights, node.bias):
                 acc = 0.0
@@ -332,20 +322,8 @@ def reference_eval_concrete(net: Network, x) -> tuple[float, ...]:
                     acc += w * xv
                 out.append(acc + b)
             vals.append(tuple(out))
-        elif node.kind == "relu":
+        else:
             vals.append(tuple(max(0.0, t) for t in vals[node.preds[0]]))
-        elif node.kind == "sum":
-            acc_v = list(vals[node.preds[0]])
-            for p in node.preds[1:]:
-                nxt = vals[p]
-                for j in range(len(acc_v)):
-                    acc_v[j] = acc_v[j] + nxt[j]
-            vals.append(tuple(acc_v))
-        else:  # concat
-            parts: list[float] = []
-            for p in node.preds:
-                parts.extend(vals[p])
-            vals.append(tuple(parts))
     return vals[net.output]
 
 
@@ -356,22 +334,10 @@ def reference_eval_abstract(net: Network, box: BoxRegion) -> BoxRegion:
         if node.kind == "input":
             vals.append((box.bounds[node.index],))
         elif node.kind == "affine":
-            v = vals[node.preds[0]]
+            v = [t for p in node.preds for t in vals[p]]
             vals.append(tuple(iv_affine_row(row, b, v) for row, b in zip(node.weights, node.bias)))
-        elif node.kind == "relu":
+        else:
             vals.append(tuple(iv_relu(t) for t in vals[node.preds[0]]))
-        elif node.kind == "sum":
-            acc = list(vals[node.preds[0]])
-            for p in node.preds[1:]:
-                nxt = vals[p]
-                for j in range(len(acc)):
-                    acc[j] = iv_add(acc[j], nxt[j])
-            vals.append(tuple(acc))
-        else:  # concat
-            parts: list[Interval] = []
-            for p in node.preds:
-                parts.extend(vals[p])
-            vals.append(tuple(parts))
     return BoxRegion(vals[net.output])
 
 

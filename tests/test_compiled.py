@@ -15,7 +15,7 @@ from boxcert import netio
 from boxcert.construct import BuildBudget, build_certified_network
 from boxcert.expr import parse_func
 from boxcert.intervals import BoxRegion
-from boxcert.network import NetworkBuilder, eval_abstract, eval_abstract_many, eval_concrete
+from boxcert.network import NetworkBuilder, eval_abstract, eval_abstract_many, eval_concrete, stats
 from boxcert.verify import RunConfig, verify_network
 
 from helpers import dyadic, reference_eval_abstract, reference_eval_concrete
@@ -33,34 +33,27 @@ ENDPOINTS = st.one_of(
 
 @st.composite
 def networks(draw):
-    """Random DAGs over every node kind, with a scalar or a concatenated output."""
+    """Random DAGs over every node kind; an affine node reads one to four earlier nodes, repeats allowed."""
     dim = draw(st.integers(1, 3))
     b = NetworkBuilder(dim)
     ids = list(b.input_ids)
     for _ in range(draw(st.integers(1, 12))):
-        kind = draw(st.sampled_from(["affine", "zero_row_affine", "relu", "sum", "concat"]))
-        pred = draw(st.sampled_from(ids))
-        if kind in ("affine", "zero_row_affine"):
-            cols = b.arity(pred)
-            rows = draw(st.lists(st.lists(WEIGHTS, min_size=cols, max_size=cols), min_size=1, max_size=3))
-            if kind == "zero_row_affine":
-                rows[draw(st.integers(0, len(rows) - 1))] = draw(
-                    st.lists(st.sampled_from([0.0, -0.0]), min_size=cols, max_size=cols)
-                )
-            bias = draw(st.lists(WEIGHTS, min_size=len(rows), max_size=len(rows)))
-            ids.append(b.affine(pred, rows, bias))
-        elif kind == "relu":
-            ids.append(b.relu(pred))
-        elif kind == "sum":
-            same = [p for p in ids if b.arity(p) == b.arity(pred)]
-            ids.append(b.sum([pred] + draw(st.lists(st.sampled_from(same), min_size=1, max_size=4))))
-        else:  # fan-in with reuse: the same node may appear more than once
-            picks = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4))
-            if sum(b.arity(p) for p in picks) <= 8:
-                ids.append(b.concat(picks))
-    if draw(st.booleans()):
-        return b.finish(ids[-1])
-    return b.finish(b.concat(draw(st.lists(st.sampled_from(ids), min_size=2, max_size=3))))
+        kind = draw(st.sampled_from(["affine", "zero_row_affine", "relu"]))
+        if kind == "relu":
+            ids.append(b.relu(draw(st.sampled_from(ids))))
+            continue
+        preds = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4))
+        if sum(b.arity(p) for p in preds) > 8:
+            preds = preds[:1]
+        cols = sum(b.arity(p) for p in preds)
+        rows = draw(st.lists(st.lists(WEIGHTS, min_size=cols, max_size=cols), min_size=1, max_size=3))
+        if kind == "zero_row_affine":
+            rows[draw(st.integers(0, len(rows) - 1))] = draw(
+                st.lists(st.sampled_from([0.0, -0.0]), min_size=cols, max_size=cols)
+            )
+        bias = draw(st.lists(WEIGHTS, min_size=len(rows), max_size=len(rows)))
+        ids.append(b.affine(preds, rows, bias))
+    return b.finish(ids[-1])
 
 
 @st.composite
@@ -96,12 +89,15 @@ def test_batched_propagation_is_bit_identical_to_the_interval_walk(data):
             assert want == [(v, v) for v in value]
 
 
-def test_signed_zero_through_padded_sums_and_relu():
-    # Sums of two and three inputs share a stage, so the shorter one is padded;
-    # -0.0 + -0.0 stays -0.0, and relu(-0.0) is +0.0 as max(0.0, -0.0) is.
+def test_signed_zero_through_padded_affine_rows_and_relu():
+    # The output rows have two, three, one and two nonzero terms and share a
+    # stage, so the shorter ones are padded with 1.0 * -0.0. Every row starts
+    # from +0.0, so -0.0 inputs and a -0.0 bias sum to +0.0; relu(-0.0) is +0.0
+    # as max(0.0, -0.0) is.
     b = NetworkBuilder(1)
-    net = b.finish(b.concat([b.sum([0, 0]), b.sum([0, 0, 0]), b.relu(0)]))
-    want = ["-0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"]
+    rows = [[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 2.0, 0.0]]
+    net = b.finish(b.affine([0, 0, 0, b.relu(0)], rows, [-0.0, -0.0, -0.0, 0.5]))
+    want = ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-1"]
     assert [v.hex() for v in reference_eval_concrete(net, [-0.0])] == want
     assert [v.hex() for v in eval_concrete(net, [-0.0])] == want
     assert hexes(eval_abstract(net, BoxRegion.point([-0.0]))) == [(v, v) for v in want]
@@ -117,7 +113,7 @@ def test_program_is_compiled_on_first_evaluation_and_cached():
 
 def test_empty_batch_and_dimension_mismatch():
     b = NetworkBuilder(2)
-    net = b.finish(b.sum([0, 1]))
+    net = b.finish(b.affine([0, 1], [[1.0, 1.0]], [0.0]))
     assert eval_abstract_many(net, []) == []
     with pytest.raises(ValueError, match="expected a 2-d box"):
         eval_abstract_many(net, [BoxRegion.from_pairs([(0, 1), (0, 1)]), BoxRegion.from_pairs([(0, 1)])])
@@ -133,32 +129,37 @@ def test_overflow_masked_by_a_relu_is_still_rejected():
         eval_concrete(net, [1e10])
 
 
-# (expression, domain, delta, sha256 of the .net document, sha256 of the verify
-# report for 200 boxes at seed 1): the three networks the benchmark serves.
-# The reports were recorded before the builder merged bit-identical nodes;
-# only the .net hashes changed with it. The cubic's network and report were
-# re-recorded when it gained the unit-box input map A, whose rounding moves
-# some propagated endpoints in their last digits.
+# (expression, domain, delta, sha256 of the .net document, its (node_count,
+# relu_count), sha256 of the verify report for 200 boxes at seed 1): the three
+# networks the benchmark serves. The reports were recorded before the builder
+# merged bit-identical nodes and have not changed since; the cubic's network
+# and report were re-recorded when it gained the unit-box input map A, whose
+# rounding moves some propagated endpoints in their last digits. The .net
+# hashes were last re-recorded when concat and sum nodes were folded into
+# multi-input affine nodes, which propagate bit-identically. The exact counts
+# keep any growth of a served network in view.
 SERVED = (
     ("-x0*x0*x0 + 3*x0", [(-2.0, 2.0)], 0.4,
-     "d2bbaade538cdbba36a742ce314f5d58d3f552b378970b380eef6950a57001ab",
+     "907b2f9daec9e2ac6772c406c087eb324c77ac2b5ec394d92f9e56813ab9d367", (406, 281),
      "09189e23a62537bdc287ea8ed612aca277f935fdabfc1b1cf936e1c6baeba155"),
     ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.5,
-     "a093a3ffb1198d0fe653c7f2ea749144a7e6cd40cc8e688623f062ade3a017b0",
+     "8856449132cb0a511b23116bd8eed98f169a631b08811b8eda939d2cf5acb951", (161, 146),
      "52a875875bbfca4d442abff82ed17fe1725f702b8a9354b94a810bc620c7565a"),
     ("abs(x0 - 0.5)*relu(x1)", [(0.0, 1.0), (0.0, 1.0)], 0.25,
-     "9c714d90e6e408c829ea20d35ebaa4cf649bbeb07d268066d4e0a35e6e897e40",
+     "55ee3e46574f23fc80d320c77ce2834aec145f26005472616a5ba144562af4f6", (234, 222),
      "b28971d8be07e7c2b96f11745a5a4d9847768da8080f0320d6782b3c7dd283b2"),
 )
 
 
-@pytest.mark.parametrize("expr, domain, delta, net_sha, report_sha", SERVED, ids=["cubic", "product", "abs-relu"])
-def test_served_verify_reports_are_pinned(expr, domain, delta, net_sha, report_sha):
+@pytest.mark.parametrize("expr, domain, delta, net_sha, counts, report_sha", SERVED,
+                         ids=["cubic", "product", "abs-relu"])
+def test_served_verify_reports_are_pinned(expr, domain, delta, net_sha, counts, report_sha):
     f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
     net, _ = build_certified_network(f, delta, BuildBudget())
-    assert hashlib.sha256(netio.serialize(net).encode()).hexdigest() == net_sha
     report = verify_network(net, f, RunConfig(boxes=200, seed=1))
     assert hashlib.sha256(report.to_document().encode()).hexdigest() == report_sha
+    assert hashlib.sha256(netio.serialize(net).encode()).hexdigest() == net_sha
+    assert (stats(net)["node_count"], stats(net)["relu_count"]) == counts
 
 
 def test_mixed_budget_verify_report_is_pinned():
@@ -166,7 +167,7 @@ def test_mixed_budget_verify_report_is_pinned():
     # rest need many sampling passes: the report was recorded with the
     # per-box oracle, before the campaign sampled its boxes in batches, and
     # re-recorded with the cubic's unit-box input map A.
-    expr, domain, delta, net_sha, _ = SERVED[0]
+    expr, domain, delta, net_sha, _, _ = SERVED[0]
     f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
     net, _ = build_certified_network(f, delta, BuildBudget())
     assert hashlib.sha256(netio.serialize(net).encode()).hexdigest() == net_sha

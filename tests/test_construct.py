@@ -3,6 +3,8 @@ import hashlib
 import math
 import random
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +28,7 @@ from boxcert.construct import (
 from boxcert.expr import parse_func
 from boxcert.grids import GridSpec, HyperRect, prune_maximal
 from boxcert.intervals import BoxRegion, Interval
-from boxcert.netio import deserialize, serialize
+from boxcert.netio import deserialize, load, serialize
 from boxcert import construct, network
 from boxcert.network import NetworkBuilder, eval_abstract, eval_abstract_many, eval_concrete, stats
 from boxcert.oracle import OracleBudgetError, certified_box_range
@@ -379,6 +381,13 @@ class TestBuildCertifiedNetwork:
         assert doc.startswith("boxcert-report 1\n")
         assert "slices 5" in doc
 
+    def test_report_document_leaves_out_wall_clock_time(self):
+        f = parse_func(CUBIC, 1, BoxRegion.from_pairs([(-2, 2)]))
+        _, report = build_certified_network(f, 8 / 5)
+        doc = report.to_document()
+        assert "seconds" not in doc
+        assert replace(report, build_seconds=report.build_seconds + 123.4).to_document() == doc
+
     def test_round_trip_preserves_propagation(self):
         f = parse_func(CUBIC, 1, BoxRegion.from_pairs([(-2, 2)]))
         net, _ = build_certified_network(f, 8 / 5)
@@ -423,33 +432,64 @@ def test_off_unit_domains_are_certified_as_requested(expr, domain, delta, cells)
 
 
 # sha256 of the .net documents of the benchmark's build cases and of the cubic
-# at delta 0.1, recorded with the builder that merges bit-identical nodes; the
-# unmerged-reference tests at the end of this file check that merging leaves
-# every propagated interval as it was. The cubic's documents were re-recorded
-# when builds moved onto the unit box: they gained the input map A and a
-# cells_per_unit of cells per axis. The three served cases are pinned in
-# test_compiled.
+# at delta 0.1, with their exact (node_count, relu_count), so that no network
+# grows unnoticed. The documents were recorded with the builder that merges
+# bit-identical nodes; the unmerged-reference tests at the end of this file
+# check that merging leaves every propagated interval as it was. They were
+# last re-recorded when concat and sum nodes were folded into multi-input
+# affine nodes: every propagated endpoint stayed bit-identical, and
+# test_version_1_document_propagates_like_the_new_build checks that for the
+# min build. The three served cases are pinned in test_compiled.
 PINNED_BUILDS = (
     (CUBIC, [(-2.0, 2.0)], 0.2,
-     "e5f9e27fd2b22738bcde8af4290dd9a38fd109eae44fe2842382bea33de21238"),
+     "b0121ac087688098325c27448827645bd90527c8bee43ccd6f21b070e7b2fe51", (806, 561)),
     (CUBIC, [(-2.0, 2.0)], 0.1,
-     "862630d680eaf8a6a938608bc984a07124ba17742afafba93810c6b3bb6c5738"),
+     "d3992e1602bdfab8cf2f9a2b83ee5d81e9eaa29ba5875ee153a5143e54675e82", (1606, 1121)),
     ("min(x0, x1)", [(0.0, 1.0), (0.0, 1.0)], 0.5,
-     "ff7fc72d2e0a761d69fa1b26a817c80b353d88bf92cf0e05b4858e12a259a1ca"),
+     "c8999ec7da9eed532a94e0ddb01269d7600bf815c0e9ebc2d34c3832260cc8d7", (85, 66)),
     ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.25,
-     "71b43463cc72557677fa8df2d048a0ed24dbf5eee3d815bd1151e46434fcfaac"),
+     "58fee41a87476c7faed23ec5d482fd62da261398353f8b96c005e430660f3bd4", (417, 415)),
     # M 40, 20 slices, 741,321 candidate rectangles
     ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.1,
-     "3fc4b230b15908f7f7c88844cd048691ee06210d8e61dadc851ad6423a57a4c8"),
+     "19ccd09e696a612b64ba073fe368ecc06eb2ce934fcdf4ed4da04508437a706d", (1693, 1857)),
 )
 
 
-@pytest.mark.parametrize("expr, domain, delta, net_sha", PINNED_BUILDS,
+@pytest.mark.parametrize("expr, domain, delta, net_sha, counts", PINNED_BUILDS,
                          ids=["cubic-0.2", "cubic-0.1", "min", "product-0.25", "product-0.1"])
-def test_build_documents_are_pinned(expr, domain, delta, net_sha):
+def test_build_documents_are_pinned(expr, domain, delta, net_sha, counts):
     f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
     net, _ = build_certified_network(f, delta, BuildBudget())
     assert hashlib.sha256(serialize(net).encode()).hexdigest() == net_sha
+    assert (stats(net)["node_count"], stats(net)["relu_count"]) == counts
+
+
+# The min build as a version-1 document, with concat and sum nodes (sha256
+# ff7fc72d2e0a761d69fa1b26a817c80b353d88bf92cf0e05b4858e12a259a1ca).
+MIN_V1 = Path(__file__).parent / "data" / "min-v1.net"
+
+
+@functools.cache
+def min_build_and_v1_document():
+    expr, domain, delta, _, _ = PINNED_BUILDS[2]
+    f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
+    return build_certified_network(f, delta)[0], load(str(MIN_V1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-0.25, 1.25), st.floats(-0.25, 1.25), st.floats(0.0, 0.5),
+                          st.floats(0.0, 0.5), st.booleans()), min_size=1, max_size=8))
+def test_version_1_document_propagates_like_the_new_build(drawn):
+    net, old = min_build_and_v1_document()
+    boxes = [BoxRegion.from_pairs([(x, x if point else x + w), (y, y if point else y + h)])
+             for x, y, w, h, point in drawn]
+
+    def endpoints(n):
+        return [[(iv.lo.hex(), iv.hi.hex()) for iv in out.bounds] for out in eval_abstract_many(n, boxes)]
+
+    assert endpoints(old) == endpoints(net)
+    assert old.metadata == net.metadata
+    assert (stats(old)["node_count"], stats(old)["relu_count"]) == (85, 66)
 
 
 def test_build_memory_stays_below_the_float_table():
@@ -481,18 +521,19 @@ def test_build_constructs_one_network(monkeypatch, expr, domain, slices):
     assert len(calls) == 1
 
 
-# The three served cases and min(x0, x1), with the sha256 of their documents as
-# built before the builder merged bit-identical nodes (the cubic's with the
-# unit-box input map A, which the unmerged build appends once per slice).
+# The three served cases and min(x0, x1), with the sha256 of their documents
+# as built with nothing merged (the cubic's with the unit-box input map A,
+# which the unmerged build appends once per slice). Re-recorded when concat and
+# sum nodes were folded into multi-input affine nodes.
 UNMERGED_BUILDS = (
     (CUBIC, [(-2.0, 2.0)], 0.4,
-     "b689d59d6f249087d148bb0141b58cbb4b7d6926003ca7aee86df7369ceebced"),
+     "2e162309e0b9887254cd7bcd5af455a2044301baf856da993151ccfe8b4b9053"),
     ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.5,
-     "29c6df0c5a3be2eeb58d6e6deee7e1548d7d4e73a9503d72d4ed7199893f1c31"),
+     "c752ac772ab2f88ba0302e52976a72f290352ff7c26dd319232f383469673aa1"),
     ("abs(x0 - 0.5)*relu(x1)", [(0.0, 1.0), (0.0, 1.0)], 0.25,
-     "76a97fd52c01f21963fe3c7d8ab92b6cd29e0a9bdb82cc029086723720d2273e"),
+     "7784fa8d3167ed9956961d35f31fa7cb9c68bbcff5522486d6c8af6b8b68ee17"),
     ("min(x0, x1)", [(0.0, 1.0), (0.0, 1.0)], 0.5,
-     "06181b0e9ef933739b54732a758be8bd52fdc7a74b4ff31fb61b4c54618026f9"),
+     "9f3818ef89a880825bfb580bfcf4be07cd28455458d0df5a734783c5b9fe84ad"),
 )
 
 

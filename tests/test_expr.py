@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from boxcert.expr import (
     FuncExpr,
     ParseError,
+    eval_expr_many,
     interval_eval,
     parse_expr,
     parse_func,
@@ -96,11 +97,8 @@ class TestRender:
         e = parse_expr(src, 2)
         e2 = parse_expr(to_source(e), 2)
         rng = random.Random(0)
-        from boxcert.expr import eval_expr
-
-        for _ in range(50):
-            x = [rng.uniform(-3, 3), rng.uniform(-3, 3)]
-            assert eval_expr(e, x) == eval_expr(e2, x)
+        pts = np.array([[rng.uniform(-3, 3), rng.uniform(-3, 3)] for _ in range(50)])
+        assert eval_expr_many(e, pts).tolist() == eval_expr_many(e2, pts).tolist()
 
 
 class TestVectorizedEval:
@@ -112,6 +110,13 @@ class TestVectorizedEval:
         for row, v in zip(pts, many):
             assert v == f.eval(list(row))
 
+    def test_point_evaluation_keeps_the_signed_zeros_of_eval_many(self):
+        # np.maximum returns its second operand on a tie, so relu(-0.0) and
+        # max(0.0, -0.0) are -0.0 here; f.eval must agree with the oracle's eval_many.
+        f = parse_func("relu(-x0)*x1 + max(x0, -x0)", 2, BoxRegion.from_pairs([(-1, 1)] * 2))
+        assert f.eval_many(np.array([[0.0, 1.0]]))[0].hex() == "-0x0.0p+0"
+        assert f.eval([0.0, 1.0]).hex() == "-0x0.0p+0"
+
 
 class TestIntervalEval:
     def test_encloses_samples(self):
@@ -119,11 +124,9 @@ class TestIntervalEval:
         box = [Interval(-1.5, 2.0), Interval(-0.5, 1.0)]
         out = interval_eval(f, box)
         rng = random.Random(8)
-        from boxcert.expr import eval_expr
-
-        for _ in range(500):
-            x = [rng.uniform(-1.5, 2.0), rng.uniform(-0.5, 1.0)]
-            assert out.lo - 1e-12 <= eval_expr(f, x) <= out.hi + 1e-12
+        pts = np.array([[rng.uniform(-1.5, 2.0), rng.uniform(-0.5, 1.0)] for _ in range(500)])
+        values = eval_expr_many(f, pts)
+        assert (out.lo - 1e-12 <= values).all() and (values <= out.hi + 1e-12).all()
 
 
 class TestLipschitz:

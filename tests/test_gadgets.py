@@ -1,9 +1,12 @@
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from boxcert.gadgets import append_local_bump
+from boxcert.gadgets import append_clip_above, append_local_bump
 from boxcert.grids import GridSpec, HyperRect, ramp_steepness
 from boxcert.intervals import BoxRegion, Interval
 from boxcert.network import NetworkBuilder, eval_abstract, eval_concrete, stats
@@ -16,6 +19,7 @@ from helpers import (
     bump_closed_form,
     bump_relu_budget,
     rect_hull,
+    iv_add,
     iv_clip_above,
     iv_subset,
     nmin2_closed_form,
@@ -183,6 +187,24 @@ class TestClip:
             x = rand_dyadic_interval(rng)
             assert propagate1(n, x) == iv_clip_above(1.0, x)
 
+    # Bump outputs: non-negative, never -0.0, with zeros, subnormals and values near 1.
+    BUMP_VALUES = st.one_of(
+        st.sampled_from([0.0, 5e-324, 2.0**-1074 * 3, 2.0**-1022, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52]),
+        st.floats(0.0, 2.0**-1000),
+        st.floats(0.9, 1.1),
+        st.floats(0.0, 2.0),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(BUMP_VALUES, BUMP_VALUES).map(sorted), min_size=1, max_size=8))
+    def test_folded_first_row_equals_sum_then_clip(self, pairs):
+        terms = [Interval(lo, hi) for lo, hi in pairs]
+        b = NetworkBuilder(len(terms))
+        net = b.finish(append_clip_above(b, b.input_ids, 1.0))
+        want = iv_clip_above(1.0, functools.reduce(iv_add, terms))
+        got = propagate1(net, *terms)
+        assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex())
+
 
 class TestSteepness:
     def test_powers_of_two(self):
@@ -292,11 +314,10 @@ class TestLocalBump:
         grid = unit_grid(2, 4)
         first, second = HyperRect((1, 1), (2, 2)), HyperRect((1, 0), (3, 1))  # same lower[0]
         b = NetworkBuilder(2)
-        source = b.concat(b.input_ids)
-        outs = [append_local_bump(b, grid, rect, source) for rect in (first, second)]
+        outs = [append_local_bump(b, grid, rect, b.input_ids) for rect in (first, second)]
         net = b.finish(outs[1])
         ramps = [
-            {i for i in ancestors(net, out) if net.nodes[i].kind == "affine" and net.nodes[i].preds == (source,)}
+            {i for i in ancestors(net, out) if net.nodes[i].kind == "affine" and net.nodes[i].preds == (0, 1)}
             for out in outs
         ]
         assert len(ramps[0]) == len(ramps[1]) == 4

@@ -15,7 +15,7 @@ from boxcert.netio import (
     save,
     serialize,
 )
-from boxcert.network import eval_abstract, eval_concrete
+from boxcert.network import NetworkBuilder, eval_abstract, eval_abstract_many, eval_concrete
 
 from helpers import random_network
 
@@ -209,3 +209,59 @@ def test_box_text_round_trip():
     assert parse_box_text("-2,2;0.5,1") == BoxRegion.from_pairs([(-2, 2), (0.5, 1)])
     with pytest.raises(ValueError):
         parse_box_text("1;2,3")
+
+
+def test_multi_input_affine_line():
+    b = NetworkBuilder(2)
+    net = b.finish(b.affine([1, 0], [[0.5, -1.0]], [0.25]))
+    text = serialize(net)
+    assert text.startswith(f"{MAGIC} 2\n")
+    assert "node 2 affine 1,0 1 2 0x1.0000000000000p-2 0x1.0000000000000p-1 -0x1.0000000000000p+0\n" in text
+    assert deserialize(text).nodes == net.nodes
+
+
+@pytest.mark.parametrize("line", ["node 1 sum 0 0", "node 1 concat 0"])
+def test_version_2_has_no_sum_or_concat(line):
+    text = f"{MAGIC} 2\ninput_dim 1\noutput 1\nnode 0 input 0\n{line}\n"
+    with pytest.raises(NetworkFormatError, match="unknown node kind"):
+        deserialize(text)
+
+
+# A version-1 document with a concat read by a relu (node 4), a sum over a
+# concat (node 5), an affine node reading a concat (node 6), a concat as the
+# output (node 17), and node ids that are not positions.
+V1_DOC = f"""{MAGIC} 1
+input_dim 2
+output 17
+node 0 input 0
+node 1 input 1
+node 12 affine 0 1 1 -0.5 1.0
+node 3 concat 12 1
+node 4 relu 3
+node 5 sum 3 4
+node 6 affine 3 1 2 0.25 2.0 -1.0
+node 17 concat 5 6 1
+"""
+
+# Each box's propagated output as version-1 networks with sum and concat
+# nodes computed it. The one difference on loading: the output concat passed
+# x1 = -0.0 through as -0.0, and its identity affine node gives +0.0.
+V1_EXPECTED = (
+    ([(0.0, 1.0), (-1.0, 1.0)], [(-0.5, 1.0), (-1.0, 2.0), (-1.75, 2.25), (-1.0, 1.0)]),
+    ([(0.25, 0.75), (0.5, 0.5)], [(-0.25, 0.5), (1.0, 1.0), (-0.75, 0.25), (0.5, 0.5)]),
+    ([(0.5, 0.5), (-0.0, -0.0)], [(0.0, 0.0), (0.0, 0.0), (0.25, 0.25), (0.0, 0.0)]),  # was (-0.0, -0.0)
+    ([(-2.0, -1.0), (-3.0, 0.125)], [(-2.5, -1.5), (-3.0, 0.25), (-4.875, 0.25), (-3.0, 0.125)]),
+)
+
+
+def test_version_1_sum_and_concat_become_affine_nodes():
+    net = deserialize(V1_DOC)
+    # the concat read by the relu and the output concat each get an identity node
+    assert [n.kind for n in net.nodes] == ["input", "input", "affine", "affine", "relu", "affine", "affine", "affine"]
+    assert net.nodes[5].preds == (2, 1, 4)  # the sum reads (x0 - 0.5, x1) and the relu, end to end
+    assert net.nodes[6].preds == (2, 1)
+    boxes = [BoxRegion.from_pairs(pairs) for pairs, _ in V1_EXPECTED]
+    for out, (_, want) in zip(eval_abstract_many(net, boxes), V1_EXPECTED):
+        assert [(iv.lo.hex(), iv.hi.hex()) for iv in out.bounds] == [(lo.hex(), hi.hex()) for lo, hi in want]
+    again = deserialize(serialize(net))
+    assert again.nodes == net.nodes and serialize(again) == serialize(net)

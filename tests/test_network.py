@@ -6,7 +6,7 @@ from boxcert.fixtures import fig2_n1, fig2_n2
 from boxcert.intervals import BoxRegion, Interval
 from boxcert.construct import build_certified_network, sum_outputs
 from boxcert.expr import parse_func
-from boxcert.netio import serialize
+from boxcert.netio import NetworkFormatError, deserialize, serialize
 from boxcert.network import (
     Network,
     NetworkBuilder,
@@ -53,10 +53,22 @@ class TestValidation:
             Network(nodes, 1, 1)
 
     def test_sum_arity_mismatch(self):
+        # Only version-1 documents still have sum nodes; their reader checks the widths.
+        text = (
+            "boxcert-net 1\ninput_dim 1\noutput 2\nnode 0 input 0\n"
+            "node 1 affine 0 2 1 0 0 1 2\nnode 2 sum 0 1\n"
+        )
+        with pytest.raises(NetworkFormatError, match=r"node 2: sum predecessors disagree on arity: \[1, 2\]"):
+            deserialize(text)
+
+    def test_multi_input_affine_reads_its_predecessors_end_to_end(self):
         b = NetworkBuilder(1)
         a = b.affine(0, [[1.0], [2.0]], [0.0, 0.0])
-        with pytest.raises(ValueError, match="arity"):
-            b.sum([0, a])
+        net = b.finish(b.affine([a, 0], [[1.0, 10.0, 100.0]], [0.5]))
+        assert eval_concrete(net, [1.0]) == (121.5,)
+        nodes = (*net.nodes[:2], affine_node([1, 0], [[1.0, 2.0]], [0.0]))
+        with pytest.raises(ValueError, match="row width 2 != predecessor arity 3"):
+            Network(nodes, 2, 1)
 
     def test_dimension_mismatch_on_eval(self):
         net = identity_network(2)
@@ -125,7 +137,8 @@ class TestCombinators:
 
     def test_concat_outputs(self):
         b = NetworkBuilder(1)
-        net = b.finish(b.concat([append_copy(b, identity_network(1)), append_copy(b, fig2_n1())]))
+        copies = [append_copy(b, identity_network(1)), append_copy(b, fig2_n1())]
+        net = b.finish(b.affine(copies, [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]))
         assert net.output_dim == 2
         assert eval_concrete(net, [0.25]) == (0.25, 0.75)
 
@@ -133,18 +146,17 @@ class TestCombinators:
 class TestBuilderMerging:
     def test_identical_appends_of_each_kind_share_an_id(self):
         b = NetworkBuilder(2)
-        cat = b.concat([0, 1])
-        assert b.concat([0, 1]) == cat
-        aff = b.affine(cat, [[1.0, -2.0], [0.5, 0.0]], [0.25, -1.0])
-        assert b.affine(cat, [[1.0, -2.0], [0.5, 0.0]], [0.25, -1.0]) == aff
+        aff = b.affine([0, 1], [[1.0, -2.0], [0.5, 0.0]], [0.25, -1.0])
+        assert b.affine([0, 1], [[1.0, -2.0], [0.5, 0.0]], [0.25, -1.0]) == aff
         rel = b.relu(aff)
         assert b.relu(aff) == rel
-        tot = b.sum([aff, rel])
-        assert b.sum([aff, rel]) == tot
+        tot = b.affine([aff, rel], [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]], [0.0, 0.0])
+        assert b.affine((aff, rel), [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]], [0.0, 0.0]) == tot
+        assert b.affine(0, [[3.0]], [0.0]) == b.affine([0], [[3.0]], [0.0])
         assert b._append(input_node(1), 1) == 1
         net = b.finish(tot)
         assert len(net.nodes) == 6
-        assert [n.kind for n in net.nodes] == ["input", "input", "concat", "affine", "relu", "sum"]
+        assert [n.kind for n in net.nodes] == ["input", "input", "affine", "relu", "affine", "affine"]
 
     @pytest.mark.parametrize("first, second", [
         (([[1.0]], [0.0]), ([[1.0]], [-0.0])),
@@ -152,14 +164,14 @@ class TestBuilderMerging:
     ], ids=["bias", "weight"])
     def test_signed_zeros_stay_distinct(self, first, second):
         b = NetworkBuilder(2)
-        src = b.concat([0, 1]) if len(first[0][0]) == 2 else 0
+        src = [0, 1] if len(first[0][0]) == 2 else 0
         a = b.affine(src, *first)
         c = b.affine(src, *second)
         assert a != c
         # each variant is indexed: repeating either returns its own node
         assert b.affine(src, *first) == a
         assert b.affine(src, *second) == c
-        net = b.finish(b.sum([a, c]))
+        net = b.finish(b.affine([a, c], [[1.0, 1.0]], [0.0]))
         lines = serialize(net).splitlines()
         line_a = next(ln for ln in lines if ln.startswith(f"node {a} "))
         line_c = next(ln for ln in lines if ln.startswith(f"node {c} "))
@@ -170,9 +182,9 @@ class TestBuilderMerging:
         b = NetworkBuilder(2)
         assert b.relu(0) != b.relu(1)
         assert b.affine(0, [[2.0]], [1.0]) != b.affine(1, [[2.0]], [1.0])
-        assert b.concat([0, 1]) != b.concat([1, 0])
+        assert b.affine([0, 1], [[1.0, 2.0]], [0.0]) != b.affine([1, 0], [[1.0, 2.0]], [0.0])
         r0, r1 = b.relu(0), b.relu(1)
-        assert b.sum([r0, r1]) != b.sum([r1, r0])
+        assert b.affine([r0, r1], [[1.0, 1.0]], [0.0]) != b.affine([r1, r0], [[1.0, 1.0]], [0.0])
         assert b._append(input_node(0), 1) != b._append(input_node(1), 1)
 
     @pytest.mark.parametrize("expr, domain, delta", [
@@ -196,8 +208,7 @@ class TestStats:
 
     def test_param_count(self):
         b = NetworkBuilder(2)
-        cat = b.concat(b.input_ids)
-        out = b.affine(cat, [[1.0, 2.0], [3.0, 4.0]], [0.0, 0.0])
+        out = b.affine(b.input_ids, [[1.0, 2.0], [3.0, 4.0]], [0.0, 0.0])
         s = stats(b.finish(out))
         assert s["param_count"] == 6
 

@@ -86,7 +86,7 @@ class TestSampling:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("tolerance", [-1e-9, float("nan")])
+    @pytest.mark.parametrize("tolerance", [-1e-9, float("nan"), float("inf")])
     def test_config_rejects_bad_tolerance(self, tolerance):
         with pytest.raises(ValueError, match="tolerance"):
             RunConfig(boxes=1, seed=0, tolerance=tolerance)
@@ -249,7 +249,7 @@ class TestCli:
         assert code == 3
         assert "delta must be positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tolerance", ["-1e-9", "nan"])
+    @pytest.mark.parametrize("tolerance", ["-1e-9", "nan", "inf"])
     def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, cubic_net, tolerance):
         _, _, _, net_path = cubic_net
         code = main(
@@ -258,6 +258,17 @@ class TestCli:
         )
         assert code == 3
         assert "tolerance must be nonnegative" in capsys.readouterr().err
+
+    def test_infinite_tolerance_cannot_pass_a_wrong_network(self, tmp_path, capsys):
+        # x0*x1's network checked against x0 + x1 fails on most boxes; an
+        # infinite tolerance would let every box hold, so it is a usage error.
+        net_path = str(tmp_path / "product.net")
+        assert main(["build", "--expr", "x0*x1", "--domain", "0,1;0,1", "--delta", "0.5", "--out", net_path]) == 0
+        args = ["verify", "--net", net_path, "--expr", "x0 + x1", "--boxes", "20", "--out", str(tmp_path / "r.txt")]
+        assert main(args) == 1
+        assert "failures 14" in capsys.readouterr().out
+        assert main(args + ["--tolerance", "inf"]) == 3
+        assert "tolerance must be nonnegative and finite, got inf" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, tmp_path):
         code = main(

@@ -17,7 +17,7 @@ from .construct import (
 )
 from .expr import FuncExpr, ParseError, parse_expr, parse_func, to_source
 from .fixtures import FIXTURES, fig2_n1, fig2_n2
-from .grids import GridSpec, HyperRect
+from .grids import GridSpec
 from .intervals import BoxRegion, Interval
 from .netio import NetworkFormatError, deserialize, load, save, serialize
 from .network import (

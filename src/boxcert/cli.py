@@ -104,6 +104,9 @@ def _make_parser() -> _Parser:
     p_plot.add_argument("--samples", type=int, default=201, help="sample count per dimension")
     p_plot.add_argument("--domain", help="box to sample instead of the network's domain")
     p_plot.add_argument("--out", required=True)
+
+    p_stats = sub.add_parser("stats", help="print each node's size and the compiled stage count")
+    p_stats.add_argument("--net", required=True)
     return parser
 
 
@@ -209,12 +212,24 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _cmd_stats(args: argparse.Namespace) -> int:
+    net = netio.load(args.net)
+    print("node kind width relus terms")
+    for i, node in enumerate(net.nodes):
+        width = net.arity(i)
+        terms = sum(1 for row in node.weights for _, w in row if w != 0.0)
+        print(f"{i} {node.kind} {width} {width if node.kind == 'relu' else 0} {terms}")
+    print(f"stages {len(net.program.stages)}")
+    return EXIT_OK
+
+
 _COMMANDS = {
     "build": _cmd_build,
     "propagate": _cmd_propagate,
     "verify": _cmd_verify,
     "fixtures": _cmd_fixtures,
     "plot-data": _cmd_plot_data,
+    "stats": _cmd_stats,
 }
 
 

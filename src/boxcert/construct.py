@@ -9,6 +9,12 @@ slices back up from the bottom level. Each slice is ``1 - R(1 - sum of bumps)``
 with the sum folded into its first affine row, and the stack is one affine row
 over the slices.
 
+The network is assembled in layers from the selected rectangles' corner
+arrays (``gadgets``): the input map, the distinct ramps, one hidden node, relu
+and output node per level of the min tree, the bump relu, one clip row per
+distinct non-empty slice and its relu, the slices, and the final sum. Its node
+count depends on the input dimension only, not on the number of bumps.
+
 Every network is built on the unit box: the grid has ``cells[k]`` cells along
 axis k of [0, 1]^m, sized from the domain's width on that axis, and the network
 first maps its input through ``A: x -> (x - lo) / w`` (left out when the domain
@@ -26,6 +32,7 @@ through the slice.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -34,8 +41,8 @@ from typing import Sequence
 import numpy as np
 
 from .expr import FuncExpr
-from .gadgets import append_clip_above, append_local_bump
-from .grids import GridSpec, HyperRect, prune_maximal
+from .gadgets import append_min_tree, append_ramps, append_slice_clips
+from .grids import GridSpec, RectCorners, prune_maximal
 from .intervals import BoxRegion
 from .netio import format_box_text
 from .network import Network, NetworkBuilder, stats
@@ -201,14 +208,15 @@ def samples_per_cell_for(lipschitz: float, density: float, target_margin: float)
 
 def delta_sets(
     f: FuncExpr, grid: GridSpec, spec: SliceSpec, budget: BuildBudget = DEFAULT_BUDGET
-) -> list[list[HyperRect]]:
-    """For every slice k, the maximal grid rectangles whose sampled minimum clears level k+1.
+) -> RectCorners:
+    """Every slice's maximal grid rectangles: slice k's sampled minimum clears level k+1.
 
     All minima come from one lattice, so a sub-rectangle's minimum is never
     below its parent's and each slice's members are closed under taking
     sub-rectangles. The slices are nested, so one table of slice counts
     (``CellMinTable.all_rect_mins``) holds them all, and one
-    ``prune_maximal`` pass over it selects every slice's maximal rectangles.
+    ``prune_maximal`` pass over it selects every slice's maximal rectangles,
+    each with the slices it is maximal in.
     """
     candidates = grid.rect_count()
     if candidates > budget.max_candidates:
@@ -219,16 +227,13 @@ def delta_sets(
     target = spec.delta / RECT_MARGIN_FRACTION
     s = samples_per_cell_for(f.lipschitz, cell_density(grid, f.domain), target)
     table = CellMinTable(f, grid, s, budget)
-    return slice_members(table.all_rect_mins(spec.levels), grid, spec.count)
+    return prune_maximal(table.all_rect_mins(spec.levels), grid)
 
 
-def slice_members(table: np.ndarray, grid: GridSpec, count: int) -> list[list[HyperRect]]:
-    """Each of ``count`` slices' maximal rectangles in sorted order, from a table of slice counts."""
-    slices: list[list[HyperRect]] = [[] for _ in range(count)]
-    for rect, first, stop in prune_maximal(table, grid):
-        for k in range(first, stop):
-            slices[k].append(rect)
-    return slices
+def bumps_per_slice(corners: RectCorners, count: int) -> tuple[int, ...]:
+    """How many of the rectangles each of ``count`` slices holds."""
+    change = np.bincount(corners.first, minlength=count + 1) - np.bincount(corners.stop, minlength=count + 1)
+    return tuple(itertools.accumulate(change[:count].tolist()))
 
 
 def _source(b: NetworkBuilder, domain: BoxRegion) -> list[int]:
@@ -239,29 +244,34 @@ def _source(b: NetworkBuilder, domain: BoxRegion) -> list[int]:
     """
     if all(iv.lo == 0.0 and iv.hi == 1.0 for iv in domain.bounds):
         return b.input_ids
-    m = domain.dim
     scales = [1.0 / iv.width if iv.width > 0 else 1.0 for iv in domain.bounds]
-    rows = [[scales[k] if j == k else 0.0 for j in range(m)] for k in range(m)]
-    return [b.affine(b.input_ids, rows, [-(iv.lo * r) for iv, r in zip(domain.bounds, scales)])]
+    rows = [((k, r),) for k, r in enumerate(scales)]
+    return [b.sparse_affine(b.input_ids, rows, [-(iv.lo * r) for iv, r in zip(domain.bounds, scales)])]
 
 
-def _constant(b: NetworkBuilder, value: float) -> int:
-    """Append a zero-weight affine row over the inputs that outputs ``value``."""
-    return b.affine(b.input_ids, [[0.0] * b.input_dim], [float(value)])
+def _constant(b: NetworkBuilder, values: Sequence[float]) -> int:
+    """Append an affine node over the inputs whose rows have no terms: it outputs ``values``."""
+    return b.sparse_affine(b.input_ids, [()] * len(values), values)
 
 
-def build_slice_network(b: NetworkBuilder, delta_k: Sequence[HyperRect], grid: GridSpec, domain: BoxRegion) -> int:
-    """Append a slice: clip-to-one of the sum of bumps on ``domain`` mapped onto the unit box; zero when empty."""
-    if not delta_k:
-        return _constant(b, 0.0)
-    source = _source(b, domain)
-    bumps = [append_local_bump(b, grid, rect, source) for rect in sorted(delta_k)]
-    return append_clip_above(b, bumps, 1.0)
+def build_slice_network(
+    b: NetworkBuilder, corners: RectCorners, count: int, grid: GridSpec, domain: BoxRegion
+) -> int:
+    """Append all ``count`` slices as one node with a column per slice, on ``domain`` mapped onto the unit box.
+
+    A slice is the clip-to-one of the sum of its bumps, or 0 when it has none.
+    """
+    if not len(corners):
+        return _constant(b, [0.0] * count)
+    ramps, operands = append_ramps(b, _source(b, domain), grid, corners.lo, corners.hi)
+    mins, columns = append_min_tree(b, ramps, operands)
+    return append_slice_clips(b, b.relu(mins), columns, corners.first, corners.stop, count)
 
 
 def sum_outputs(b: NetworkBuilder, outs: Sequence[int], coefficient: float, bias: float) -> int:
-    """Append ``bias + coefficient * sum(outs)`` over scalar nodes: one affine row."""
-    return b.affine(outs, [[coefficient] * len(outs)], [bias])
+    """Append ``bias + coefficient * sum(outs)`` over every output of ``outs``: one affine row."""
+    width = sum(b.arity(o) for o in outs)
+    return b.affine(outs, [[coefficient] * width], [bias])
 
 
 def _finalize(
@@ -322,7 +332,7 @@ def build_certified_network(
     lipschitz = f.lipschitz
     if lipschitz == 0.0:
         b = NetworkBuilder(f.dim)
-        out = _constant(b, f.eval([iv.mid for iv in domain.bounds]))
+        out = _constant(b, [f.eval([iv.mid for iv in domain.bounds])])
         return _finalize(b, out, f, delta, 0.0, 1, constant_cells, (0,), 0, started)
     cmin, cmax = certified_box_range(f, domain, delta / RANGE_MARGIN_FRACTION, budget.max_oracle_samples)
     spec = make_slice_spec(cmin.value, cmax.value, delta)
@@ -331,30 +341,30 @@ def build_certified_network(
         # network is still within delta because the range margin is far
         # below delta/2, and that is the honest tolerance to report
         b = NetworkBuilder(f.dim)
-        out = _constant(b, cmin.value)
+        out = _constant(b, [cmin.value])
         return _finalize(b, out, f, delta, delta, 1, constant_cells, (0,), 0, started)
 
     grid = GridSpec(tuple(
         grid_resolution(lipschitz, spec.delta, iv.width, axis) for axis, iv in enumerate(domain.bounds)
     ))
-    slice_sets = delta_sets(f, grid, spec, budget)
-    total_bumps = sum(len(s) for s in slice_sets)
-    if total_bumps > budget.max_bumps:
+    corners = delta_sets(f, grid, spec, budget)
+    bumps = bumps_per_slice(corners, spec.count)
+    if sum(bumps) > budget.max_bumps:
         raise BuildBudgetError(
-            f"{total_bumps} bumps exceed the budget {budget.max_bumps}; raise delta"
+            f"{sum(bumps)} bumps exceed the budget {budget.max_bumps}; raise delta"
         )
 
     b = NetworkBuilder(f.dim)
-    outs = [build_slice_network(b, members, grid, domain) for members in slice_sets]
+    slices = build_slice_network(b, corners, spec.count, grid, domain)
     return _finalize(
         b,
-        sum_outputs(b, outs, spec.half_delta, spec.bottom),
+        sum_outputs(b, [slices], spec.half_delta, spec.bottom),
         f,
         delta,
         spec.delta,
         spec.count,
         grid.cells,
-        tuple(len(s) for s in slice_sets),
+        bumps,
         grid.rect_count(),
         started,
         levels=spec.levels,

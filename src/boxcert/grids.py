@@ -1,8 +1,9 @@
 """Integer-indexed grids over the unit box and the hyperrectangles on them.
 
 Axis k of the unit box [0, 1]^m holds ``cells[k]`` equal cells, so its grid
-points are index/cells[k]. Corner rectangles are stored as integer index pairs
-so gadget weights can be formed from exact integer products.
+points are index/cells[k]. A grid rectangle is stored as the grid point
+indices of its two corners, in arrays with one row per rectangle, so gadget
+weights can be formed from exact integer products.
 """
 
 from __future__ import annotations
@@ -51,27 +52,21 @@ class GridSpec:
         return total
 
 
-@dataclass(frozen=True, order=True)
-class HyperRect:
-    """Corner set of a grid hyperrectangle, stored as integer index bounds."""
+@dataclass(frozen=True)
+class RectCorners:
+    """Grid rectangles and the slices ``first..stop-1`` each is maximal in, one row per rectangle."""
 
-    lower: tuple[int, ...]
-    upper: tuple[int, ...]
+    lo: np.ndarray  # (rects, m) lower corners, by grid point index
+    hi: np.ndarray  # (rects, m) upper corners
+    first: np.ndarray  # (rects,)
+    stop: np.ndarray  # (rects,)
 
-    def __post_init__(self) -> None:
-        if len(self.lower) != len(self.upper):
-            raise ValueError("corner index vectors disagree on dimension")
-        for lo, hi in zip(self.lower, self.upper):
-            if lo > hi:
-                raise ValueError(f"lower index {lo} exceeds upper index {hi}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.lower)
+    def __len__(self) -> int:
+        return len(self.first)
 
 
-def prune_maximal(table: np.ndarray, grid: GridSpec) -> list[tuple[HyperRect, int, int]]:
-    """Every rectangle maximal in some slice, as ``(rect, first, stop)`` in sorted order.
+def prune_maximal(table: np.ndarray, grid: GridSpec) -> RectCorners:
+    """Every rectangle maximal in some slice, with the slices it is maximal in.
 
     ``table`` is indexed ``(lo_0..lo_{m-1}, hi_0..hi_{m-1})`` by grid point
     index, and slice k holds the rectangle there exactly when
@@ -80,8 +75,8 @@ def prune_maximal(table: np.ndarray, grid: GridSpec) -> list[tuple[HyperRect, in
     is maximal in slice k exactly when none of its one-step extensions
     (``lo_k - 1`` or ``hi_k + 1``) is one, that is when ``k`` is at least
     the largest extension entry (0 off the table). The rectangle is thus
-    maximal in slices ``first..stop-1``. Flat indices run in row-major
-    order, which is ``HyperRect`` order.
+    maximal in slices ``first..stop-1``. Rectangles come in row-major table
+    order: sorted by lower corner, then by upper corner.
     """
     m = grid.dim
     reach = np.zeros_like(table)
@@ -94,6 +89,6 @@ def prune_maximal(table: np.ndarray, grid: GridSpec) -> list[tuple[HyperRect, in
             np.maximum(reach[earlier], table[later], out=reach[earlier])
     # one flat scan: a multi-axis np.nonzero is many times slower on large tables
     flat = np.flatnonzero(table > reach)
-    corners = np.stack(np.unravel_index(flat, table.shape), axis=1).tolist()
-    firsts, stops = reach.ravel()[flat].tolist(), table.ravel()[flat].tolist()
-    return [(HyperRect(tuple(c[:m]), tuple(c[m:])), a, b) for c, a, b in zip(corners, firsts, stops)]
+    corners = np.stack(np.unravel_index(flat, table.shape), axis=1)
+    first = reach.ravel()[flat].astype(np.intp)
+    return RectCorners(corners[:, :m], corners[:, m:], first, table.ravel()[flat].astype(np.intp))

@@ -1,25 +1,30 @@
 """Text document format for networks: versioned, line-oriented, bit-exact.
 
-Layout (version 2)::
+Layout (version 3)::
 
-    boxcert-net 2
+    boxcert-net 3
     input_dim 2
     output 5
     meta delta 0x1.999999999999ap-2
     node 0 input 0
     node 1 input 1
-    node 2 affine 0,1 1 2 0x0p+0 0x1p+0 -0x1p+0
+    node 2 affine 0,1 1,1 0x0p+0 -0x1p+0 1:0x1p+0 0:0x1p-1
     node 5 relu 2
 
-Affine lines carry ``<preds> <rows> <cols>``, where ``preds`` lists the
-comma-separated predecessor ids whose outputs the node reads end to end,
-followed by ``rows`` bias entries and ``rows*cols`` row-major weights. The
-writer always emits hex floats, the bit-exact canonical form; the reader also
-accepts decimal literals. Node ids in a document are arbitrary integers, but
-the line order must be topological; the loader reports cycles and forward
-references separately, each with the node id.
+Affine lines carry ``<preds> <terms>``, where ``preds`` lists the
+comma-separated predecessor ids whose outputs the node reads end to end and
+``terms`` the comma-separated term count of each row, one entry per row. Then
+come one bias per row and each row's terms in turn, in summation order, as
+``column:weight`` with the column counted in the predecessors' outputs laid
+end to end. Only nonzero weights are written: a zero term adds nothing to a
+row. The writer always emits hex floats, the bit-exact canonical form; the
+reader also accepts decimal literals. Node ids in a document are arbitrary
+integers, but the line order must be topological; the loader reports cycles
+and forward references separately, each with the node id.
 
-Version 1 documents still load. Their ``sum`` and ``concat`` nodes are
+Versions 1 and 2 still load. Their affine lines carry ``<preds> <rows> <cols>``
+followed by ``rows`` bias entries and ``rows*cols`` row-major weights, read as
+dense rows. Version 1 also has ``sum`` and ``concat`` nodes, which are
 rewritten: a concat is spliced into the predecessor lists of the affine nodes
 that read it, and one read by a relu or named as the output becomes an
 identity affine node; a sum becomes an affine node with one identity block per
@@ -30,12 +35,13 @@ an output concat can load as ``+0.0``: an affine row starts from ``+0.0``.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from .intervals import BoxRegion
-from .network import Network, Node, affine_node
+from .network import Network, Node, sparse_affine_node
 
 MAGIC = "boxcert-net"
-VERSION = 2
+VERSION = 3
 
 
 class NetworkFormatError(ValueError):
@@ -56,6 +62,17 @@ def _parse_float(tok: str, where: str) -> float:
     return value
 
 
+def _parse_term(tok: str, where: str) -> tuple[int, float]:
+    col, sep, weight = tok.partition(":")
+    if not sep:
+        raise NetworkFormatError(f"bad term {tok!r} in {where}: expected column:weight")
+    try:
+        column = int(col)
+    except ValueError:
+        raise NetworkFormatError(f"bad term column {col!r} in {where}") from None
+    return column, _parse_float(weight, where)
+
+
 def serialize(net: Network) -> str:
     lines = [f"{MAGIC} {VERSION}", f"input_dim {net.input_dim}", f"output {net.output}"]
     for key, value in net.metadata.items():
@@ -64,13 +81,12 @@ def serialize(net: Network) -> str:
         if node.kind == "input":
             lines.append(f"node {i} input {node.index}")
         elif node.kind == "affine":
-            rows = len(node.weights)
-            cols = len(node.weights[0])
+            rows = [[f"{c}:{float(w).hex()}" for c, w in row if w != 0.0] for row in node.weights]
+            counts = ",".join([str(len(row)) for row in rows])
             toks = [_fmt(b) for b in node.bias]
-            for row in node.weights:
-                toks.extend(_fmt(w) for w in row)
+            toks.extend(chain.from_iterable(rows))
             preds = ",".join(map(str, node.preds))
-            lines.append(f"node {i} affine {preds} {rows} {cols} " + " ".join(toks))
+            lines.append(f"node {i} affine {preds} {counts} " + " ".join(toks))
         else:
             lines.append(f"node {i} relu {node.preds[0]}")
     return "\n".join(lines) + "\n"
@@ -83,6 +99,23 @@ def _parse_node(node_id: int, kind: str, rest: list[str], version: int) -> tuple
         if len(rest) != 1:
             raise NetworkFormatError(f"{where}: input takes one index")
         return "input", (), int(rest[0]), (), ()
+    if kind == "affine" and version == 3:
+        if len(rest) < 2:
+            raise NetworkFormatError(f"{where}: affine needs preds and term counts")
+        preds, counts = tuple(map(int, rest[0].split(","))), [int(t) for t in rest[1].split(",")]
+        if min(counts) < 0:
+            raise NetworkFormatError(f"{where}: affine term counts must not be negative")
+        rows, vals = len(counts), rest[2:]
+        if len(vals) != rows + sum(counts):
+            raise NetworkFormatError(
+                f"{where}: affine expects {rows} biases and {sum(counts)} terms, got {len(vals)} values"
+            )
+        terms = [_parse_term(t, where) for t in vals[rows:]]
+        weights, at = [], 0
+        for n in counts:
+            weights.append(tuple(terms[at : at + n]))
+            at += n
+        return "affine", preds, -1, tuple(weights), tuple([_parse_float(t, where) for t in vals[:rows]])
     if kind == "affine":
         if len(rest) < 3:
             raise NetworkFormatError(f"{where}: affine needs preds, rows, cols")
@@ -95,7 +128,7 @@ def _parse_node(node_id: int, kind: str, rest: list[str], version: int) -> tuple
                 f"{where}: affine expects {rows + rows * cols} numbers, got {len(vals)}"
             )
         nums = [_parse_float(t, where) for t in vals]
-        weights = tuple([tuple(nums[r : r + cols]) for r in range(rows, len(nums), cols)])
+        weights = tuple([tuple(enumerate(nums[r : r + cols])) for r in range(rows, len(nums), cols)])
         return "affine", preds, -1, weights, tuple(nums[:rows])
     if kind == "relu":
         if len(rest) != 1:
@@ -130,7 +163,7 @@ def deserialize(text: str) -> Network:
     head = lines[0].split()
     if len(head) != 2 or head[0] != MAGIC:
         raise NetworkFormatError(f"missing magic line, expected '{MAGIC} <version>'")
-    if head[1] not in ("1", str(VERSION)):
+    if head[1] not in ("1", "2", str(VERSION)):
         raise NetworkFormatError(f"unsupported schema version {head[1]}")
     version = int(head[1])
 
@@ -197,8 +230,8 @@ def deserialize(text: str) -> Network:
 
 def _identity_blocks(preds: tuple[int, ...], width: int, count: int) -> Node:
     """An affine node adding ``count`` operands ``width`` wide, read end to end; one is a copy."""
-    rows = [[1.0 if j % width == r else 0.0 for j in range(width * count)] for r in range(width)]
-    return affine_node(preds, rows, [0.0] * width)
+    rows = [[(j, 1.0) for j in range(r, width * count, width)] for r in range(width)]
+    return sparse_affine_node(preds, rows, [0.0] * width)
 
 
 def _from_v1(old: list[Node], output: int) -> tuple[list[Node], int]:

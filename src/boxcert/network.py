@@ -3,8 +3,10 @@
 A network is a tuple of nodes stored in one fixed topological order (a node's
 predecessors are always earlier in the tuple, so positions double as ids).
 There are three node kinds: ``input``, ``affine`` and ``relu``. An affine node
-reads its predecessors' outputs laid end to end, so its rows are as wide as
-the sum of their arities; a relu reads one predecessor.
+reads its predecessors' outputs laid end to end, and each of its rows is a
+sparse list of ``(column, weight)`` terms over those columns, summed in stored
+order; a dense row, with a term for every column, is the special case. A relu
+reads one predecessor.
 
 On first evaluation a network is lowered once into a levelled array program
 (``Network.program``). Each non-input node owns a contiguous range of columns
@@ -29,18 +31,14 @@ raises ``ValueError``.
 
 Networks are immutable after construction and evaluation is pure (each call
 owns its buffer), so instances can be shared freely across threads. A
-``NetworkBuilder`` appends nodes and constructs its network once, in ``finish``.
-It merges bit-identical nodes: an append that repeats an earlier node (same
-kind, predecessors and input index, same float bits in weights and bias)
-returns the earlier id. A merged node propagates exactly as its copy would, so
-intervals are unchanged and only the node list shrinks. ``Network`` itself
-takes its nodes as given, so documents load exactly as written.
+``NetworkBuilder`` appends every node it is given and constructs its network
+once, in ``finish``. ``Network`` takes its nodes as given, so documents load
+exactly as written.
 """
 
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple, Sequence
@@ -59,7 +57,7 @@ class Node:
     kind: str
     preds: tuple[int, ...] = ()
     index: int = -1  # input coordinate, for kind == "input"
-    weights: tuple[tuple[float, ...], ...] = ()
+    weights: tuple[tuple[tuple[int, float], ...], ...] = ()  # per row, its (column, weight) terms
     bias: tuple[float, ...] = ()
 
 
@@ -68,10 +66,16 @@ def input_node(index: int) -> Node:
 
 
 def affine_node(preds: int | Sequence[int], weights: Sequence[Sequence[float]], bias: Sequence[float]) -> Node:
-    """An affine node over one predecessor or over several, read end to end."""
-    w = tuple([tuple(map(float, row)) for row in weights])
+    """An affine node with dense rows over one predecessor or over several, read end to end."""
+    return sparse_affine_node(preds, [enumerate(map(float, row)) for row in weights], bias)
+
+
+def sparse_affine_node(
+    preds: int | Sequence[int], rows: Sequence[Sequence[tuple[int, float]]], bias: Sequence[float]
+) -> Node:
+    """An affine node whose rows list their ``(column, weight)`` terms in summation order."""
     preds = (preds,) if isinstance(preds, int) else tuple(preds)
-    return Node("affine", preds=preds, weights=w, bias=tuple(map(float, bias)))
+    return Node("affine", preds=preds, weights=tuple([tuple(row) for row in rows]), bias=tuple(map(float, bias)))
 
 
 def relu_node(pred: int) -> Node:
@@ -132,9 +136,11 @@ def _validate(nodes: tuple[Node, ...], output: int, input_dim: int) -> tuple[int
             if rows == 0 or len(node.bias) != rows:
                 raise ValueError(f"node {i}: affine needs matching weight rows and bias entries")
             cols = sum(arities[p] for p in node.preds)
-            for row in node.weights:
-                if len(row) != cols:
-                    raise ValueError(f"node {i}: affine row width {len(row)} != predecessor arity {cols}")
+            terms = list(chain.from_iterable(node.weights))
+            # (column, weight) pairs order by column first
+            if terms and not (0 <= min(terms)[0] and max(terms)[0] < cols):
+                bad = next(c for c, _ in terms if not 0 <= c < cols)
+                raise ValueError(f"node {i}: term column {bad} out of range for predecessor width {cols}")
             arities.append(rows)
         elif node.kind == "relu":
             if len(node.preds) != 1:
@@ -246,23 +252,25 @@ def _compile(net: Network) -> Program:
             src = [c for node in members for c in cols[node.preds[0]]]
             stages.append(_ReluStage(start, stop, np.array(src, dtype=np.intp)))
         else:
-            flat_w: list[float] = []
-            flat_c: list[int] = []
-            widths: list[int] = []
+            lookup: list[int] = []  # the members' predecessor columns, end to end
+            starts: list[int] = []  # per row, where its node's columns begin in lookup
+            lengths: list[int] = []  # per row, its term count
+            terms: list[tuple[int, float]] = []
             bias: list[float] = []
             for node in members:
-                preds = node.preds
-                pred_cols = cols[preds[0]] if len(preds) == 1 else [c for p in preds for c in cols[p]]
-                for row in node.weights:
-                    flat_w.extend(row)
-                    flat_c.extend(pred_cols)
-                widths.extend([len(pred_cols)] * len(node.bias))
+                starts.extend([len(lookup)] * len(node.weights))
+                for p in node.preds:
+                    lookup.extend(cols[p])
+                lengths.extend(map(len, node.weights))
+                terms.extend(chain.from_iterable(node.weights))
                 bias.extend(node.bias)
-            w = np.array(flat_w)
+            flat = np.fromiter(chain.from_iterable(terms), float, 2 * len(terms)).reshape(-1, 2)
+            w = flat[:, 1]
+            c = np.array(lookup, dtype=np.intp)[np.repeat(starts, lengths) + flat[:, 0].astype(np.intp)]
             keep = w != 0.0
             w = w[keep]
-            c = np.array(flat_c, dtype=np.intp)[keep]
-            row = np.repeat(np.arange(len(bias)), widths)[keep]
+            c = c[keep]
+            row = np.repeat(np.arange(len(bias)), lengths)[keep]
             k = np.arange(row.size) - np.searchsorted(row, row)  # term's place in its row
             depth = int(k.max()) + 1 if k.size else 1
             w_table = np.ones((depth, len(bias)))  # a pad term is 1.0 * -0.0
@@ -308,11 +316,9 @@ def eval_concrete(net: Network, x: Sequence[float]) -> tuple[float, ...]:
 
 
 def stats(net: Network) -> dict[str, int]:
-    """Flat counts: nodes, ReLU units, parameters, and longest path to the output."""
+    """Flat counts: nodes, ReLU units, parameters (stored terms and biases), and longest path to the output."""
     relus = sum(net.arity(i) for i, n in enumerate(net.nodes) if n.kind == "relu")
-    params = sum(
-        len(n.weights) * len(n.weights[0]) + len(n.bias) for n in net.nodes if n.kind == "affine"
-    )
+    params = sum(sum(map(len, n.weights)) + len(n.bias) for n in net.nodes if n.kind == "affine")
     depth = [0] * len(net.nodes)
     for i, n in enumerate(net.nodes):
         if n.kind != "input":
@@ -325,22 +331,13 @@ def stats(net: Network) -> dict[str, int]:
     }
 
 
-def _float_bits(node: Node) -> bytes:
-    """The IEEE bytes of an affine node's bias and weights, which tell ``-0.0`` from ``0.0``."""
-    values = (*node.bias, *chain.from_iterable(node.weights))
-    return struct.pack(f"{len(values)}d", *values)
-
-
 class NetworkBuilder:
-    """Appends nodes in topological order, assigns positions as ids, and merges repeats."""
+    """Appends nodes in topological order and assigns their positions as ids."""
 
     def __init__(self, input_dim: int):
         self.input_dim = input_dim
         self._nodes: list[Node] = [input_node(i) for i in range(input_dim)]
         self._arities: list[int] = [1] * input_dim
-        self._ids: dict[Node, int] = {node: i for i, node in enumerate(self._nodes)}
-        # Nodes equal to an indexed one but for the sign of a zero, keyed by their bits.
-        self._signed_zero_ids: dict[tuple[Node, bytes], int] = {}
 
     def input_id(self, index: int) -> int:
         return index
@@ -353,21 +350,22 @@ class NetworkBuilder:
         return self._arities[node_id]
 
     def _append(self, node: Node, arity: int) -> int:
-        new = len(self._nodes)
-        found = self._ids.setdefault(node, new)
-        # Equal floats can still differ in bits: 0.0 == -0.0, and both hash alike.
-        if found < new and node.kind == "affine" and _float_bits(node) != _float_bits(self._nodes[found]):
-            found = self._signed_zero_ids.setdefault((node, _float_bits(node)), new)
-        if found < new:
-            return found
         self._nodes.append(node)
         self._arities.append(arity)
-        return new
+        return len(self._nodes) - 1
 
     def affine(
         self, preds: int | Sequence[int], weights: Sequence[Sequence[float]], bias: Sequence[float]
     ) -> int:
+        """Append an affine node with dense rows."""
         node = affine_node(preds, weights, bias)
+        return self._append(node, len(node.weights))
+
+    def sparse_affine(
+        self, preds: int | Sequence[int], rows: Sequence[Sequence[tuple[int, float]]], bias: Sequence[float]
+    ) -> int:
+        """Append an affine node whose rows list their ``(column, weight)`` terms."""
+        node = sparse_affine_node(preds, rows, bias)
         return self._append(node, len(node.weights))
 
     def relu(self, pred: int) -> int:

@@ -8,6 +8,12 @@ The scalar interval transformers (``iv_*``), the containment checks, the
 closed form of the min gadget, pointwise slice values and the hat function are
 test oracles: the package propagates through its compiled network program and
 never calls them.
+
+The per-bump gadget chain (``append_local_bump`` and the gadgets under it) and
+``reference_build`` are the reference for the layered assembly in
+``boxcert.gadgets``: they append every bump of every slice one scalar node at a
+time, with dense rows and nothing shared, as the builder did before networks
+were assembled in layers.
 """
 
 from __future__ import annotations
@@ -15,16 +21,19 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
+from boxcert.construct import build_certified_network, delta_sets
 from boxcert.expr import FuncExpr
-from boxcert.gadgets import append_clip_above, append_local_bump, append_nmin2, append_nmin_tree
-from boxcert.grids import GridSpec, HyperRect
+from boxcert.gadgets import NMIN2_HIDDEN, NMIN2_OUT
+from boxcert.grids import GridSpec, RectCorners
 from boxcert.intervals import BoxRegion, Interval
-from boxcert.network import Network, NetworkBuilder, Node
+from boxcert.netio import MAGIC
+from boxcert.network import Network, NetworkBuilder
 from boxcert.oracle import DEFAULT_SAMPLE_BUDGET, CertifiedBound, certified_box_range
 from boxcert.slicing import SliceSpec
 
@@ -137,15 +146,6 @@ def rand_dyadic_interval(rng: random.Random, lo: int = -4, hi: int = 4, bits: in
     return Interval(min(a, b), max(a, b))
 
 
-class PlainBuilder(NetworkBuilder):
-    """A builder that appends every node, merging none: the unmerged reference."""
-
-    def _append(self, node: Node, arity: int) -> int:
-        self._nodes.append(node)
-        self._arities.append(arity)
-        return len(self._nodes) - 1
-
-
 def random_network(rng: random.Random, max_extra_nodes: int = 8) -> Network:
     """A random small DAG over all node kinds with bounded weights.
 
@@ -184,7 +184,7 @@ def append_copy(b: NetworkBuilder, net: Network) -> int:
         if node.kind == "input":
             ids.append(b.input_id(node.index))
         elif node.kind == "affine":
-            ids.append(b.affine(preds, node.weights, node.bias))
+            ids.append(b.sparse_affine(preds, node.weights, node.bias))
         else:
             ids.append(b.relu(preds[0]))
     return ids[net.output]
@@ -192,8 +192,141 @@ def append_copy(b: NetworkBuilder, net: Network) -> int:
 
 def difference_network(net: Network) -> Network:
     """``net(x) - net(x)`` for a scalar ``net``: two copies and the affine row [1, -1] over both."""
-    b = PlainBuilder(net.input_dim)
+    b = NetworkBuilder(net.input_dim)
     return b.finish(b.affine([append_copy(b, net), append_copy(b, net)], [[1.0, -1.0]], [0.0]))
+
+
+@dataclass(frozen=True, order=True)
+class HyperRect:
+    """Corner set of a grid hyperrectangle, stored as integer index bounds."""
+
+    lower: tuple[int, ...]
+    upper: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.lower) != len(self.upper):
+            raise ValueError("corner index vectors disagree on dimension")
+        for lo, hi in zip(self.lower, self.upper):
+            if lo > hi:
+                raise ValueError(f"lower index {lo} exceeds upper index {hi}")
+
+    @property
+    def dim(self) -> int:
+        return len(self.lower)
+
+
+def append_nmin2(b: NetworkBuilder, left: int, right: int) -> int:
+    """Min of two scalar nodes via the four-unit gadget."""
+    hidden = b.relu(b.affine((left, right), NMIN2_HIDDEN, (0.0, 0.0, 0.0, 0.0)))
+    return b.affine(hidden, [NMIN2_OUT], (0.0,))
+
+
+def append_nmin_tree(b: NetworkBuilder, args: Sequence[int]) -> int:
+    """Min of scalar nodes, recursing on the first ceil(n/2) and the rest."""
+    if not args:
+        raise ValueError("min tree needs at least one argument")
+    if len(args) == 1:
+        return args[0]
+    half = math.ceil(len(args) / 2)
+    return append_nmin2(b, append_nmin_tree(b, args[:half]), append_nmin_tree(b, args[half:]))
+
+
+def append_clip_above(b: NetworkBuilder, preds: Sequence[int], bound: float) -> int:
+    """``bound - R(bound - sum(preds))`` over scalar nodes, with the sum folded into the first row."""
+    inner = b.relu(b.affine(preds, [[-1.0] * len(preds)], [float(bound)]))
+    return b.affine(inner, [[-1.0]], [float(bound)])
+
+
+def append_local_bump(b: NetworkBuilder, grid: GridSpec, rect: HyperRect, source: Sequence[int]) -> int:
+    """Bump that is 1 on the rect's hull and 0 one grid step beyond it, one scalar node at a time.
+
+    ``source`` lists nodes whose outputs, laid end to end, are the m
+    unit-box coordinates. Each ramp is fused with the first clipping stage,
+    so its affine row computes 1 - ramp directly from integer-exact weights
+    cells[k]*ell and ell*index.
+    """
+    m = grid.dim
+    if rect.dim != m:
+        raise ValueError(f"rect is {rect.dim}-d but grid is {m}-d")
+    for k in range(m):
+        if rect.lower[k] < 0 or rect.upper[k] > grid.cells[k]:
+            raise ValueError(f"rect corner outside the grid in dimension {k}")
+    ramps: list[int] = []
+    for k in range(m):
+        steep = float(grid.cells[k] * grid.ell)
+        row_lo = [0.0] * m
+        row_lo[k] = -steep
+        row_hi = [0.0] * m
+        row_hi[k] = steep
+        for row, offset in (
+            (row_lo, float(grid.ell * rect.lower[k])),
+            (row_hi, float(-grid.ell * rect.upper[k])),
+        ):
+            inner = b.relu(b.affine(source, [row], [offset]))
+            ramps.append(b.affine(inner, [[-1.0]], [1.0]))
+    return b.relu(append_nmin_tree(b, ramps))
+
+
+def slice_members(corners: RectCorners, count: int) -> list[list[HyperRect]]:
+    """Each of ``count`` slices' maximal rectangles in sorted order, from ``prune_maximal``'s corners."""
+    slices: list[list[HyperRect]] = [[] for _ in range(count)]
+    for lo, hi, first, stop in zip(corners.lo.tolist(), corners.hi.tolist(), corners.first, corners.stop):
+        for k in range(first, stop):
+            slices[k].append(HyperRect(tuple(lo), tuple(hi)))
+    return slices
+
+
+def rect_corners(rects: Sequence[HyperRect]) -> RectCorners:
+    """Rectangles as corner arrays, each maximal in slice 0 only."""
+    dim = rects[0].dim if rects else 1
+    lo = np.array([r.lower for r in rects], dtype=np.intp).reshape(len(rects), dim)
+    hi = np.array([r.upper for r in rects], dtype=np.intp).reshape(len(rects), dim)
+    return RectCorners(lo, hi, np.zeros(len(rects), dtype=np.intp), np.ones(len(rects), dtype=np.intp))
+
+
+def reference_build(f: FuncExpr, delta: float) -> Network:
+    """``build_certified_network``'s network, built one bump gadget chain at a time.
+
+    Each slice appends its own unit-box input map (off the unit box), a
+    bump per rectangle in sorted order and its clip; an empty slice is a
+    zero-weight row over the inputs; one row sums the slices. Nothing is
+    shared, every row is dense, and the metadata is the layered build's.
+    """
+    net, report = build_certified_network(f, delta)
+    grid = GridSpec(report.cells_per_unit)
+    levels = tuple(float.fromhex(v) for v in net.metadata["levels"].split())
+    spec = SliceSpec(report.slice_count, levels, report.delta)
+    b = NetworkBuilder(f.dim)
+    outs = []
+    for rects in slice_members(delta_sets(f, grid, spec), spec.count):
+        if not rects:
+            outs.append(b.affine(b.input_ids, [[0.0] * f.dim], [0.0]))
+            continue
+        source = b.input_ids
+        if any(iv.lo != 0.0 or iv.hi != 1.0 for iv in f.domain.bounds):
+            scales = [1.0 / iv.width if iv.width > 0 else 1.0 for iv in f.domain.bounds]
+            rows = [[scales[k] if j == k else 0.0 for j in range(f.dim)] for k in range(f.dim)]
+            source = [b.affine(b.input_ids, rows, [-(iv.lo * r) for iv, r in zip(f.domain.bounds, scales)])]
+        outs.append(append_clip_above(b, [append_local_bump(b, grid, rect, source) for rect in rects], 1.0))
+    return b.finish(b.affine(outs, [[spec.half_delta] * len(outs)], [spec.bottom]), net.metadata)
+
+
+def serialize_v2(net: Network) -> str:
+    """A network whose affine rows are dense, as a version-2 document (row-major weights)."""
+    lines = [f"{MAGIC} 2", f"input_dim {net.input_dim}", f"output {net.output}"]
+    lines.extend(f"meta {key} {value}" for key, value in net.metadata.items())
+    for i, node in enumerate(net.nodes):
+        if node.kind == "input":
+            lines.append(f"node {i} input {node.index}")
+        elif node.kind == "affine":
+            cols = len(node.weights[0])
+            assert all([c for c, _ in row] == list(range(cols)) for row in node.weights), "rows must be dense"
+            toks = [b.hex() for b in node.bias] + [w.hex() for row in node.weights for _, w in row]
+            preds = ",".join(map(str, node.preds))
+            lines.append(f"node {i} affine {preds} {len(node.weights)} {cols} " + " ".join(toks))
+        else:
+            lines.append(f"node {i} relu {node.preds[0]}")
+    return "\n".join(lines) + "\n"
 
 
 def build_nmin2() -> Network:
@@ -304,7 +437,7 @@ def shrink_box(rng: random.Random, box: BoxRegion) -> BoxRegion:
 
 
 def reference_eval_concrete(net: Network, x) -> tuple[float, ...]:
-    """Per-node walk at a point: affine rows accumulate left to right from 0.0, bias last.
+    """Per-node walk at a point: affine rows accumulate their terms in stored order from 0.0, bias last.
 
     An affine node reads its predecessors' values laid end to end. The
     reference the compiled evaluator must match bit for bit.
@@ -318,8 +451,8 @@ def reference_eval_concrete(net: Network, x) -> tuple[float, ...]:
             out = []
             for row, b in zip(node.weights, node.bias):
                 acc = 0.0
-                for w, xv in zip(row, v):
-                    acc += w * xv
+                for c, w in row:
+                    acc += w * v[c]
                 out.append(acc + b)
             vals.append(tuple(out))
         else:
@@ -335,7 +468,10 @@ def reference_eval_abstract(net: Network, box: BoxRegion) -> BoxRegion:
             vals.append((box.bounds[node.index],))
         elif node.kind == "affine":
             v = [t for p in node.preds for t in vals[p]]
-            vals.append(tuple(iv_affine_row(row, b, v) for row, b in zip(node.weights, node.bias)))
+            vals.append(tuple(
+                iv_affine_row([w for _, w in row], b, [v[c] for c, _ in row])
+                for row, b in zip(node.weights, node.bias)
+            ))
         else:
             vals.append(tuple(iv_relu(t) for t in vals[node.preds[0]]))
     return BoxRegion(vals[net.output])

@@ -16,7 +16,7 @@ from boxcert.cli import main as cli_main
 from boxcert.construct import build_certified_network
 from boxcert.expr import parse_func
 from boxcert.fixtures import fig2_n1, fig2_n2
-from boxcert.grids import GridSpec, HyperRect
+from boxcert.grids import GridSpec
 from boxcert.intervals import BoxRegion, Interval
 from boxcert.network import (
     Network,
@@ -28,6 +28,7 @@ from boxcert.slicing import make_slice_spec
 from boxcert.verify import RunConfig, verify_network
 
 from helpers import (
+    HyperRect,
     box_subset,
     build_local_bump,
     build_nmin2,

@@ -33,12 +33,16 @@ ENDPOINTS = st.one_of(
 
 @st.composite
 def networks(draw):
-    """Random DAGs over every node kind; an affine node reads one to four earlier nodes, repeats allowed."""
+    """Random DAGs over every node kind; an affine node reads one to four earlier nodes, repeats allowed.
+
+    Sparse rows hold up to five terms on any columns, in any order, repeats
+    allowed, and may be empty.
+    """
     dim = draw(st.integers(1, 3))
     b = NetworkBuilder(dim)
     ids = list(b.input_ids)
     for _ in range(draw(st.integers(1, 12))):
-        kind = draw(st.sampled_from(["affine", "zero_row_affine", "relu"]))
+        kind = draw(st.sampled_from(["affine", "zero_row_affine", "sparse_affine", "relu"]))
         if kind == "relu":
             ids.append(b.relu(draw(st.sampled_from(ids))))
             continue
@@ -46,6 +50,12 @@ def networks(draw):
         if sum(b.arity(p) for p in preds) > 8:
             preds = preds[:1]
         cols = sum(b.arity(p) for p in preds)
+        if kind == "sparse_affine":
+            term = st.tuples(st.integers(0, cols - 1), WEIGHTS)
+            rows = draw(st.lists(st.lists(term, max_size=5), min_size=1, max_size=3))
+            bias = draw(st.lists(WEIGHTS, min_size=len(rows), max_size=len(rows)))
+            ids.append(b.sparse_affine(preds, rows, bias))
+            continue
         rows = draw(st.lists(st.lists(WEIGHTS, min_size=cols, max_size=cols), min_size=1, max_size=3))
         if kind == "zero_row_affine":
             rows[draw(st.integers(0, len(rows) - 1))] = draw(
@@ -135,18 +145,18 @@ def test_overflow_masked_by_a_relu_is_still_rejected():
 # merged bit-identical nodes and have not changed since; the cubic's network
 # and report were re-recorded when it gained the unit-box input map A, whose
 # rounding moves some propagated endpoints in their last digits. The .net
-# hashes were last re-recorded when concat and sum nodes were folded into
-# multi-input affine nodes, which propagate bit-identically. The exact counts
-# keep any growth of a served network in view.
+# hashes were last re-recorded when networks came to be assembled in layers
+# and written as version-3 documents with sparse rows, which propagate
+# bit-identically. The exact counts keep any growth of a served network in view.
 SERVED = (
     ("-x0*x0*x0 + 3*x0", [(-2.0, 2.0)], 0.4,
-     "907b2f9daec9e2ac6772c406c087eb324c77ac2b5ec394d92f9e56813ab9d367", (406, 281),
+     "79d34cdb48ae365345ce3023456736807965dbf2432a21fa890a1336841eff3e", (13, 281),
      "09189e23a62537bdc287ea8ed612aca277f935fdabfc1b1cf936e1c6baeba155"),
     ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.5,
-     "8856449132cb0a511b23116bd8eed98f169a631b08811b8eda939d2cf5acb951", (161, 146),
+     "7b438303558027651abe9d1d9cd4eab908f52f44cb88314c143a59e62c9c1fe3", (16, 146),
      "52a875875bbfca4d442abff82ed17fe1725f702b8a9354b94a810bc620c7565a"),
     ("abs(x0 - 0.5)*relu(x1)", [(0.0, 1.0), (0.0, 1.0)], 0.25,
-     "55ee3e46574f23fc80d320c77ce2834aec145f26005472616a5ba144562af4f6", (234, 222),
+     "0ac4c149fb43bd962bdd88d0b21aecc321a03f75ebdbfcaf11d68a4e28e54ab8", (16, 222),
      "b28971d8be07e7c2b96f11745a5a4d9847768da8080f0320d6782b3c7dd283b2"),
 )
 

@@ -23,18 +23,27 @@ from boxcert.construct import (
     delta_sets,
     grid_resolution,
     samples_per_cell_for,
-    slice_members,
 )
 from boxcert.expr import parse_func
-from boxcert.grids import GridSpec, HyperRect, prune_maximal
+from boxcert.grids import GridSpec, prune_maximal
 from boxcert.intervals import BoxRegion, Interval
 from boxcert.netio import deserialize, load, serialize
 from boxcert import construct, network
 from boxcert.network import NetworkBuilder, eval_abstract, eval_abstract_many, eval_concrete, stats
 from boxcert.oracle import OracleBudgetError, certified_box_range
-from boxcert.slicing import make_slice_spec
+from boxcert.slicing import SliceSpec, make_slice_spec
 from boxcert.verify import RunConfig, network_domain, verify_network
-from helpers import PlainBuilder, enumerate_rects, iv_subset, rect_hull, reference_prune_maximal
+from helpers import (
+    HyperRect,
+    enumerate_rects,
+    iv_subset,
+    rect_corners,
+    rect_hull,
+    reference_build,
+    reference_prune_maximal,
+    serialize_v2,
+    slice_members,
+)
 
 CUBIC = "-x0*x0*x0 + 3*x0"
 
@@ -58,7 +67,12 @@ def member_rects(f, grid, spec, k):
 def slice_network(delta_k, grid):
     """One slice on a fresh builder, as its own network on unit-box inputs."""
     b = NetworkBuilder(grid.dim)
-    return b.finish(build_slice_network(b, delta_k, grid, unit_box(grid.dim)))
+    return b.finish(build_slice_network(b, rect_corners(sorted(delta_k)), 1, grid, unit_box(grid.dim)))
+
+
+def slice_sets(f, grid, spec):
+    """Each slice's maximal rectangles, as ``HyperRect`` lists."""
+    return slice_members(delta_sets(f, grid, spec), spec.count)
 
 
 def table_index(rect):
@@ -134,7 +148,7 @@ class TestDeltaSets:
         grid = unit_grid(1, 4)
         f = parse_func("5", 1, unit_box(1))
         spec = make_slice_spec(0.0, 8.0, 8.0)  # levels 0, 4, 8
-        members = delta_sets(f, grid, spec)[0]
+        members = slice_sets(f, grid, spec)[0]
         assert members == [HyperRect((0,), (4,))]
         raw = member_rects(f, grid, spec, 0)
         assert len(raw) == 15  # every rect qualifies before pruning
@@ -143,7 +157,7 @@ class TestDeltaSets:
         grid = unit_grid(1, 4)
         f = parse_func("0", 1, unit_box(1))
         spec = make_slice_spec(0.0, 8.0, 8.0)
-        assert delta_sets(f, grid, spec)[0] == []
+        assert slice_sets(f, grid, spec)[0] == []
 
     def test_identity_on_unit_interval(self):
         # oracle-first: brute-force certified minima over every rect hull pick
@@ -158,7 +172,7 @@ class TestDeltaSets:
                 expected_members.append(rect)
         members = member_rects(f, grid, spec, 1)
         assert members == sorted(expected_members)
-        pruned = delta_sets(f, grid, spec)[1]
+        pruned = slice_sets(f, grid, spec)[1]
         assert pruned == [HyperRect((2,), (4,))]
         assert rect_hull(pruned[0], grid) == BoxRegion.from_pairs([(0.5, 1.0)])
 
@@ -247,7 +261,7 @@ class TestMaximalSelection:
         for rect, value in direct.items():
             assert counts[table_index(rect)] == brute_force_counts(levels[1:], value)
         assert np.count_nonzero(counts) == sum(1 for v in direct.values() if v >= levels[1])
-        selected = slice_members(counts, grid, len(levels) - 1)
+        selected = slice_members(prune_maximal(counts, grid), len(levels) - 1)
         for k, level in enumerate(levels[1:]):
             members = [rect for rect in rects if direct[rect] >= level]  # NaN clears no level
             assert selected[k] == reference_prune_maximal(members)
@@ -300,7 +314,7 @@ class TestSliceDichotomy:
         net, report = build_certified_network(f, 0.8)
         grid = GridSpec(report.cells_per_unit)
         spec = make_slice_spec(-2.0, 2.0, 0.8)
-        slice_sets = delta_sets(f, grid, spec)
+        members = slice_sets(f, grid, spec)
         rng = random.Random(31)
         checked_high = checked_low = 0
         for _ in range(400):
@@ -309,7 +323,7 @@ class TestSliceDichotomy:
             unit = BoxRegion.from_pairs([((a + 2) / 4, (b + 2) / 4)])  # A: x -> (x - lo) / w
             cmin, cmax = certified_box_range(f, box, spec.delta / 16)
             for k in range(spec.count):
-                n_k = slice_network(slice_sets[k], grid)
+                n_k = slice_network(members[k], grid)
                 out = eval_abstract(n_k, unit).bounds[0]
                 if cmin.lo >= spec.levels[k + 1] + spec.half_delta:
                     assert out.lo == pytest.approx(1.0, abs=1e-9)
@@ -433,25 +447,24 @@ def test_off_unit_domains_are_certified_as_requested(expr, domain, delta, cells)
 
 # sha256 of the .net documents of the benchmark's build cases and of the cubic
 # at delta 0.1, with their exact (node_count, relu_count), so that no network
-# grows unnoticed. The documents were recorded with the builder that merges
-# bit-identical nodes; the unmerged-reference tests at the end of this file
-# check that merging leaves every propagated interval as it was. They were
-# last re-recorded when concat and sum nodes were folded into multi-input
-# affine nodes: every propagated endpoint stayed bit-identical, and
-# test_version_1_document_propagates_like_the_new_build checks that for the
-# min build. The three served cases are pinned in test_compiled.
+# grows unnoticed. They were last re-recorded when networks came to be
+# assembled in layers, one wide node per gadget stage, written as version-3
+# documents with sparse rows: every relu count stayed as it was, and the
+# reference tests at the end of this file check that every propagated endpoint
+# stayed bit-identical to the per-bump gadget chain. The three served cases
+# are pinned in test_compiled.
 PINNED_BUILDS = (
     (CUBIC, [(-2.0, 2.0)], 0.2,
-     "b0121ac087688098325c27448827645bd90527c8bee43ccd6f21b070e7b2fe51", (806, 561)),
+     "dca7b18beeecbaf95360bf9f0da414eb9364d7bf3c68d86950866d6e6f67f4de", (13, 561)),
     (CUBIC, [(-2.0, 2.0)], 0.1,
-     "d3992e1602bdfab8cf2f9a2b83ee5d81e9eaa29ba5875ee153a5143e54675e82", (1606, 1121)),
+     "c89df5d96df3e2b73b7a4a45fd2cf9915e8c258ed7e085825a864710dd3d623e", (13, 1121)),
     ("min(x0, x1)", [(0.0, 1.0), (0.0, 1.0)], 0.5,
-     "c8999ec7da9eed532a94e0ddb01269d7600bf815c0e9ebc2d34c3832260cc8d7", (85, 66)),
+     "41d4620130f11964c808dde5142f5eff90ff1ce3af08fa521e83eb40b546958e", (16, 66)),
     ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.25,
-     "58fee41a87476c7faed23ec5d482fd62da261398353f8b96c005e430660f3bd4", (417, 415)),
+     "8cff9243493f556bc849ba5e4ee7a62fb06899d0f6d5cfeb9a3c690bf10edcf3", (16, 415)),
     # M 40, 20 slices, 741,321 candidate rectangles
     ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.1,
-     "19ccd09e696a612b64ba073fe368ecc06eb2ce934fcdf4ed4da04508437a706d", (1693, 1857)),
+     "e8017607435d72825d8807ede4fefa43483b51fad7b047745dabdccfcc7a7e3d", (16, 1857)),
 )
 
 
@@ -464,32 +477,47 @@ def test_build_documents_are_pinned(expr, domain, delta, net_sha, counts):
     assert (stats(net)["node_count"], stats(net)["relu_count"]) == counts
 
 
+@pytest.mark.parametrize("expr, domain, deltas", [
+    ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], (0.5, 0.25, 0.1)),
+    (CUBIC, [(-2.0, 2.0)], (0.4, 0.2)),
+], ids=["product", "cubic"])
+def test_node_count_does_not_grow_with_the_bumps(expr, domain, deltas):
+    f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
+    reports = [build_certified_network(f, delta)[1] for delta in deltas]
+    assert len({r.node_count for r in reports}) == 1
+    assert reports[0].relu_count < reports[-1].relu_count
+
+
 # The min build as a version-1 document, with concat and sum nodes (sha256
-# ff7fc72d2e0a761d69fa1b26a817c80b353d88bf92cf0e05b4858e12a259a1ca).
+# ff7fc72d2e0a761d69fa1b26a817c80b353d88bf92cf0e05b4858e12a259a1ca), and as the
+# version-2 document the per-bump builder wrote, with dense rows and merged
+# nodes (sha256 c8999ec7da9eed532a94e0ddb01269d7600bf815c0e9ebc2d34c3832260cc8d7).
 MIN_V1 = Path(__file__).parent / "data" / "min-v1.net"
+MIN_V2 = Path(__file__).parent / "data" / "min-v2.net"
 
 
 @functools.cache
-def min_build_and_v1_document():
+def min_build_and_old_documents():
     expr, domain, delta, _, _ = PINNED_BUILDS[2]
     f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
-    return build_certified_network(f, delta)[0], load(str(MIN_V1))
+    return build_certified_network(f, delta)[0], load(str(MIN_V1)), load(str(MIN_V2))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.floats(-0.25, 1.25), st.floats(-0.25, 1.25), st.floats(0.0, 0.5),
                           st.floats(0.0, 0.5), st.booleans()), min_size=1, max_size=8))
 def test_version_1_document_propagates_like_the_new_build(drawn):
-    net, old = min_build_and_v1_document()
+    net, v1, v2 = min_build_and_old_documents()
     boxes = [BoxRegion.from_pairs([(x, x if point else x + w), (y, y if point else y + h)])
              for x, y, w, h, point in drawn]
 
     def endpoints(n):
         return [[(iv.lo.hex(), iv.hi.hex()) for iv in out.bounds] for out in eval_abstract_many(n, boxes)]
 
-    assert endpoints(old) == endpoints(net)
-    assert old.metadata == net.metadata
-    assert (stats(old)["node_count"], stats(old)["relu_count"]) == (85, 66)
+    assert endpoints(v1) == endpoints(v2) == endpoints(net)
+    assert v1.metadata == v2.metadata == net.metadata
+    assert (stats(v1)["node_count"], stats(v1)["relu_count"]) == (85, 66)
+    assert (stats(v2)["node_count"], stats(v2)["relu_count"]) == (85, 66)
 
 
 def test_build_memory_stays_below_the_float_table():
@@ -521,10 +549,12 @@ def test_build_constructs_one_network(monkeypatch, expr, domain, slices):
     assert len(calls) == 1
 
 
-# The three served cases and min(x0, x1), with the sha256 of their documents
-# as built with nothing merged (the cubic's with the unit-box input map A,
-# which the unmerged build appends once per slice). Re-recorded when concat and
-# sum nodes were folded into multi-input affine nodes.
+# The three served cases and min(x0, x1), with the sha256 of their networks as
+# the per-bump reference builds them (helpers.reference_build: every bump its own
+# gadget chain, nothing shared, the cubic's unit-box input map A once per slice),
+# written as version-2 documents. These are the documents the builder wrote
+# before it merged bit-identical nodes, after concat and sum nodes were folded
+# into multi-input affine nodes.
 UNMERGED_BUILDS = (
     (CUBIC, [(-2.0, 2.0)], 0.4,
      "2e162309e0b9887254cd7bcd5af455a2044301baf856da993151ccfe8b4b9053"),
@@ -536,37 +566,60 @@ UNMERGED_BUILDS = (
      "9f3818ef89a880825bfb580bfcf4be07cd28455458d0df5a734783c5b9fe84ad"),
 )
 
+# Every build the layered assembly is checked against the reference on: the
+# six benchmark builds, a 2-d domain off the unit box, and a 3-d build, whose
+# min tree over six ramps is uneven.
+REFERENCE_CASES = (
+    *(case[:3] for case in UNMERGED_BUILDS),
+    (CUBIC, [(-2.0, 2.0)], 0.2),
+    ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.25),
+    ("x0*x0*x0 - 2*x1*x0", [(-1.0, 1.0), (0.0, 1.0)], 0.5),
+    ("x0*x1*x2", [(0.0, 1.0)] * 3, 0.5),
+    ("relu(x0)", [(-1.0, 1.0)], 0.3),  # slices with the same bumps: see the test below
+)
+
+
+def test_slices_with_the_same_bumps_share_a_clip_row():
+    # relu(x0) is flat on [-1, 0], so some of its slices hold the same rectangles
+    expr, domain, delta = REFERENCE_CASES[-1]
+    f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
+    net, report = build_certified_network(f, delta)
+    levels = tuple(float.fromhex(v) for v in net.metadata["levels"].split())
+    spec = SliceSpec(report.slice_count, levels, report.delta)
+    sets = slice_members(delta_sets(f, GridSpec(report.cells_per_unit), spec), spec.count)
+    slices = net.nodes[net.nodes[net.output].preds[0]]
+    clip = net.nodes[net.nodes[slices.preds[0]].preds[0]]
+    assert len(slices.weights) == report.slice_count
+    assert len(clip.weights) == len({tuple(rects) for rects in sets if rects}) < report.slice_count
+
 
 @functools.cache
-def merged_and_unmerged(case):
-    """The build of ``UNMERGED_BUILDS[case]``, and the same build with nothing merged."""
-    expr, domain, delta, _ = UNMERGED_BUILDS[case]
+def layered_and_reference(case):
+    """The build of ``REFERENCE_CASES[case]``, its per-bump reference, and that reference read back from version 2."""
+    expr, domain, delta = REFERENCE_CASES[case]
     f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
-    merged, _ = build_certified_network(f, delta)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(construct, "NetworkBuilder", PlainBuilder)
-        unmerged, _ = build_certified_network(f, delta)
-    return merged, unmerged
+    reference = reference_build(f, delta)
+    return build_certified_network(f, delta)[0], reference, deserialize(serialize_v2(reference))
 
 
 @pytest.mark.parametrize("case", range(len(UNMERGED_BUILDS)), ids=["cubic", "product", "abs-relu", "min"])
 def test_unmerged_reference_is_the_earlier_document(case):
-    merged, unmerged = merged_and_unmerged(case)
-    assert hashlib.sha256(serialize(unmerged).encode()).hexdigest() == UNMERGED_BUILDS[case][3]
-    small, large = stats(merged), stats(unmerged)
+    layered, reference, _ = layered_and_reference(case)
+    assert hashlib.sha256(serialize_v2(reference).encode()).hexdigest() == UNMERGED_BUILDS[case][3]
+    small, large = stats(layered), stats(reference)
     assert small["node_count"] <= large["node_count"]
     assert small["relu_count"] <= large["relu_count"]
 
 
 @st.composite
 def reference_boxes(draw):
-    """A reference case and sub-boxes of its domain, some of them point boxes."""
-    case = draw(st.integers(0, len(UNMERGED_BUILDS) - 1))
-    domain = UNMERGED_BUILDS[case][1]
+    """A reference case and sub-boxes of its domain, a third of them point boxes."""
+    case = draw(st.integers(0, len(REFERENCE_CASES) - 1))
+    domain = REFERENCE_CASES[case][1]
     unit = st.floats(0.0, 1.0)
     boxes = []
     for _ in range(draw(st.integers(1, 6))):
-        point = draw(st.booleans())
+        point = draw(st.integers(0, 2)) == 0
         pairs = []
         for lo, hi in domain:
             s, t = draw(unit), draw(unit)
@@ -580,13 +633,12 @@ def reference_boxes(draw):
 @given(reference_boxes())
 def test_merged_builds_propagate_like_unmerged_ones(drawn):
     case, boxes = drawn
-    merged, unmerged = merged_and_unmerged(case)
-    old_style = deserialize(serialize(unmerged))
 
     def endpoints(net):
         return [[(iv.lo.hex(), iv.hi.hex()) for iv in out.bounds] for out in eval_abstract_many(net, boxes)]
 
-    assert endpoints(merged) == endpoints(unmerged) == endpoints(old_style)
+    layered, reference, read_back = layered_and_reference(case)
+    assert endpoints(layered) == endpoints(reference) == endpoints(read_back)
 
 
 @pytest.mark.parametrize("expr, domain, assembled", [
@@ -595,7 +647,8 @@ def test_merged_builds_propagate_like_unmerged_ones(drawn):
     ("3.5", [(0, 1), (0, 1)], False),
 ], ids=["cubic", "product", "constant"])
 def test_slices_and_assembly_run_through_module_names(monkeypatch, expr, domain, assembled):
-    # The benchmark times these two module globals as the slice and assembly stages.
+    # The benchmark times these two module globals as the slice and assembly
+    # stages: every slice is assembled in one call.
     calls = {"build_slice_network": 0, "sum_outputs": 0}
     for name in calls:
         def counted(*args, _fn=getattr(construct, name), _name=name):
@@ -603,6 +656,6 @@ def test_slices_and_assembly_run_through_module_names(monkeypatch, expr, domain,
             return _fn(*args)
         monkeypatch.setattr(construct, name, counted)
     f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
-    _, report = build_certified_network(f, 0.4)
-    assert calls["build_slice_network"] == (report.slice_count if assembled else 0)
+    build_certified_network(f, 0.4)
+    assert calls["build_slice_network"] == int(assembled)
     assert calls["sum_outputs"] == int(assembled)

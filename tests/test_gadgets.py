@@ -2,16 +2,19 @@ import functools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxcert.gadgets import append_clip_above, append_local_bump
-from boxcert.grids import GridSpec, HyperRect, ramp_steepness
+from boxcert.gadgets import append_min_tree, append_ramps, append_slice_clips
+from boxcert.grids import GridSpec, ramp_steepness
 from boxcert.intervals import BoxRegion, Interval
 from boxcert.network import NetworkBuilder, eval_abstract, eval_concrete, stats
 
 from helpers import (
+    HyperRect,
+    append_clip_above,
     build_clip_above,
     build_local_bump,
     build_nmin2,
@@ -198,12 +201,17 @@ class TestClip:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(BUMP_VALUES, BUMP_VALUES).map(sorted), min_size=1, max_size=8))
     def test_folded_first_row_equals_sum_then_clip(self, pairs):
+        # the gadget chain's clip, and the layered clip row of one slice over a bump node
         terms = [Interval(lo, hi) for lo, hi in pairs]
-        b = NetworkBuilder(len(terms))
-        net = b.finish(append_clip_above(b, b.input_ids, 1.0))
+        n = len(terms)
+        b = NetworkBuilder(n)
+        chain = b.finish(append_clip_above(b, b.input_ids, 1.0))
+        bumps = b.relu(b.sparse_affine(b.input_ids, [[(k, 1.0)] for k in range(n)], [0.0] * n))
+        layered = b.finish(append_slice_clips(b, bumps, np.arange(n), np.zeros(n, int), np.ones(n, int), 1))
         want = iv_clip_above(1.0, functools.reduce(iv_add, terms))
-        got = propagate1(net, *terms)
-        assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex())
+        for net in (chain, layered):
+            got = propagate1(net, *terms)
+            assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex())
 
 
 class TestSteepness:
@@ -217,19 +225,11 @@ def unit_grid(dim, cells):
     return GridSpec((cells,) * dim)
 
 
-def ancestors(net, node_id):
-    """The node and every node it reads from."""
-    seen, stack = set(), [node_id]
-    while stack:
-        i = stack.pop()
-        if i not in seen:
-            seen.add(i)
-            stack.extend(net.nodes[i].preds)
-    return seen
+def check_bump_contract(bump, grid, rect, rng, column=0):
+    """[1, 1] on boxes inside the corner hull, [0, 0] one grid step away, and never outside [0, 1].
 
-
-def check_bump_contract(bump, grid, rect, rng):
-    """[1, 1] on boxes inside the corner hull, [0, 0] one grid step away, and never outside [0, 1]."""
+    The bump is output ``column`` of the network ``bump``.
+    """
     dim = grid.dim
     hull = rect_hull(rect, grid)
     for _ in range(200):
@@ -239,7 +239,7 @@ def check_bump_contract(bump, grid, rect, rng):
             a = rng.uniform(hull[k].lo, hull[k].hi)
             b = rng.uniform(hull[k].lo, hull[k].hi)
             pairs.append((min(a, b), max(a, b)))
-        assert eval_abstract(bump, BoxRegion.from_pairs(pairs)).bounds[0] == Interval(1, 1)
+        assert eval_abstract(bump, BoxRegion.from_pairs(pairs)).bounds[column] == Interval(1, 1)
     for _ in range(200):
         # boxes separated one grid step from the hull collapse to [0, 0]
         split = rng.randrange(dim)
@@ -257,7 +257,7 @@ def check_bump_contract(bump, grid, rect, rng):
                 a = rng.uniform(-2, 2)
                 b = a + rng.uniform(0, 3)
             pairs.append((min(a, b), max(a, b)))
-        assert eval_abstract(bump, BoxRegion.from_pairs(pairs)).bounds[0] == Interval(0, 0)
+        assert eval_abstract(bump, BoxRegion.from_pairs(pairs)).bounds[column] == Interval(0, 0)
     for _ in range(200):
         # and the image never leaves [0, 1]
         pairs = []
@@ -265,7 +265,7 @@ def check_bump_contract(bump, grid, rect, rng):
             a = rng.uniform(-3, 3)
             b = a + rng.uniform(0, 4)
             pairs.append((a, b))
-        out = eval_abstract(bump, BoxRegion.from_pairs(pairs)).bounds[0]
+        out = eval_abstract(bump, BoxRegion.from_pairs(pairs)).bounds[column]
         assert 0.0 <= out.lo <= out.hi <= 1.0
 
 
@@ -311,22 +311,23 @@ class TestLocalBump:
         check_bump_contract(build_local_bump(grid, rect), grid, rect, random.Random(dim))
 
     def test_contract_holds_on_shared_ramps(self):
+        # the layered bumps of two rectangles, with the lower ramp on axis 0 in common
         grid = unit_grid(2, 4)
-        first, second = HyperRect((1, 1), (2, 2)), HyperRect((1, 0), (3, 1))  # same lower[0]
+        rects = (HyperRect((1, 1), (2, 2)), HyperRect((1, 0), (3, 1)))
         b = NetworkBuilder(2)
-        outs = [append_local_bump(b, grid, rect, b.input_ids) for rect in (first, second)]
-        net = b.finish(outs[1])
-        ramps = [
-            {i for i in ancestors(net, out) if net.nodes[i].kind == "affine" and net.nodes[i].preds == (0, 1)}
-            for out in outs
-        ]
-        assert len(ramps[0]) == len(ramps[1]) == 4
-        (shared,) = ramps[0] & ramps[1]
+        lo, hi = np.array([r.lower for r in rects]), np.array([r.upper for r in rects])
+        ramps, operands = append_ramps(b, b.input_ids, grid, lo, hi)
+        mins, columns = append_min_tree(b, ramps, operands)
+        net = b.finish(b.relu(mins))
+        rows = net.nodes[net.nodes[net.nodes[ramps].preds[0]].preds[0]]  # the ramp node's first affine
+        assert len(rows.weights) == 7
+        shared = operands[0, 0]
+        assert operands[1, 0] == shared and len(set(operands.ravel().tolist())) == 7
         steep = float(grid.cells[0] * grid.ell)
-        assert net.nodes[shared].weights == ((-steep, 0.0),)
-        assert net.nodes[shared].bias == (float(grid.ell * 1),)
-        for out, rect in zip(outs, (first, second)):
-            check_bump_contract(b.finish(out), grid, rect, random.Random(3))
+        assert rows.weights[shared] == ((0, -steep),)
+        assert rows.bias[shared] == float(grid.ell * 1)
+        for column, rect in zip(columns.tolist(), rects):
+            check_bump_contract(net, grid, rect, random.Random(3), column)
 
     def test_degenerate_rect_is_a_point_bump(self):
         grid = unit_grid(1, 4)

@@ -62,8 +62,10 @@ def test_decimal_weights_accepted():
         "node 1 affine 0 1 1 0.25 -1.5\n"
     )
     net = deserialize(text)
-    assert net.nodes[1].weights == ((-1.5,),)
+    assert net.nodes[1].weights == (((0, -1.5),),)
     assert net.nodes[1].bias == (0.25,)
+    sparse = deserialize(f"{MAGIC} 3\ninput_dim 1\noutput 1\nnode 0 input 0\nnode 1 affine 0 1 0.25 0:-1.5\n")
+    assert sparse.nodes == net.nodes
 
 
 def test_missing_magic():
@@ -215,9 +217,41 @@ def test_multi_input_affine_line():
     b = NetworkBuilder(2)
     net = b.finish(b.affine([1, 0], [[0.5, -1.0]], [0.25]))
     text = serialize(net)
-    assert text.startswith(f"{MAGIC} 2\n")
-    assert "node 2 affine 1,0 1 2 0x1.0000000000000p-2 0x1.0000000000000p-1 -0x1.0000000000000p+0\n" in text
+    assert text.startswith(f"{MAGIC} 3\n")
+    assert "node 2 affine 1,0 2 0x1.0000000000000p-2 0:0x1.0000000000000p-1 1:-0x1.0000000000000p+0\n" in text
     assert deserialize(text).nodes == net.nodes
+
+
+def test_only_nonzero_terms_are_written():
+    # rows with a zero, a -0.0 and no term at all; signed-zero biases stay as written
+    b = NetworkBuilder(2)
+    net = b.finish(b.sparse_affine([0, 1], [[(1, 0.0), (0, 2.0)], [(0, -0.0)], []], [-0.0, 1.0, 0.0]))
+    line = serialize(net).splitlines()[-1]
+    assert line == "node 2 affine 0,1 1,0,0 -0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0:0x1.0000000000000p+1"
+    back = deserialize(serialize(net))
+    assert back.nodes[2].weights == (((0, 2.0),), (), ())
+    assert [b.hex() for b in back.nodes[2].bias] == ["-0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"]
+    boxes = [BoxRegion.from_pairs([(-1.0, 0.5), (-0.0, 2.0)]), BoxRegion.point([-0.0, -0.0])]
+    for got, want in zip(eval_abstract_many(back, boxes), eval_abstract_many(net, boxes)):
+        assert [(iv.lo.hex(), iv.hi.hex()) for iv in got.bounds] == [(iv.lo.hex(), iv.hi.hex()) for iv in want.bounds]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("node 2 affine 0,1 1,1 0 0 -1:1.0 0:1.0", "node 2: term column -1 out of range for predecessor width 2"),
+        ("node 2 affine 0,1 1,1 0 0 2:1.0 0:1.0", "node 2: term column 2 out of range for predecessor width 2"),
+        ("node 2 affine 0,1 2,1 0 0 0:1.0 1:1.0", "node 2: affine expects 2 biases and 3 terms, got 4 values"),
+        ("node 2 affine 0,1 1,-1 0 0 0:1.0", "node 2: affine term counts must not be negative"),
+        ("node 2 affine 0,1 1 0 1.0", "bad term '1.0' in node 2: expected column:weight"),
+        ("node 2 affine 0,1 1 0 a:1.0", "bad term column 'a' in node 2"),
+    ],
+    ids=["negative-column", "column-past-width", "term-count", "negative-count", "no-column", "bad-column"],
+)
+def test_bad_sparse_terms_are_rejected(line, message):
+    text = f"{MAGIC} 3\ninput_dim 2\noutput 2\nnode 0 input 0\nnode 1 input 1\n{line}\n"
+    with pytest.raises(NetworkFormatError, match=message):
+        deserialize(text)
 
 
 @pytest.mark.parametrize("line", ["node 1 sum 0 0", "node 1 concat 0"])

@@ -15,6 +15,7 @@ from boxcert.network import (
     eval_concrete,
     input_node,
     relu_node,
+    sparse_affine_node,
     stats,
 )
 
@@ -49,7 +50,12 @@ class TestValidation:
 
     def test_affine_shape_mismatch(self):
         nodes = (input_node(0), affine_node(0, [[1.0, 2.0]], [0.0]))
-        with pytest.raises(ValueError, match="row width"):
+        with pytest.raises(ValueError, match="node 1: term column 1 out of range for predecessor width 1"):
+            Network(nodes, 1, 1)
+
+    def test_negative_term_column(self):
+        nodes = (input_node(0), sparse_affine_node(0, [[(0, 1.0)], [(-1, 2.0)]], [0.0, 0.0]))
+        with pytest.raises(ValueError, match="node 1: term column -1 out of range"):
             Network(nodes, 1, 1)
 
     def test_sum_arity_mismatch(self):
@@ -66,9 +72,12 @@ class TestValidation:
         a = b.affine(0, [[1.0], [2.0]], [0.0, 0.0])
         net = b.finish(b.affine([a, 0], [[1.0, 10.0, 100.0]], [0.5]))
         assert eval_concrete(net, [1.0]) == (121.5,)
-        nodes = (*net.nodes[:2], affine_node([1, 0], [[1.0, 2.0]], [0.0]))
-        with pytest.raises(ValueError, match="row width 2 != predecessor arity 3"):
+        nodes = (*net.nodes[:2], affine_node([1, 0], [[1.0, 2.0, 3.0, 4.0]], [0.0]))
+        with pytest.raises(ValueError, match="term column 3 out of range for predecessor width 3"):
             Network(nodes, 2, 1)
+        # a sparse row names the columns it reads, in the order it sums them
+        sparse = Network((*net.nodes[:2], sparse_affine_node([1, 0], [[(2, 100.0), (0, 1.0)], []], [0.5, 7.0])), 2, 1)
+        assert eval_concrete(sparse, [1.0]) == (101.5, 7.0)
 
     def test_dimension_mismatch_on_eval(self):
         net = identity_network(2)
@@ -144,39 +153,7 @@ class TestCombinators:
 
 
 class TestBuilderMerging:
-    def test_identical_appends_of_each_kind_share_an_id(self):
-        b = NetworkBuilder(2)
-        aff = b.affine([0, 1], [[1.0, -2.0], [0.5, 0.0]], [0.25, -1.0])
-        assert b.affine([0, 1], [[1.0, -2.0], [0.5, 0.0]], [0.25, -1.0]) == aff
-        rel = b.relu(aff)
-        assert b.relu(aff) == rel
-        tot = b.affine([aff, rel], [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]], [0.0, 0.0])
-        assert b.affine((aff, rel), [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]], [0.0, 0.0]) == tot
-        assert b.affine(0, [[3.0]], [0.0]) == b.affine([0], [[3.0]], [0.0])
-        assert b._append(input_node(1), 1) == 1
-        net = b.finish(tot)
-        assert len(net.nodes) == 6
-        assert [n.kind for n in net.nodes] == ["input", "input", "affine", "relu", "affine", "affine"]
-
-    @pytest.mark.parametrize("first, second", [
-        (([[1.0]], [0.0]), ([[1.0]], [-0.0])),
-        (([[0.0, 1.0]], [2.0]), ([[-0.0, 1.0]], [2.0])),
-    ], ids=["bias", "weight"])
-    def test_signed_zeros_stay_distinct(self, first, second):
-        b = NetworkBuilder(2)
-        src = [0, 1] if len(first[0][0]) == 2 else 0
-        a = b.affine(src, *first)
-        c = b.affine(src, *second)
-        assert a != c
-        # each variant is indexed: repeating either returns its own node
-        assert b.affine(src, *first) == a
-        assert b.affine(src, *second) == c
-        net = b.finish(b.affine([a, c], [[1.0, 1.0]], [0.0]))
-        lines = serialize(net).splitlines()
-        line_a = next(ln for ln in lines if ln.startswith(f"node {a} "))
-        line_c = next(ln for ln in lines if ln.startswith(f"node {c} "))
-        assert (-0.0).hex() not in line_a.split()
-        assert (-0.0).hex() in line_c.split()
+    """The builder appends every node, and a build emits no node twice."""
 
     def test_different_predecessors_or_inputs_are_not_merged(self):
         b = NetworkBuilder(2)
@@ -185,7 +162,6 @@ class TestBuilderMerging:
         assert b.affine([0, 1], [[1.0, 2.0]], [0.0]) != b.affine([1, 0], [[1.0, 2.0]], [0.0])
         r0, r1 = b.relu(0), b.relu(1)
         assert b.affine([r0, r1], [[1.0, 1.0]], [0.0]) != b.affine([r1, r0], [[1.0, 1.0]], [0.0])
-        assert b._append(input_node(0), 1) != b._append(input_node(1), 1)
 
     @pytest.mark.parametrize("expr, domain, delta", [
         ("-x0*x0*x0 + 3*x0", [(-2.0, 2.0)], 0.4),
@@ -211,6 +187,12 @@ class TestStats:
         out = b.affine(b.input_ids, [[1.0, 2.0], [3.0, 4.0]], [0.0, 0.0])
         s = stats(b.finish(out))
         assert s["param_count"] == 6
+
+    def test_param_count_of_ragged_rows(self):
+        # stored terms plus biases: rows of three, no and one term
+        b = NetworkBuilder(2)
+        out = b.sparse_affine(b.input_ids, [[(0, 1.0), (1, 2.0), (0, 3.0)], [], [(1, 0.5)]], [0.0, 1.0, 2.0])
+        assert stats(b.finish(out))["param_count"] == 7
 
 
 class TestFuzz:

@@ -433,3 +433,16 @@ class TestCli:
             ["plot-data", "--net", str(path), "--expr", "x0", "--out", str(tmp_path / "p.csv")]
         )
         assert code == 3
+
+    def test_stats_lists_every_node_and_the_stage_count(self, cubic_net, capsys):
+        _, net, report, path = cubic_net
+        assert main(["stats", "--net", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "node kind width relus terms"
+        rows = [line.split() for line in lines[1:-1]]
+        assert [(int(r[0]), r[1], int(r[2])) for r in rows] == [
+            (i, node.kind, net.arity(i)) for i, node in enumerate(net.nodes)
+        ]
+        assert sum(int(r[3]) for r in rows) == report.relu_count
+        assert rows[-1][1:] == ["affine", "1", "0", str(report.slice_count)]  # the sum over the slices
+        assert lines[-1] == f"stages {len(net.program.stages)}"

@@ -10,10 +10,11 @@ with the sum folded into its first affine row, and the stack is one affine row
 over the slices.
 
 The network is assembled in layers from the selected rectangles' corner
-arrays (``gadgets``): the input map, the distinct ramps, one hidden node, relu
-and output node per level of the min tree, the bump relu, one clip row per
-distinct non-empty slice and its relu, the slices, and the final sum. Its node
-count depends on the input dimension only, not on the number of bumps.
+arrays (``gadgets``): the input map, the distinct ramps (an affine node, its
+relu and the ``1 - r`` node), one bump row per rectangle and its relu, one clip
+row per distinct non-empty slice and its relu, the slices, and the final sum:
+``m + 9`` nodes on the unit box, one more elsewhere, however many bumps it
+holds.
 
 Every network is built on the unit box: the grid has ``cells[k]`` cells along
 axis k of [0, 1]^m, sized from the domain's width on that axis, and the network
@@ -41,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import FuncExpr
-from .gadgets import append_min_tree, append_ramps, append_slice_clips
+from .gadgets import append_bumps, append_ramps, append_slice_clips
 from .grids import GridSpec, RectCorners, prune_maximal
 from .intervals import BoxRegion
 from .netio import format_box_text
@@ -264,8 +265,7 @@ def build_slice_network(
     if not len(corners):
         return _constant(b, [0.0] * count)
     ramps, operands = append_ramps(b, _source(b, domain), grid, corners.lo, corners.hi)
-    mins, columns = append_min_tree(b, ramps, operands)
-    return append_slice_clips(b, b.relu(mins), columns, corners.first, corners.stop, count)
+    return append_slice_clips(b, append_bumps(b, ramps, operands), corners.first, corners.stop, count)
 
 
 def sum_outputs(b: NetworkBuilder, outs: Sequence[int], coefficient: float, bias: float) -> int:

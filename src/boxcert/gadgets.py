@@ -1,26 +1,40 @@
 """ReLU gadgets the certified construction is assembled from, one wide node per stage.
 
-A local bump is 1 on a grid rectangle's hull and 0 one grid step beyond it.
-It clamps 2m ramps to 1, takes their min, and rectifies. A build appends the
-bumps of all its rectangles together, each stage as one sparse affine node
-(and its relu) over every bump:
+A local bump is 1 on a grid rectangle's hull and 0 one grid step beyond it. A
+build appends the bumps of all its rectangles together, each stage as one
+sparse affine node (and its relu) over every bump:
 
 * ramps (``append_ramps``): ``1 - R(a)`` for an affine ``a`` of one unit-box
   coordinate, with integer-exact weight ``cells[k]*ell`` and bias
-  ``ell*index``. The steepness factor ``ell`` is large enough that a box one
-  grid step away from the hull propagates to exactly [0, 0]. Bumps with a
-  bound in common on an axis share that ramp.
-* min (``append_min_tree``): the symmetric four-unit min network
-
-      min(x, y) = 1/2 * (1, -1, -1, -1) . R([[1, 1], [-1, -1], [1, -1], [-1, 1]] (x, y))
-
-  whose interval behavior admits a closed form (``nmin2_closed_form`` in
-  ``tests/helpers.py``), as a tree that splits its arguments into the first
-  ceil(n/2) and the rest. Each level of the tree is one hidden node, its
-  relu and one output node over the distinct operand pairs of that level, so
-  a min subtree over the same ramps is built once.
+  ``ell*index``. Bumps with a bound in common on an axis share that ramp.
+* bumps (``append_bumps``): ``R(sum of the 2m ramps - (2m - 1))``, one row
+  per rectangle.
 * clip (``append_slice_clips``): a slice is ``1 - R(1 - sum of its bumps)``,
   with the sum folded into the first affine row.
+
+The slice argument uses three properties of a bump under interval
+propagation, and the sum has all three. Every ramp is ``1 - R(a)`` and a
+relu's lower end is never below 0, so every ramp's upper end is at most 1.
+
+1. On a box inside the hull every ``a`` is at most 0, so every ramp is
+   exactly ``[1, 1]`` and the row sums small integers, exactly, to ``[1, 1]``.
+2. On a box one grid step beyond the hull on axis k, the ramp of that side
+   has ``a >= ell`` and an upper end of at most ``1 - ell``. Rounding to
+   nearest is monotone, so the row's upper end is at most
+   ``(2m - 1) + (1 - ell) - (2m - 1) = 1 - ell < 0`` and the relu gives
+   ``[0, 0]``.
+3. By the same monotonicity the row's upper end is never above
+   ``2m - (2m - 1) = 1``, and the relu's lower end is never below 0, so
+   the bump never leaves ``[0, 1]``.
+
+The paper builds its bump as the min of the 2m ramps, through a tree of
+four-unit min gadgets, and proves these properties from the min gadget's
+interval behavior. The sum replaces that lemma, so the bump is an extension
+of the paper, not a reproduction. It costs one relu per bump, where the tree
+costs up to ``4(2m - 1) + 1``, and one node and its relu, where the tree
+costs three nodes per level. The min-tree chain is kept in
+``tests/helpers.py`` as the reference for the paper's gadget. The steepness
+``ell`` is still the one the min tree needs; the sum only needs ``ell >= 1``.
 
 Every row holds the terms of the per-bump gadget chain kept as the reference
 in ``tests/helpers.py``, in the same order, so each value propagates
@@ -29,15 +43,10 @@ bit-identically to that chain's.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .grids import GridSpec
 from .network import NetworkBuilder
-
-NMIN2_HIDDEN = ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
-NMIN2_OUT = (0.5, -0.5, -0.5, -0.5)
 
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -78,69 +87,22 @@ def append_ramps(
     return ramps, columns.reshape(n, 2 * m)
 
 
-def _tree(count: int) -> tuple[list[tuple[int, int]], list[int], int]:
-    """The shape of a min tree over ``count`` arguments: its mins, every level, and the root.
+def append_bumps(b: NetworkBuilder, ramps: int, columns: np.ndarray) -> int:
+    """Every rectangle's bump ``R(sum of its 2m ramps - (2m - 1))``, as one node with a column per rectangle.
 
-    References ``0..count-1`` are the arguments and ``count + t`` is min t,
-    whose operands are ``mins[t]``. An argument's level is 0 and a min's is
-    one more than its higher operand's.
-    """
-    mins: list[tuple[int, int]] = []
-    level = [0] * count
-
-    def build(args: list[int]) -> int:
-        if len(args) == 1:
-            return args[0]
-        half = math.ceil(len(args) / 2)
-        pair = (build(args[:half]), build(args[half:]))
-        mins.append(pair)
-        level.append(1 + max(level[pair[0]], level[pair[1]]))
-        return len(level) - 1
-
-    return mins, level, build(list(range(count)))
-
-
-def append_min_tree(b: NetworkBuilder, args: int, columns: np.ndarray) -> tuple[int, np.ndarray]:
-    """The min of each row of ``columns`` (columns of node ``args``), as a tree of min gadgets.
-
-    Returns the node holding every distinct min and each row's column in it.
-    Level by level, the operand pairs of every row and every min of the
-    level are deduplicated, so equal subtrees share their units. A level
-    reads every earlier level its operands come from: with an uneven split
-    that can be two.
+    Row i of ``columns`` holds rectangle i's ramp columns in node ``ramps``.
     """
     n, count = columns.shape
-    mins, level, root = _tree(count)
-    nodes = [args]  # per level, the node holding its mins
-    where = {j: columns[:, j] for j in range(count)}  # reference -> per row, its column in nodes[level]
-    for depth in range(1, level[root] + 1):
-        group = [count + t for t in range(len(mins)) if level[count + t] == depth]
-        sources = sorted({level[r] for t in group for r in mins[t - count]})
-        offset, width = {}, 0
-        for s in sources:
-            offset[s] = width
-            width += b.arity(nodes[s])
-        left, right = (
-            np.concatenate([where[r] + offset[level[r]] for r in (mins[t - count][side] for t in group)])
-            for side in (0, 1)
-        )
-        pairs, found = _distinct(left * width + right)
-        first, second = np.divmod(pairs, width)
-        hidden_rows = [((x, u), (y, v)) for x, y in zip(first.tolist(), second.tolist()) for u, v in NMIN2_HIDDEN]
-        hidden = b.relu(b.sparse_affine([nodes[s] for s in sources], hidden_rows, [0.0] * len(hidden_rows)))
-        out_rows = [tuple(zip(range(4 * p, 4 * p + 4), NMIN2_OUT)) for p in range(len(pairs))]
-        nodes.append(b.sparse_affine(hidden, out_rows, [0.0] * len(pairs)))
-        for i, t in enumerate(group):
-            where[t] = found[i * n : (i + 1) * n]
-    return nodes[-1], where[root]
+    rows = [tuple((c, 1.0) for c in row) for row in columns.tolist()]
+    return b.relu(b.sparse_affine(ramps, rows, [1.0 - count] * n))
 
 
 def append_slice_clips(
-    b: NetworkBuilder, bumps: int, columns: np.ndarray, first: np.ndarray, stop: np.ndarray, count: int
+    b: NetworkBuilder, bumps: int, first: np.ndarray, stop: np.ndarray, count: int
 ) -> int:
     """Every slice as one node with a column per slice: ``1 - R(1 - sum of its bumps)``, or 0 without bumps.
 
-    Rectangle i's bump is column ``columns[i]`` of ``bumps`` and belongs to
+    Rectangle i's bump is column i of ``bumps`` and belongs to
     slices ``first[i]..stop[i]-1``. The clip row of a slice has weight -1 on
     its bumps in rectangle order and bias 1; for bumps (ReLU outputs, never
     ``-0.0``) that propagates bit-identically to summing first and clipping
@@ -150,7 +112,7 @@ def append_slice_clips(
     row with no terms and bias 0.
     """
     members: list[list[int]] = [[] for _ in range(count)]  # per slice, its bumps in rectangle order
-    for column, begin, end in zip(columns.tolist(), first.tolist(), stop.tolist()):
+    for column, (begin, end) in enumerate(zip(first.tolist(), stop.tolist())):
         for k in range(begin, end):
             members[k].append(column)
     clip_rows, rows = [], []

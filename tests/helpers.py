@@ -9,11 +9,14 @@ closed form of the min gadget, pointwise slice values and the hat function are
 test oracles: the package propagates through its compiled network program and
 never calls them.
 
-The per-bump gadget chain (``append_local_bump`` and the gadgets under it) and
+The per-bump gadget chain (``append_local_bump`` and the ramps under it) and
 ``reference_build`` are the reference for the layered assembly in
 ``boxcert.gadgets``: they append every bump of every slice one scalar node at a
 time, with dense rows and nothing shared, as the builder did before networks
-were assembled in layers.
+were assembled in layers. The paper's bump, the min of the ramps through a tree
+of four-unit min gadgets (``append_min_bump``), is kept beside it as the
+reference for the min gadget's closed form and for the documents built with it
+(``tests/data``).
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from hypothesis import strategies as st
 
 from boxcert.construct import build_certified_network, delta_sets
 from boxcert.expr import FuncExpr
-from boxcert.gadgets import NMIN2_HIDDEN, NMIN2_OUT
 from boxcert.grids import GridSpec, RectCorners
 from boxcert.intervals import BoxRegion, Interval
 from boxcert.netio import MAGIC
@@ -215,6 +217,10 @@ class HyperRect:
         return len(self.lower)
 
 
+NMIN2_HIDDEN = ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
+NMIN2_OUT = (0.5, -0.5, -0.5, -0.5)
+
+
 def append_nmin2(b: NetworkBuilder, left: int, right: int) -> int:
     """Min of two scalar nodes via the four-unit gadget."""
     hidden = b.relu(b.affine((left, right), NMIN2_HIDDEN, (0.0, 0.0, 0.0, 0.0)))
@@ -237,13 +243,15 @@ def append_clip_above(b: NetworkBuilder, preds: Sequence[int], bound: float) -> 
     return b.affine(inner, [[-1.0]], [float(bound)])
 
 
-def append_local_bump(b: NetworkBuilder, grid: GridSpec, rect: HyperRect, source: Sequence[int]) -> int:
-    """Bump that is 1 on the rect's hull and 0 one grid step beyond it, one scalar node at a time.
+def append_ramp_chain(
+    b: NetworkBuilder, grid: GridSpec, rect: HyperRect, source: Sequence[int], clamped: bool = True
+) -> list[int]:
+    """The rect's 2m ramps ``1 - R(a)``, one scalar node each, in the order ``lo_0, hi_0, lo_1, ...``.
 
     ``source`` lists nodes whose outputs, laid end to end, are the m
-    unit-box coordinates. Each ramp is fused with the first clipping stage,
-    so its affine row computes 1 - ramp directly from integer-exact weights
-    cells[k]*ell and ell*index.
+    unit-box coordinates. Each ramp's affine row ``a`` has integer-exact
+    weight cells[k]*ell and bias ell*index. With ``clamped`` false the first
+    ramp leaves its relu out and is ``1 - a``, which exceeds 1 inside the hull.
     """
     m = grid.dim
     if rect.dim != m:
@@ -262,9 +270,35 @@ def append_local_bump(b: NetworkBuilder, grid: GridSpec, rect: HyperRect, source
             (row_lo, float(grid.ell * rect.lower[k])),
             (row_hi, float(-grid.ell * rect.upper[k])),
         ):
-            inner = b.relu(b.affine(source, [row], [offset]))
+            inner = b.affine(source, [row], [offset])
+            if clamped or ramps:  # only the first ramp may be left unclamped
+                inner = b.relu(inner)
             ramps.append(b.affine(inner, [[-1.0]], [1.0]))
-    return b.relu(append_nmin_tree(b, ramps))
+    return ramps
+
+
+def append_local_bump(
+    b: NetworkBuilder,
+    grid: GridSpec,
+    rect: HyperRect,
+    source: Sequence[int],
+    bias: float | None = None,
+    clamped: bool = True,
+) -> int:
+    """Bump ``R(sum of the 2m ramps + bias)`` of the rect, one scalar node at a time.
+
+    With the default bias ``-(2m - 1)`` it is 1 on the rect's hull and 0 one
+    grid step beyond it; ``bias`` and ``clamped`` (see ``append_ramp_chain``)
+    let tests build broken variants.
+    """
+    ramps = append_ramp_chain(b, grid, rect, source, clamped)
+    bias = 1.0 - len(ramps) if bias is None else bias
+    return b.relu(b.affine(ramps, [[1.0] * len(ramps)], [bias]))
+
+
+def append_min_bump(b: NetworkBuilder, grid: GridSpec, rect: HyperRect, source: Sequence[int]) -> int:
+    """The paper's bump: the min of the rect's 2m ramps through a min-gadget tree, rectified."""
+    return b.relu(append_nmin_tree(b, append_ramp_chain(b, grid, rect, source)))
 
 
 def slice_members(corners: RectCorners, count: int) -> list[list[HyperRect]]:
@@ -284,13 +318,14 @@ def rect_corners(rects: Sequence[HyperRect]) -> RectCorners:
     return RectCorners(lo, hi, np.zeros(len(rects), dtype=np.intp), np.ones(len(rects), dtype=np.intp))
 
 
-def reference_build(f: FuncExpr, delta: float) -> Network:
+def reference_build(f: FuncExpr, delta: float, bump=append_local_bump) -> Network:
     """``build_certified_network``'s network, built one bump gadget chain at a time.
 
     Each slice appends its own unit-box input map (off the unit box), a
     bump per rectangle in sorted order and its clip; an empty slice is a
     zero-weight row over the inputs; one row sums the slices. Nothing is
     shared, every row is dense, and the metadata is the layered build's.
+    ``bump`` appends one bump: ``append_min_bump`` gives the paper's network.
     """
     net, report = build_certified_network(f, delta)
     grid = GridSpec(report.cells_per_unit)
@@ -307,7 +342,7 @@ def reference_build(f: FuncExpr, delta: float) -> Network:
             scales = [1.0 / iv.width if iv.width > 0 else 1.0 for iv in f.domain.bounds]
             rows = [[scales[k] if j == k else 0.0 for j in range(f.dim)] for k in range(f.dim)]
             source = [b.affine(b.input_ids, rows, [-(iv.lo * r) for iv, r in zip(f.domain.bounds, scales)])]
-        outs.append(append_clip_above(b, [append_local_bump(b, grid, rect, source) for rect in rects], 1.0))
+        outs.append(append_clip_above(b, [bump(b, grid, rect, source) for rect in rects], 1.0))
     return b.finish(b.affine(outs, [[spec.half_delta] * len(outs)], [spec.bottom]), net.metadata)
 
 
@@ -381,13 +416,13 @@ def rect_hull(rect: HyperRect, grid: GridSpec) -> BoxRegion:
 
 
 def bump_relu_budget(dim: int) -> int:
-    """Unit-count estimate 1 + 2(2m - 1) + 2m for a bump over an m-dim grid."""
-    return 1 + 2 * (2 * dim - 1) + 2 * dim
+    """Unit count 2m + 1 of a bump over an m-dim grid: one per ramp and one for the sum."""
+    return 2 * dim + 1
 
 
-def build_local_bump(grid: GridSpec, rect: HyperRect) -> Network:
+def build_local_bump(grid: GridSpec, rect: HyperRect, bias: float | None = None, clamped: bool = True) -> Network:
     b = NetworkBuilder(grid.dim)
-    out = append_local_bump(b, grid, rect, b.input_ids)
+    out = append_local_bump(b, grid, rect, b.input_ids, bias, clamped)
     return b.finish(
         out,
         {
@@ -401,16 +436,33 @@ def build_local_bump(grid: GridSpec, rect: HyperRect) -> Network:
 def bump_closed_form(grid: GridSpec, rect: HyperRect, x: Sequence[float]) -> float:
     """Direct evaluation of the bump's piecewise-linear shape.
 
-    Computes the ramps as written, c_k*ell*(x_k - i/c_k) + 1, then clamps the
-    min to [0, 1]; this follows a different float path than the network.
+    Computes the ramps as written, c_k*ell*(x_k - i/c_k) + 1, clamps each at
+    1, and rectifies their sum less 2m - 1; this follows a different float
+    path than the network.
     """
-    smallest = math.inf
+    total = 1.0 - 2 * grid.dim
     for k, c in enumerate(grid.cells):
         steep = c * grid.ell
-        lo_ramp = steep * (x[k] - rect.lower[k] / c) + 1.0
-        hi_ramp = steep * (rect.upper[k] / c - x[k]) + 1.0
-        smallest = min(smallest, lo_ramp, hi_ramp)
-    return max(0.0, min(1.0, smallest))
+        total += min(1.0, steep * (x[k] - rect.lower[k] / c) + 1.0)
+        total += min(1.0, steep * (rect.upper[k] / c - x[k]) + 1.0)
+    return max(0.0, total)
+
+
+def grid_boxes(domain: BoxRegion, cells: Sequence[int]) -> Iterator[BoxRegion]:
+    """Every grid-aligned box of ``domain``, degenerate sides included, then every half-cell-shifted one.
+
+    Axis k has ``cells[k]`` cells. An aligned box's corners are grid points
+    and a shifted box's are cell midpoints, so the shifted boxes cut through
+    cells.
+    """
+    for shift in (0.0, 0.5):
+        axes = []
+        for iv, c in zip(domain.bounds, cells):
+            count = c if shift else c + 1
+            points = [min(iv.hi, iv.lo + iv.width * (i + shift) / c) for i in range(count)]
+            axes.append([(a, b) for i, a in enumerate(points) for b in points[i:]])
+        for pairs in itertools.product(*axes):
+            yield BoxRegion.from_pairs(pairs)
 
 
 def random_box(rng: random.Random, dim: int, lo: float = -3.0, hi: float = 3.0) -> BoxRegion:

@@ -6,6 +6,8 @@ evaluator, before networks were compiled.
 """
 
 import hashlib
+import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,10 @@ from boxcert.construct import BuildBudget, build_certified_network
 from boxcert.expr import parse_func
 from boxcert.intervals import BoxRegion
 from boxcert.network import NetworkBuilder, eval_abstract, eval_abstract_many, eval_concrete, stats
-from boxcert.verify import RunConfig, verify_network
+from boxcert.oracle import certified_box_ranges
+from boxcert.verify import MARGIN_FRACTION, RunConfig, _check, verify_network
 
-from helpers import dyadic, reference_eval_abstract, reference_eval_concrete
+from helpers import dyadic, grid_boxes, reference_eval_abstract, reference_eval_concrete
 
 WEIGHTS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -3.0]),
@@ -141,23 +144,24 @@ def test_overflow_masked_by_a_relu_is_still_rejected():
 
 # (expression, domain, delta, sha256 of the .net document, its (node_count,
 # relu_count), sha256 of the verify report for 200 boxes at seed 1): the three
-# networks the benchmark serves. The reports were recorded before the builder
-# merged bit-identical nodes and have not changed since; the cubic's network
-# and report were re-recorded when it gained the unit-box input map A, whose
-# rounding moves some propagated endpoints in their last digits. The .net
-# hashes were last re-recorded when networks came to be assembled in layers
-# and written as version-3 documents with sparse rows, which propagate
-# bit-identically. The exact counts keep any growth of a served network in view.
+# networks the benchmark serves. The cubic's network and report were
+# re-recorded when it gained the unit-box input map A, whose rounding moves
+# some propagated endpoints in their last digits. Every .net hash and count,
+# and the 2-d report hashes, were last re-recorded when each bump's min tree
+# gave way to one affine row over its ramps, after all three networks held on
+# every grid box (below). The cubic's report kept its bytes: in 1-d the sum of
+# a bump's two ramps propagates like their min on its 200 boxes. The exact
+# counts keep any growth of a served network in view.
 SERVED = (
     ("-x0*x0*x0 + 3*x0", [(-2.0, 2.0)], 0.4,
-     "79d34cdb48ae365345ce3023456736807965dbf2432a21fa890a1336841eff3e", (13, 281),
+     "86064044a843d4ad8f33bfe44bdb61c2837a55efda7047624a8cd22ecf864559", (11, 121),
      "09189e23a62537bdc287ea8ed612aca277f935fdabfc1b1cf936e1c6baeba155"),
     ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.5,
-     "7b438303558027651abe9d1d9cd4eab908f52f44cb88314c143a59e62c9c1fe3", (16, 146),
-     "52a875875bbfca4d442abff82ed17fe1725f702b8a9354b94a810bc620c7565a"),
+     "58895828e663fd01a379b1e0a68fdcde84d71f2b49661e27600838bcdde089ee", (11, 34),
+     "a09f1b80d420a0bc8bc46cc41627a15ae7bcf93b2f05cb52cfa9e683abc4bdac"),
     ("abs(x0 - 0.5)*relu(x1)", [(0.0, 1.0), (0.0, 1.0)], 0.25,
-     "0ac4c149fb43bd962bdd88d0b21aecc321a03f75ebdbfcaf11d68a4e28e54ab8", (16, 222),
-     "b28971d8be07e7c2b96f11745a5a4d9847768da8080f0320d6782b3c7dd283b2"),
+     "7747413b1af4ed592ce5723cbffc6b548beeec2f5b2277bd66013ce633211b40", (11, 50),
+     "a2e3e905077d534e2371fe3098e07ceea8973c750e6dc4646cb52e231b154704"),
 )
 
 
@@ -170,6 +174,24 @@ def test_served_verify_reports_are_pinned(expr, domain, delta, net_sha, counts, 
     assert hashlib.sha256(report.to_document().encode()).hexdigest() == report_sha
     assert hashlib.sha256(netio.serialize(net).encode()).hexdigest() == net_sha
     assert (stats(net)["node_count"], stats(net)["relu_count"]) == counts
+
+
+@pytest.mark.parametrize("expr, domain, delta", [case[:3] for case in SERVED], ids=["cubic", "product", "abs-relu"])
+def test_served_networks_hold_on_every_grid_box(expr, domain, delta):
+    # every grid-aligned and every half-cell-shifted box, 2,000 to a batch
+    f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
+    net, report = build_certified_network(f, delta, BuildBudget())
+    config = RunConfig(boxes=0, seed=0)
+    boxes = grid_boxes(f.domain, report.cells_per_unit)
+    checked = 0
+    while chunk := list(itertools.islice(boxes, 2000)):
+        props = eval_abstract_many(net, chunk)
+        ranges = certified_box_ranges(f, chunk, report.delta / MARGIN_FRACTION)
+        records = [_check(box, bounds, prop, report.delta, config) for box, bounds, prop in zip(chunk, ranges, props)]
+        assert [r.box for r in records if r.failed or r.inconclusive] == []
+        checked += len(chunk)
+    cells = report.cells_per_unit
+    assert checked == math.prod((c + 1) * (c + 2) // 2 for c in cells) + math.prod(c * (c + 1) // 2 for c in cells)
 
 
 def test_mixed_budget_verify_report_is_pinned():

@@ -35,6 +35,7 @@ from boxcert.slicing import SliceSpec, make_slice_spec
 from boxcert.verify import RunConfig, network_domain, verify_network
 from helpers import (
     HyperRect,
+    append_min_bump,
     enumerate_rects,
     iv_subset,
     rect_corners,
@@ -447,24 +448,25 @@ def test_off_unit_domains_are_certified_as_requested(expr, domain, delta, cells)
 
 # sha256 of the .net documents of the benchmark's build cases and of the cubic
 # at delta 0.1, with their exact (node_count, relu_count), so that no network
-# grows unnoticed. They were last re-recorded when networks came to be
-# assembled in layers, one wide node per gadget stage, written as version-3
-# documents with sparse rows: every relu count stayed as it was, and the
-# reference tests at the end of this file check that every propagated endpoint
-# stayed bit-identical to the per-bump gadget chain. The three served cases
-# are pinned in test_compiled.
+# grows unnoticed. They were last re-recorded when each bump's min tree gave
+# way to one affine row over its ramps, R(sum of the 2m ramps - (2m - 1)):
+# every relu count fell, every network reported no failed and no inconclusive
+# box on 1,000-box campaigns at three seeds, and the reference tests at the
+# end of this file check that every propagated endpoint is bit-identical to
+# the per-bump chain of that gadget. The three served cases are pinned in
+# test_compiled.
 PINNED_BUILDS = (
     (CUBIC, [(-2.0, 2.0)], 0.2,
-     "dca7b18beeecbaf95360bf9f0da414eb9364d7bf3c68d86950866d6e6f67f4de", (13, 561)),
+     "d16a10f7f895a023b2f03f3604c3200c9cc54be2036db3915c332b3f35a9e0c2", (11, 241)),
     (CUBIC, [(-2.0, 2.0)], 0.1,
-     "c89df5d96df3e2b73b7a4a45fd2cf9915e8c258ed7e085825a864710dd3d623e", (13, 1121)),
+     "4381fbabdf87f35c8e6c2ff5c15b8ab1ebe4340a0432d7fee4bcb2cc16831133", (11, 481)),
     ("min(x0, x1)", [(0.0, 1.0), (0.0, 1.0)], 0.5,
-     "41d4620130f11964c808dde5142f5eff90ff1ce3af08fa521e83eb40b546958e", (16, 66)),
+     "d63efa49ef227d484033bddd18636697289541091abbfcfe64d6eac1016502bf", (11, 18)),
     ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.25,
-     "8cff9243493f556bc849ba5e4ee7a62fb06899d0f6d5cfeb9a3c690bf10edcf3", (16, 415)),
+     "4fb9aac5f5a994640d15aad8f070c1172f2c2c6bc86bf283b223d1fe532a218d", (11, 91)),
     # M 40, 20 slices, 741,321 candidate rectangles
     ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.1,
-     "e8017607435d72825d8807ede4fefa43483b51fad7b047745dabdccfcc7a7e3d", (16, 1857)),
+     "7c2721115e5fe5c801f5dc05336c7b44bd317469f5482c65f9231d5632b66a59", (11, 389)),
 )
 
 
@@ -477,18 +479,23 @@ def test_build_documents_are_pinned(expr, domain, delta, net_sha, counts):
     assert (stats(net)["node_count"], stats(net)["relu_count"]) == counts
 
 
-@pytest.mark.parametrize("expr, domain, deltas", [
-    ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], (0.5, 0.25, 0.1)),
-    (CUBIC, [(-2.0, 2.0)], (0.4, 0.2)),
-], ids=["product", "cubic"])
-def test_node_count_does_not_grow_with_the_bumps(expr, domain, deltas):
+@pytest.mark.parametrize("expr, domain, deltas, nodes", [
+    ("x0*x0", [(0.0, 1.0)], (0.5, 0.25, 0.1), 10),
+    ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], (0.5, 0.25, 0.1), 11),
+    ("x0*x1*x2", [(0.0, 1.0)] * 3, (0.75, 0.5), 12),
+    (CUBIC, [(-2.0, 2.0)], (0.4, 0.2), 11),  # off the unit box: the input map adds a node
+], ids=["square", "product", "product-3d", "cubic"])
+def test_node_count_does_not_grow_with_the_bumps(expr, domain, deltas, nodes):
+    # m inputs, the ramps' affine, relu and 1 - r nodes, the bumps and their
+    # relu, the clips and their relu, the slices and the final sum
     f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
     reports = [build_certified_network(f, delta)[1] for delta in deltas]
-    assert len({r.node_count for r in reports}) == 1
+    assert [r.node_count for r in reports] == [nodes] * len(deltas)
     assert reports[0].relu_count < reports[-1].relu_count
 
 
-# The min build as a version-1 document, with concat and sum nodes (sha256
+# The min build with the paper's min-tree bumps, as a version-1 document with
+# concat and sum nodes (sha256
 # ff7fc72d2e0a761d69fa1b26a817c80b353d88bf92cf0e05b4858e12a259a1ca), and as the
 # version-2 document the per-bump builder wrote, with dense rows and merged
 # nodes (sha256 c8999ec7da9eed532a94e0ddb01269d7600bf815c0e9ebc2d34c3832260cc8d7).
@@ -497,17 +504,17 @@ MIN_V2 = Path(__file__).parent / "data" / "min-v2.net"
 
 
 @functools.cache
-def min_build_and_old_documents():
+def min_tree_chain_and_old_documents():
     expr, domain, delta, _, _ = PINNED_BUILDS[2]
     f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
-    return build_certified_network(f, delta)[0], load(str(MIN_V1)), load(str(MIN_V2))
+    return reference_build(f, delta, append_min_bump), load(str(MIN_V1)), load(str(MIN_V2))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.floats(-0.25, 1.25), st.floats(-0.25, 1.25), st.floats(0.0, 0.5),
                           st.floats(0.0, 0.5), st.booleans()), min_size=1, max_size=8))
-def test_version_1_document_propagates_like_the_new_build(drawn):
-    net, v1, v2 = min_build_and_old_documents()
+def test_old_documents_propagate_like_the_min_tree_chain(drawn):
+    net, v1, v2 = min_tree_chain_and_old_documents()
     boxes = [BoxRegion.from_pairs([(x, x if point else x + w), (y, y if point else y + h)])
              for x, y, w, h, point in drawn]
 
@@ -552,23 +559,22 @@ def test_build_constructs_one_network(monkeypatch, expr, domain, slices):
 # The three served cases and min(x0, x1), with the sha256 of their networks as
 # the per-bump reference builds them (helpers.reference_build: every bump its own
 # gadget chain, nothing shared, the cubic's unit-box input map A once per slice),
-# written as version-2 documents. These are the documents the builder wrote
-# before it merged bit-identical nodes, after concat and sum nodes were folded
-# into multi-input affine nodes.
+# written as version-2 documents. They were re-recorded when the bump's min
+# tree gave way to one affine row over its ramps.
 UNMERGED_BUILDS = (
     (CUBIC, [(-2.0, 2.0)], 0.4,
-     "2e162309e0b9887254cd7bcd5af455a2044301baf856da993151ccfe8b4b9053"),
+     "37b5df34dd3680524201a697dc5aac0ba30decf970f7d2cf961dbc5ac8d95f16"),
     ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.5,
-     "c752ac772ab2f88ba0302e52976a72f290352ff7c26dd319232f383469673aa1"),
+     "90f032bb2735bb593a645575a7c06f013b1aa1eacc07625609ccf404be8f2a9c"),
     ("abs(x0 - 0.5)*relu(x1)", [(0.0, 1.0), (0.0, 1.0)], 0.25,
-     "7784fa8d3167ed9956961d35f31fa7cb9c68bbcff5522486d6c8af6b8b68ee17"),
+     "0378fad9121fc2feb28a1137960787cc1e15361ab701694b22cea6c4e2a49624"),
     ("min(x0, x1)", [(0.0, 1.0), (0.0, 1.0)], 0.5,
-     "9f3818ef89a880825bfb580bfcf4be07cd28455458d0df5a734783c5b9fe84ad"),
+     "50da1afaa1244eab46aa7bf52dc6f2f096b215c80b13b5fc4685a7eb88c42f48"),
 )
 
 # Every build the layered assembly is checked against the reference on: the
 # six benchmark builds, a 2-d domain off the unit box, and a 3-d build, whose
-# min tree over six ramps is uneven.
+# bump rows sum six ramps.
 REFERENCE_CASES = (
     *(case[:3] for case in UNMERGED_BUILDS),
     (CUBIC, [(-2.0, 2.0)], 0.2),

@@ -1,16 +1,17 @@
 import functools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxcert.gadgets import append_min_tree, append_ramps, append_slice_clips
+from boxcert.gadgets import append_bumps, append_ramps, append_slice_clips
 from boxcert.grids import GridSpec, ramp_steepness
 from boxcert.intervals import BoxRegion, Interval
-from boxcert.network import NetworkBuilder, eval_abstract, eval_concrete, stats
+from boxcert.network import NetworkBuilder, eval_abstract, eval_abstract_many, eval_concrete, stats
 
 from helpers import (
     HyperRect,
@@ -207,7 +208,7 @@ class TestClip:
         b = NetworkBuilder(n)
         chain = b.finish(append_clip_above(b, b.input_ids, 1.0))
         bumps = b.relu(b.sparse_affine(b.input_ids, [[(k, 1.0)] for k in range(n)], [0.0] * n))
-        layered = b.finish(append_slice_clips(b, bumps, np.arange(n), np.zeros(n, int), np.ones(n, int), 1))
+        layered = b.finish(append_slice_clips(b, bumps, np.zeros(n, int), np.ones(n, int), 1))
         want = iv_clip_above(1.0, functools.reduce(iv_add, terms))
         for net in (chain, layered):
             got = propagate1(net, *terms)
@@ -284,11 +285,11 @@ class TestLocalBump:
 
     def test_relu_count_and_budget_formula(self):
         bump1 = build_local_bump(unit_grid(1, 4), HyperRect((1,), (2,)))
-        assert stats(bump1)["relu_count"] == 7
-        assert bump1.metadata["relu_budget_formula"] == str(bump_relu_budget(1)) == "5"
+        assert stats(bump1)["relu_count"] == 3
+        assert bump1.metadata["relu_budget_formula"] == str(bump_relu_budget(1)) == "3"
         bump2 = build_local_bump(unit_grid(2, 4), HyperRect((1, 1), (2, 3)))
-        assert bump2.metadata["relu_budget_formula"] == str(bump_relu_budget(2)) == "11"
-        assert stats(bump2)["relu_count"] == 17
+        assert bump2.metadata["relu_budget_formula"] == str(bump_relu_budget(2)) == "5"
+        assert stats(bump2)["relu_count"] == 5
 
     @pytest.mark.parametrize("dim,cells", [(1, 2), (1, 4), (1, 8), (2, 4)])
     def test_matches_closed_form_pointwise(self, dim, cells):
@@ -317,8 +318,7 @@ class TestLocalBump:
         b = NetworkBuilder(2)
         lo, hi = np.array([r.lower for r in rects]), np.array([r.upper for r in rects])
         ramps, operands = append_ramps(b, b.input_ids, grid, lo, hi)
-        mins, columns = append_min_tree(b, ramps, operands)
-        net = b.finish(b.relu(mins))
+        net = b.finish(append_bumps(b, ramps, operands))
         rows = net.nodes[net.nodes[net.nodes[ramps].preds[0]].preds[0]]  # the ramp node's first affine
         assert len(rows.weights) == 7
         shared = operands[0, 0]
@@ -326,7 +326,7 @@ class TestLocalBump:
         steep = float(grid.cells[0] * grid.ell)
         assert rows.weights[shared] == ((0, -steep),)
         assert rows.bias[shared] == float(grid.ell * 1)
-        for column, rect in zip(columns.tolist(), rects):
+        for column, rect in enumerate(rects):
             check_bump_contract(net, grid, rect, random.Random(3), column)
 
     def test_degenerate_rect_is_a_point_bump(self):
@@ -336,3 +336,93 @@ class TestLocalBump:
         assert eval_concrete(bump, [0.5 + 1 / 16])[0] == 0.0
         out = eval_abstract(bump, BoxRegion.from_pairs([(0.5, 0.5)])).bounds[0]
         assert out == Interval(1, 1)
+
+
+def grid_float(index, cells, up):
+    """The float nearest ``index / cells`` on the side ``up`` (at or above it) or not (at or below it)."""
+    x = index / cells
+    if up and Fraction(x) < Fraction(index, cells):
+        return math.nextafter(x, math.inf)
+    if not up and Fraction(x) > Fraction(index, cells):
+        return math.nextafter(x, -math.inf)
+    return x
+
+
+@st.composite
+def bump_cases(draw):
+    """A grid with 1 to 4 axes, a rectangle on it, and boxes inside its hull, one step beyond it, and anywhere.
+
+    Rectangle sides may be degenerate. Inside boxes may touch the hull's
+    edge, and beyond boxes may end exactly one grid step from it. Box
+    corners snap to the float on the right side of a grid point, so every
+    inside box is inside the exact hull and every beyond box is beyond it.
+    """
+    m = draw(st.integers(1, 4))
+    grid = GridSpec(tuple(draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))))
+    lower, upper = [], []
+    for c in grid.cells:
+        i, j = sorted(draw(st.lists(st.integers(0, c), min_size=2, max_size=2)))
+        if draw(st.booleans()):
+            j = i
+        lower.append(i)
+        upper.append(j)
+    rect = HyperRect(tuple(lower), tuple(upper))
+    hull = [(grid_float(i, c, True), grid_float(j, c, False)) for i, j, c in zip(lower, upper, grid.cells)]
+    anywhere = st.floats(-1.0, 2.0)
+
+    def inside_end(lo, hi):
+        return draw(st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi)))
+
+    inside = []
+    if all(lo <= hi for lo, hi in hull):  # a degenerate side on no float has no box inside
+        for _ in range(draw(st.integers(1, 4))):
+            inside.append(BoxRegion.from_pairs([sorted((inside_end(lo, hi), inside_end(lo, hi))) for lo, hi in hull]))
+    beyond = []
+    for _ in range(draw(st.integers(1, 4))):
+        axis = draw(st.integers(0, m - 1))
+        pairs = [sorted((draw(anywhere), draw(anywhere))) for _ in range(m)]
+        gap, width = draw(st.sampled_from([0.0, 1e-9, 0.25])), draw(st.floats(0.0, 1.0))
+        c = grid.cells[axis]
+        if draw(st.booleans()):
+            end = grid_float(lower[axis] - 1, c, False) - gap
+            pairs[axis] = (end - width, end)
+        else:
+            end = grid_float(upper[axis] + 1, c, True) + gap
+            pairs[axis] = (end, end + width)
+        beyond.append(BoxRegion.from_pairs(pairs))
+    boxes = [BoxRegion.from_pairs([sorted((draw(anywhere), draw(anywhere))) for _ in range(m)])
+             for _ in range(draw(st.integers(1, 4)))]
+    return grid, rect, inside, beyond, boxes
+
+
+def check_bump_properties(net, inside, beyond, boxes):
+    """[1, 1] on every inside box, [0, 0] on every beyond box, and within [0, 1] on every box."""
+    props = [out.bounds[0] for out in eval_abstract_many(net, inside + beyond + boxes)]
+    assert all(out == Interval(1.0, 1.0) for out in props[: len(inside)])
+    assert all(out == Interval(0.0, 0.0) for out in props[len(inside) : len(inside) + len(beyond)])
+    assert all(0.0 <= out.lo <= out.hi <= 1.0 for out in props)
+
+
+class TestBumpProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(bump_cases())
+    def test_sum_of_ramps_has_the_three_properties(self, case):
+        grid, rect, inside, beyond, boxes = case
+        check_bump_properties(build_local_bump(grid, rect), inside, beyond, boxes)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mutation", ["bias", "unclamped-ramp"])
+    def test_mutated_gadgets_break_a_property(self, m, mutation):
+        # bias -(2m-2) makes the bump 2 inside the hull; a ramp left unclamped
+        # exceeds 1 there, and so does the bump
+        grid, rect = unit_grid(m, 4), HyperRect((1,) * m, (2,) * m)
+        hull = BoxRegion.from_pairs([(0.25, 0.5)] * m)
+        beyond = BoxRegion.from_pairs([(0.0, 0.0)] + [(0.25, 0.5)] * (m - 1))
+        anywhere = BoxRegion.from_pairs([(-1.0, 2.0)] * m)
+        check_bump_properties(build_local_bump(grid, rect), [hull], [beyond], [anywhere])
+        if mutation == "bias":
+            broken = build_local_bump(grid, rect, bias=2.0 - 2 * m)
+        else:
+            broken = build_local_bump(grid, rect, clamped=False)
+        with pytest.raises(AssertionError):
+            check_bump_properties(broken, [hull], [beyond], [anywhere])

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 verification failures (or inconclusive boxes),
 2 resource budget exceeded, 3 usage or parse errors.
 
 The candidate-enumeration budget defaults to BOXCERT_BUDGET when that
-environment variable is set; every command flag overrides it.
+environment variable is set; ``build --budget`` overrides it. Either must be
+at least 1.
 """
 
 from __future__ import annotations
@@ -58,14 +59,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _budget_from_env() -> BuildBudget:
+def _budget(flag: int | None) -> BuildBudget:
+    """The build budget with its candidate cap from ``--budget``, else BOXCERT_BUDGET, else the default."""
     raw = os.environ.get("BOXCERT_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return replace(DEFAULT_BUDGET, max_candidates=int(raw))
-    except ValueError as exc:
-        raise _UsageError(f"BOXCERT_BUDGET must be an integer, got {raw!r}") from exc
+    cap = DEFAULT_BUDGET.max_candidates
+    if raw is not None:
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise _UsageError(f"BOXCERT_BUDGET must be an integer, got {raw!r}") from None
+        if cap < 1:
+            raise _UsageError(f"BOXCERT_BUDGET must be at least 1, got {cap}")
+    if flag is not None:
+        if flag < 1:
+            raise _UsageError(f"--budget must be at least 1, got {flag}")
+        cap = flag
+    return replace(DEFAULT_BUDGET, max_candidates=cap)
 
 
 # Parsing leaves no state in the parser, so one parser serves every call.
@@ -128,10 +137,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if not args.delta > 0:
         raise _UsageError("delta must be positive")
     f = parse_func(_expression_text(args), domain.dim, domain)
-    budget = _budget_from_env()
-    if args.budget is not None:
-        budget = replace(budget, max_candidates=args.budget)
-    net, report = build_certified_network(f, args.delta, budget)
+    net, report = build_certified_network(f, args.delta, _budget(args.budget))
     netio.save(net, args.out)
     report_path = args.report or args.out + ".report"
     report.save(report_path)

@@ -274,26 +274,50 @@ def sum_outputs(b: NetworkBuilder, outs: Sequence[int], coefficient: float, bias
     return b.affine(outs, [[coefficient] * width], [bias])
 
 
-def _finalize(
-    b: NetworkBuilder,
-    out: int,
-    f: FuncExpr,
-    requested: float,
-    adjusted: float,
-    spec_count: int,
-    cells: tuple[int, ...],
-    bumps: tuple[int, ...],
-    candidates: int,
-    started: float,
-    levels: tuple[float, ...] = (),
+def build_certified_network(
+    f: FuncExpr, delta: float, budget: BuildBudget = DEFAULT_BUDGET
 ) -> tuple[Network, BuildReport]:
+    """Build a network whose propagated intervals bracket f's range within delta."""
+    started = time.perf_counter()
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+
+    domain = f.domain
+    b = NetworkBuilder(f.dim)
+    # a constant network has one slice, one cell per axis and no bumps
+    count, cells, bumps, candidates, levels = 1, (1,) * f.dim, (0,), 0, ()
+    if f.lipschitz == 0.0:
+        adjusted, out = 0.0, _constant(b, [f.eval([iv.mid for iv in domain.bounds])])
+    else:
+        cmin, cmax = certified_box_range(f, domain, delta / RANGE_MARGIN_FRACTION, budget.max_oracle_samples)
+        spec = make_slice_spec(cmin.value, cmax.value, delta)
+        if spec.delta == 0.0:
+            # flat sampled range but nonzero Lipschitz bound: the constant
+            # network is still within delta because the range margin is far
+            # below delta/2, and that is the honest tolerance to report
+            adjusted, out = delta, _constant(b, [cmin.value])
+        else:
+            adjusted = spec.delta
+            grid = GridSpec(tuple(
+                grid_resolution(f.lipschitz, spec.delta, iv.width, axis) for axis, iv in enumerate(domain.bounds)
+            ))
+            corners = delta_sets(f, grid, spec, budget)
+            bumps = bumps_per_slice(corners, spec.count)
+            if sum(bumps) > budget.max_bumps:
+                raise BuildBudgetError(
+                    f"{sum(bumps)} bumps exceed the budget {budget.max_bumps}; raise delta"
+                )
+            slices = build_slice_network(b, corners, spec.count, grid, domain)
+            out = sum_outputs(b, [slices], spec.half_delta, spec.bottom)
+            count, cells, candidates, levels = spec.count, grid.cells, grid.rect_count(), spec.levels
+
     metadata = {
         "generator": "boxcert-build",
         "expression": f.source,
-        "domain": format_box_text(f.domain, hex_floats=True),
-        "delta_requested": float(requested).hex(),
+        "domain": format_box_text(domain, hex_floats=True),
+        "delta_requested": float(delta).hex(),
         "delta": float(adjusted).hex(),
-        "slices": str(spec_count),
+        "slices": str(count),
         "cells_per_unit": format_cells(cells),
         "lipschitz": float(f.lipschitz).hex(),
         "bumps": ",".join(str(n) for n in bumps),
@@ -304,12 +328,12 @@ def _finalize(
     counts = stats(net)
     report = BuildReport(
         expression=f.source,
-        requested_delta=requested,
+        requested_delta=delta,
         delta=adjusted,
-        slice_count=spec_count,
+        slice_count=count,
         cells_per_unit=cells,
         lipschitz=f.lipschitz,
-        domain=f.domain,
+        domain=domain,
         bumps_per_slice=bumps,
         candidate_rects=candidates,
         relu_count=counts["relu_count"],
@@ -317,55 +341,3 @@ def _finalize(
         build_seconds=time.perf_counter() - started,
     )
     return net, report
-
-
-def build_certified_network(
-    f: FuncExpr, delta: float, budget: BuildBudget = DEFAULT_BUDGET
-) -> tuple[Network, BuildReport]:
-    """Build a network whose propagated intervals bracket f's range within delta."""
-    started = time.perf_counter()
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-
-    domain = f.domain
-    constant_cells = (1,) * f.dim
-    lipschitz = f.lipschitz
-    if lipschitz == 0.0:
-        b = NetworkBuilder(f.dim)
-        out = _constant(b, [f.eval([iv.mid for iv in domain.bounds])])
-        return _finalize(b, out, f, delta, 0.0, 1, constant_cells, (0,), 0, started)
-    cmin, cmax = certified_box_range(f, domain, delta / RANGE_MARGIN_FRACTION, budget.max_oracle_samples)
-    spec = make_slice_spec(cmin.value, cmax.value, delta)
-    if spec.delta == 0.0:
-        # flat sampled range but nonzero Lipschitz bound: the constant
-        # network is still within delta because the range margin is far
-        # below delta/2, and that is the honest tolerance to report
-        b = NetworkBuilder(f.dim)
-        out = _constant(b, [cmin.value])
-        return _finalize(b, out, f, delta, delta, 1, constant_cells, (0,), 0, started)
-
-    grid = GridSpec(tuple(
-        grid_resolution(lipschitz, spec.delta, iv.width, axis) for axis, iv in enumerate(domain.bounds)
-    ))
-    corners = delta_sets(f, grid, spec, budget)
-    bumps = bumps_per_slice(corners, spec.count)
-    if sum(bumps) > budget.max_bumps:
-        raise BuildBudgetError(
-            f"{sum(bumps)} bumps exceed the budget {budget.max_bumps}; raise delta"
-        )
-
-    b = NetworkBuilder(f.dim)
-    slices = build_slice_network(b, corners, spec.count, grid, domain)
-    return _finalize(
-        b,
-        sum_outputs(b, [slices], spec.half_delta, spec.bottom),
-        f,
-        delta,
-        spec.delta,
-        spec.count,
-        grid.cells,
-        bumps,
-        grid.rect_count(),
-        started,
-        levels=spec.levels,
-    )

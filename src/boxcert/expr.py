@@ -11,9 +11,9 @@ binary ``+``/``-``)::
 
 Numbers are decimal (``1.5``, ``2e-3``) or hex floats (``0x1.8p0``). There is
 no division and no transcendental function, which keeps the derivative-based
-Lipschitz analysis total: every node's partial derivative is enclosed by
-interval evaluation, with min/max/abs/relu bounded by the hull of the feasible
-branch derivatives.
+Lipschitz analysis total: ``enclose`` walks the expression once and returns
+interval enclosures of its value and of every partial derivative over a box,
+with min/max/abs/relu bounded by the hull of the feasible branch derivatives.
 """
 
 from __future__ import annotations
@@ -276,116 +276,81 @@ def _render(e: Expr, min_level: int) -> str:
     return f"({text})" if level < min_level else text
 
 
+_ZERO, _ONE = Interval.point(0.0), Interval.point(1.0)
+
+
 def _hull(a: Interval, b: Interval) -> Interval:
     return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
 
 
-def _mul_iv(a: Interval, b: Interval) -> Interval:
+def _add(a: Interval, b: Interval) -> Interval:
+    return Interval(a.lo + b.lo, a.hi + b.hi)
+
+
+def _sub(a: Interval, b: Interval) -> Interval:
+    return Interval(a.lo - b.hi, a.hi - b.lo)
+
+
+def _neg(a: Interval) -> Interval:
+    return Interval(-a.hi, -a.lo)
+
+
+def _mul(a: Interval, b: Interval) -> Interval:
     products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
     return Interval(min(products), max(products))
 
 
-def interval_eval(e: Expr, bounds: Sequence[Interval]) -> Interval:
-    """Sound interval enclosure of the expression's range over a box."""
-    if isinstance(e, Const):
-        return Interval.point(e.value)
-    if isinstance(e, Var):
-        return bounds[e.index]
-    if isinstance(e, Add):
-        a, b = interval_eval(e.left, bounds), interval_eval(e.right, bounds)
-        return Interval(a.lo + b.lo, a.hi + b.hi)
-    if isinstance(e, Sub):
-        a, b = interval_eval(e.left, bounds), interval_eval(e.right, bounds)
-        return Interval(a.lo - b.hi, a.hi - b.lo)
-    if isinstance(e, Mul):
-        return _mul_iv(interval_eval(e.left, bounds), interval_eval(e.right, bounds))
-    if isinstance(e, Neg):
-        a = interval_eval(e.arg, bounds)
-        return Interval(-a.hi, -a.lo)
-    if isinstance(e, Min):
-        a, b = interval_eval(e.left, bounds), interval_eval(e.right, bounds)
-        return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
-    if isinstance(e, Max):
-        a, b = interval_eval(e.left, bounds), interval_eval(e.right, bounds)
-        return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
-    if isinstance(e, Relu):
-        a = interval_eval(e.arg, bounds)
-        return Interval(max(0.0, a.lo), max(0.0, a.hi))
-    if isinstance(e, Abs):
-        a = interval_eval(e.arg, bounds)
-        if a.lo >= 0:
-            return a
-        if a.hi <= 0:
-            return Interval(-a.hi, -a.lo)
-        return Interval(0.0, max(-a.lo, a.hi))
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+def enclose(e: Expr, bounds: Sequence[Interval]) -> tuple[Interval, tuple[Interval, ...]]:
+    """Forward-mode interval enclosures of the value and of each d/dx_k over a box, in one pass.
 
-
-def _value_and_partial(e: Expr, k: int, bounds: Sequence[Interval]) -> tuple[Interval, Interval]:
-    """Forward-mode interval enclosures of (value, d/dx_k) over a box."""
-    zero = Interval.point(0.0)
+    At a min, max, relu or abs the value enclosures decide once, for every
+    axis, which branches can be active; the partial is the active branch's,
+    or the hull of the feasible ones.
+    """
     if isinstance(e, Const):
-        return Interval.point(e.value), zero
+        return Interval.point(e.value), (_ZERO,) * len(bounds)
     if isinstance(e, Var):
-        return bounds[e.index], Interval.point(1.0) if e.index == k else zero
-    if isinstance(e, Add):
-        va, da = _value_and_partial(e.left, k, bounds)
-        vb, db = _value_and_partial(e.right, k, bounds)
-        return Interval(va.lo + vb.lo, va.hi + vb.hi), Interval(da.lo + db.lo, da.hi + db.hi)
-    if isinstance(e, Sub):
-        va, da = _value_and_partial(e.left, k, bounds)
-        vb, db = _value_and_partial(e.right, k, bounds)
-        return Interval(va.lo - vb.hi, va.hi - vb.lo), Interval(da.lo - db.hi, da.hi - db.lo)
+        return bounds[e.index], tuple([_ONE if k == e.index else _ZERO for k in range(len(bounds))])
     if isinstance(e, Neg):
-        va, da = _value_and_partial(e.arg, k, bounds)
-        return Interval(-va.hi, -va.lo), Interval(-da.hi, -da.lo)
-    if isinstance(e, Mul):
-        va, da = _value_and_partial(e.left, k, bounds)
-        vb, db = _value_and_partial(e.right, k, bounds)
-        t1, t2 = _mul_iv(va, db), _mul_iv(da, vb)
-        return _mul_iv(va, vb), Interval(t1.lo + t2.lo, t1.hi + t2.hi)
-    if isinstance(e, (Min, Max)):
-        va, da = _value_and_partial(e.left, k, bounds)
-        vb, db = _value_and_partial(e.right, k, bounds)
-        lo = min(va.lo, vb.lo) if isinstance(e, Min) else max(va.lo, vb.lo)
-        hi = min(va.hi, vb.hi) if isinstance(e, Min) else max(va.hi, vb.hi)
-        # keep only the branch derivatives that can actually be active
-        if va.hi <= vb.lo:
-            d = da if isinstance(e, Min) else db
-        elif vb.hi <= va.lo:
-            d = db if isinstance(e, Min) else da
-        else:
-            d = _hull(da, db)
-        return Interval(lo, hi), d
+        va, da = enclose(e.arg, bounds)
+        return _neg(va), tuple(map(_neg, da))
     if isinstance(e, Relu):
-        va, da = _value_and_partial(e.arg, k, bounds)
+        va, da = enclose(e.arg, bounds)
         value = Interval(max(0.0, va.lo), max(0.0, va.hi))
         if va.lo >= 0:
             return value, da
         if va.hi <= 0:
-            return value, zero
-        return value, _hull(da, zero)
+            return value, (_ZERO,) * len(bounds)
+        return value, tuple([_hull(d, _ZERO) for d in da])
     if isinstance(e, Abs):
-        va, da = _value_and_partial(e.arg, k, bounds)
-        value = interval_eval(e, bounds)
+        va, da = enclose(e.arg, bounds)
         if va.lo >= 0:
-            return value, da
+            return va, da
         if va.hi <= 0:
-            return value, Interval(-da.hi, -da.lo)
-        return value, _hull(da, Interval(-da.hi, -da.lo))
-    raise TypeError(f"unknown expression node {type(e).__name__}")
-
-
-def partial_bound(e: Expr, k: int, bounds: Sequence[Interval]) -> Interval:
-    """Interval enclosing d/dx_k over the box (hull of branch derivatives at kinks)."""
-    return _value_and_partial(e, k, bounds)[1]
+            return _neg(va), tuple(map(_neg, da))
+        return Interval(0.0, max(-va.lo, va.hi)), tuple([_hull(d, _neg(d)) for d in da])
+    if not isinstance(e, (Add, Sub, Mul, Min, Max)):
+        raise TypeError(f"unknown expression node {type(e).__name__}")
+    va, da = enclose(e.left, bounds)
+    vb, db = enclose(e.right, bounds)
+    if isinstance(e, Add):
+        return _add(va, vb), tuple(map(_add, da, db))
+    if isinstance(e, Sub):
+        return _sub(va, vb), tuple(map(_sub, da, db))
+    if isinstance(e, Mul):
+        return _mul(va, vb), tuple([_add(_mul(va, b), _mul(a, vb)) for a, b in zip(da, db)])
+    pick = min if isinstance(e, Min) else max
+    value = Interval(pick(va.lo, vb.lo), pick(va.hi, vb.hi))
+    if va.hi <= vb.lo or vb.hi <= va.lo:
+        # one branch is active on the whole box: the lower one for min, the higher one for max
+        return value, da if (va.hi <= vb.lo) == isinstance(e, Min) else db
+    return value, tuple(map(_hull, da, db))
 
 
 def lipschitz_bound_expr(e: Expr, bounds: Sequence[Interval]) -> float:
     """Certified sup-norm Lipschitz bound: sum over coordinates of sup |partial|."""
     total = 0.0
-    for k in range(len(bounds)):
-        d = partial_bound(e, k, bounds)
+    for d in enclose(e, bounds)[1]:
         total += max(abs(d.lo), abs(d.hi))
     return total
 

@@ -22,14 +22,10 @@ reader also accepts decimal literals. Node ids in a document are arbitrary
 integers, but the line order must be topological; the loader reports cycles
 and forward references separately, each with the node id.
 
-Versions 1 and 2 still load. Their affine lines carry ``<preds> <rows> <cols>``
+Version 2 still loads. Its affine lines carry ``<preds> <rows> <cols>``
 followed by ``rows`` bias entries and ``rows*cols`` row-major weights, read as
-dense rows. Version 1 also has ``sum`` and ``concat`` nodes, which are
-rewritten: a concat is spliced into the predecessor lists of the affine nodes
-that read it, and one read by a relu or named as the output becomes an
-identity affine node; a sum becomes an affine node with one identity block per
-operand. Values are unchanged, except that a ``-0.0`` endpoint of a sum or of
-an output concat can load as ``+0.0``: an affine row starts from ``+0.0``.
+dense rows. Version 1, whose ``sum`` and ``concat`` nodes were folded into
+affine nodes, is no longer read.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ import math
 from itertools import chain
 
 from .intervals import BoxRegion
-from .network import Network, Node, sparse_affine_node
+from .network import Network, Node
 
 MAGIC = "boxcert-net"
 VERSION = 3
@@ -134,14 +130,6 @@ def _parse_node(node_id: int, kind: str, rest: list[str], version: int) -> tuple
         if len(rest) != 1:
             raise NetworkFormatError(f"{where}: relu takes one predecessor")
         return "relu", (int(rest[0]),), -1, (), ()
-    if kind == "sum" and version == 1:
-        if len(rest) < 2:
-            raise NetworkFormatError(f"{where}: sum needs at least two predecessors")
-        return "sum", tuple([int(t) for t in rest]), -1, (), ()
-    if kind == "concat" and version == 1:
-        if not rest:
-            raise NetworkFormatError(f"{where}: concat needs at least one predecessor")
-        return "concat", tuple([int(t) for t in rest]), -1, (), ()
     raise NetworkFormatError(f"{where}: unknown node kind {kind!r}")
 
 
@@ -163,7 +151,7 @@ def deserialize(text: str) -> Network:
     head = lines[0].split()
     if len(head) != 2 or head[0] != MAGIC:
         raise NetworkFormatError(f"missing magic line, expected '{MAGIC} <version>'")
-    if head[1] not in ("1", "2", str(VERSION)):
+    if head[1] not in ("2", str(VERSION)):
         raise NetworkFormatError(f"unsupported schema version {head[1]}")
     version = int(head[1])
 
@@ -221,53 +209,9 @@ def deserialize(text: str) -> Network:
         _reject_order(preds_of, position)
     output = position[output_id]
     try:
-        if version == 1:
-            nodes, output = _from_v1(nodes, output)
         return Network(tuple(nodes), output, input_dim, metadata)
     except ValueError as exc:
         raise NetworkFormatError(f"invalid network document: {exc}") from exc
-
-
-def _identity_blocks(preds: tuple[int, ...], width: int, count: int) -> Node:
-    """An affine node adding ``count`` operands ``width`` wide, read end to end; one is a copy."""
-    rows = [[(j, 1.0) for j in range(r, width * count, width)] for r in range(width)]
-    return sparse_affine_node(preds, rows, [0.0] * width)
-
-
-def _from_v1(old: list[Node], output: int) -> tuple[list[Node], int]:
-    """A version-1 node list and output position, rewritten into the three node kinds."""
-    nodes: list[Node] = []
-    parts: list[tuple[int, ...]] = []  # per old node: the new nodes holding its output, end to end
-    widths: list[int] = []  # per old node
-    copies: dict[int, int] = {}  # old concat -> its identity node
-
-    def single(i: int) -> int:
-        """Old node ``i`` as one new node; a concat of several gets an identity node."""
-        if len(parts[i]) > 1 and i not in copies:
-            nodes.append(_identity_blocks(parts[i], widths[i], 1))
-            copies[i] = len(nodes) - 1
-        return copies.get(i, parts[i][0])
-
-    for i, node in enumerate(old):
-        spliced = tuple([q for p in node.preds for q in parts[p]])
-        if node.kind == "concat":
-            parts.append(spliced)
-            widths.append(sum(widths[p] for p in node.preds))
-            continue
-        width = widths[node.preds[0]] if node.preds else 1
-        if node.kind == "relu":
-            node = Node("relu", (single(node.preds[0]),))
-        elif node.kind == "affine":
-            node, width = Node("affine", spliced, -1, node.weights, node.bias), len(node.weights)
-        elif node.kind == "sum":
-            found = sorted({widths[p] for p in node.preds})
-            if len(found) != 1:
-                raise NetworkFormatError(f"node {i}: sum predecessors disagree on arity: {found}")
-            node = _identity_blocks(spliced, width, len(node.preds))
-        nodes.append(node)
-        parts.append((len(nodes) - 1,))
-        widths.append(width)
-    return nodes, single(output)
 
 
 def _reject_order(preds_of: dict[int, tuple[int, ...]], position: dict[int, int]) -> None:

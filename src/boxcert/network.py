@@ -47,9 +47,6 @@ import numpy as np
 
 from .intervals import BoxRegion, Interval
 
-KINDS = ("input", "affine", "relu")
-
-
 @dataclass(frozen=True, slots=True)
 class Node:
     """One DAG node. ``preds`` are positions of earlier nodes in the network."""

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import FuncExpr
-from .intervals import BoxRegion, Interval
+from .intervals import BoxRegion
 
 DEFAULT_SAMPLE_BUDGET = 4_000_000
 
@@ -50,10 +50,6 @@ class CertifiedBound:
     value: float
     margin: float
     at: tuple[float, ...]
-
-    @property
-    def interval(self) -> Interval:
-        return Interval(self.lo, self.hi)
 
     @property
     def lo(self) -> float:

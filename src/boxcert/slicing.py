@@ -36,10 +36,6 @@ class SliceSpec:
     def bottom(self) -> float:
         return self.levels[0]
 
-    @property
-    def top(self) -> float:
-        return self.levels[-1]
-
 
 def make_slice_spec(xi_min: float, xi_max: float, delta: float) -> SliceSpec:
     """Pick the slice count so each slab is exactly half the adjusted tolerance.

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from boxcert.expr import (
     FuncExpr,
     ParseError,
+    enclose,
     eval_expr_many,
-    interval_eval,
     parse_expr,
     parse_func,
-    partial_bound,
     to_source,
 )
 from boxcert.intervals import BoxRegion, Interval
@@ -122,7 +121,7 @@ class TestIntervalEval:
     def test_encloses_samples(self):
         f = parse_expr("x0*x1 - abs(x0) + min(x0, x1)", 2)
         box = [Interval(-1.5, 2.0), Interval(-0.5, 1.0)]
-        out = interval_eval(f, box)
+        out, _ = enclose(f, box)
         rng = random.Random(8)
         pts = np.array([[rng.uniform(-1.5, 2.0), rng.uniform(-0.5, 1.0)] for _ in range(500)])
         values = eval_expr_many(f, pts)
@@ -153,8 +152,28 @@ class TestLipschitz:
     def test_decided_branch_tightens(self):
         # on this domain x0 <= 1 <= x1 always, so min picks x0 and d/dx1 = 0
         f = parse_func("min(x0, x1)", 2, BoxRegion.from_pairs([(0, 1), (1, 2)]))
-        assert partial_bound(f.expr, 1, f.domain.bounds) == Interval(0, 0)
+        assert enclose(f.expr, f.domain.bounds)[1][1] == Interval(0, 0)
         assert f.lipschitz == 1.0
+
+    # f's Lipschitz bound and the partial enclosures it sums, exactly: the
+    # grids, documents and reports of every build are sized from them
+    PINNED = [
+        ("-x0*x0*x0 + 3*x0", [(-2, 2)], 15.0, [(-9, 15)]),
+        ("x0*x1*x2", [(0, 1)] * 3, 3.0, [(0, 1)] * 3),
+        ("abs(x0 - 0.5)*relu(x1)", [(0, 1)] * 2, 1.5, [(-1, 1), (0, 0.5)]),
+        ("min(x0*x0, 2 - x0)", [(-2, 2)], 4.0, [(-4, 4)]),
+        ("max(x0, 0.5)*min(x0, -0.25)", [(-2, 2)], 2.0, [(-2, 2)]),
+        ("x0*x0*x0 - 2*x1*x0", [(-1, 1), (0, 1)], 7.0, [(-5, 3), (-2, 2)]),
+        ("relu(x0 - x1)*abs(x1 + 0.25)", [(-1, 1)] * 2, 4.5, [(0, 1.25), (-3.25, 2)]),
+        ("min(x0, x1)", [(0, 1), (1, 2)], 1.0, [(1, 1), (0, 0)]),
+    ]
+
+    @pytest.mark.parametrize("src, domain, lipschitz, partials", PINNED, ids=[p[0] for p in PINNED])
+    def test_pinned_bounds_and_partials(self, src, domain, lipschitz, partials):
+        f = parse_func(src, len(domain), BoxRegion.from_pairs(domain))
+        _, got = enclose(f.expr, f.domain.bounds)
+        assert f.lipschitz == lipschitz
+        assert got == tuple(Interval(lo, hi) for lo, hi in partials)
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -55,7 +56,7 @@ def test_weights_are_hex_floats():
 
 def test_decimal_weights_accepted():
     text = (
-        f"{MAGIC} 1\n"
+        f"{MAGIC} 2\n"
         "input_dim 1\n"
         "output 1\n"
         "node 0 input 0\n"
@@ -79,7 +80,7 @@ def test_unsupported_version():
 
 
 def test_empty_document_has_no_output_node():
-    text = f"{MAGIC} 1\ninput_dim 1\n"
+    text = f"{MAGIC} 2\ninput_dim 1\n"
     with pytest.raises(NetworkFormatError, match="no output node"):
         deserialize(text)
 
@@ -95,14 +96,14 @@ def test_empty_document_has_no_output_node():
     ],
 )
 def test_directive_needs_one_integer(header, message):
-    text = f"{MAGIC} 1\n{header}\nnode 0 input 0\n"
+    text = f"{MAGIC} 2\n{header}\nnode 0 input 0\n"
     with pytest.raises(NetworkFormatError, match=message):
         deserialize(text)
 
 
 def test_propagate_rejects_directive_without_value(tmp_path, capsys):
     path = tmp_path / "bad.net"
-    path.write_text(f"{MAGIC} 1\ninput_dim 1\noutput\nnode 0 input 0\n", encoding="utf-8")
+    path.write_text(f"{MAGIC} 2\ninput_dim 1\noutput\nnode 0 input 0\n", encoding="utf-8")
     assert main(["propagate", "--net", str(path), "--box", "0,1"]) == EXIT_USAGE
     assert "output takes exactly one value" in capsys.readouterr().err
 
@@ -113,20 +114,19 @@ def test_propagate_rejects_directive_without_value(tmp_path, capsys):
         ("node x input 0", "'x'"),
         ("node 1 input i", "'i'"),
         ("node 1 relu a", "'a'"),
-        ("node 1 sum 0 b", "'b'"),
         ("node 1 affine 0 r 1 0.0 1.0", "'r'"),
         ("node 1 affine 0 1 c 0.0 1.0", "'c'"),
     ],
 )
 def test_non_integer_in_node_line(line, token):
-    text = f"{MAGIC} 1\ninput_dim 1\noutput 0\nnode 0 input 0\n{line}\n"
+    text = f"{MAGIC} 2\ninput_dim 1\noutput 0\nnode 0 input 0\n{line}\n"
     with pytest.raises(NetworkFormatError, match=f"malformed node line {line!r}: .*{token}"):
         deserialize(text)
 
 
 def test_cycle_detected():
     text = (
-        f"{MAGIC} 1\n"
+        f"{MAGIC} 2\n"
         "input_dim 1\n"
         "output 2\n"
         "node 0 input 0\n"
@@ -139,7 +139,7 @@ def test_cycle_detected():
 
 def test_forward_reference_without_cycle():
     text = (
-        f"{MAGIC} 1\n"
+        f"{MAGIC} 2\n"
         "input_dim 1\n"
         "output 2\n"
         "node 0 input 0\n"
@@ -151,14 +151,14 @@ def test_forward_reference_without_cycle():
 
 
 def test_undefined_predecessor():
-    text = f"{MAGIC} 1\ninput_dim 1\noutput 1\nnode 0 input 0\nnode 1 relu 9\n"
+    text = f"{MAGIC} 2\ninput_dim 1\noutput 1\nnode 0 input 0\nnode 1 relu 9\n"
     with pytest.raises(NetworkFormatError, match="node 1 references undefined node 9"):
         deserialize(text)
 
 
 def test_undefined_predecessor_reported_before_forward_reference():
     text = (
-        f"{MAGIC} 1\n"
+        f"{MAGIC} 2\n"
         "input_dim 1\n"
         "output 2\n"
         "node 0 input 0\n"
@@ -170,26 +170,26 @@ def test_undefined_predecessor_reported_before_forward_reference():
 
 
 def test_duplicate_node_id():
-    text = f"{MAGIC} 1\ninput_dim 1\noutput 0\nnode 0 input 0\nnode 0 relu 0\n"
+    text = f"{MAGIC} 2\ninput_dim 1\noutput 0\nnode 0 input 0\nnode 0 relu 0\n"
     with pytest.raises(NetworkFormatError, match="duplicate node id 0"):
         deserialize(text)
 
 
 def test_unknown_kind():
-    text = f"{MAGIC} 1\ninput_dim 1\noutput 1\nnode 0 input 0\nnode 1 conv 0\n"
+    text = f"{MAGIC} 2\ninput_dim 1\noutput 1\nnode 0 input 0\nnode 1 conv 0\n"
     with pytest.raises(NetworkFormatError, match="unknown node kind"):
         deserialize(text)
 
 
 def test_affine_value_count_mismatch():
-    text = f"{MAGIC} 1\ninput_dim 1\noutput 1\nnode 0 input 0\nnode 1 affine 0 1 1 0.0\n"
+    text = f"{MAGIC} 2\ninput_dim 1\noutput 1\nnode 0 input 0\nnode 1 affine 0 1 1 0.0\n"
     with pytest.raises(NetworkFormatError, match="expects 2 numbers"):
         deserialize(text)
 
 
 def test_arity_violation_reported_with_node_id():
     text = (
-        f"{MAGIC} 1\n"
+        f"{MAGIC} 2\n"
         "input_dim 1\n"
         "output 1\n"
         "node 0 input 0\n"
@@ -200,7 +200,7 @@ def test_arity_violation_reported_with_node_id():
 
 
 def test_non_finite_weight_rejected():
-    text = f"{MAGIC} 1\ninput_dim 1\noutput 1\nnode 0 input 0\nnode 1 affine 0 1 1 0.0 inf\n"
+    text = f"{MAGIC} 2\ninput_dim 1\noutput 1\nnode 0 input 0\nnode 1 affine 0 1 1 0.0 inf\n"
     with pytest.raises(NetworkFormatError, match="non-finite"):
         deserialize(text)
 
@@ -261,41 +261,11 @@ def test_version_2_has_no_sum_or_concat(line):
         deserialize(text)
 
 
-# A version-1 document with a concat read by a relu (node 4), a sum over a
-# concat (node 5), an affine node reading a concat (node 6), a concat as the
-# output (node 17), and node ids that are not positions.
-V1_DOC = f"""{MAGIC} 1
-input_dim 2
-output 17
-node 0 input 0
-node 1 input 1
-node 12 affine 0 1 1 -0.5 1.0
-node 3 concat 12 1
-node 4 relu 3
-node 5 sum 3 4
-node 6 affine 3 1 2 0.25 2.0 -1.0
-node 17 concat 5 6 1
-"""
-
-# Each box's propagated output as version-1 networks with sum and concat
-# nodes computed it. The one difference on loading: the output concat passed
-# x1 = -0.0 through as -0.0, and its identity affine node gives +0.0.
-V1_EXPECTED = (
-    ([(0.0, 1.0), (-1.0, 1.0)], [(-0.5, 1.0), (-1.0, 2.0), (-1.75, 2.25), (-1.0, 1.0)]),
-    ([(0.25, 0.75), (0.5, 0.5)], [(-0.25, 0.5), (1.0, 1.0), (-0.75, 0.25), (0.5, 0.5)]),
-    ([(0.5, 0.5), (-0.0, -0.0)], [(0.0, 0.0), (0.0, 0.0), (0.25, 0.25), (0.0, 0.0)]),  # was (-0.0, -0.0)
-    ([(-2.0, -1.0), (-3.0, 0.125)], [(-2.5, -1.5), (-3.0, 0.25), (-4.875, 0.25), (-3.0, 0.125)]),
-)
+MIN_V1 = Path(__file__).parent / "data" / "min-v1.net"
 
 
-def test_version_1_sum_and_concat_become_affine_nodes():
-    net = deserialize(V1_DOC)
-    # the concat read by the relu and the output concat each get an identity node
-    assert [n.kind for n in net.nodes] == ["input", "input", "affine", "affine", "relu", "affine", "affine", "affine"]
-    assert net.nodes[5].preds == (2, 1, 4)  # the sum reads (x0 - 0.5, x1) and the relu, end to end
-    assert net.nodes[6].preds == (2, 1)
-    boxes = [BoxRegion.from_pairs(pairs) for pairs, _ in V1_EXPECTED]
-    for out, (_, want) in zip(eval_abstract_many(net, boxes), V1_EXPECTED):
-        assert [(iv.lo.hex(), iv.hi.hex()) for iv in out.bounds] == [(lo.hex(), hi.hex()) for lo, hi in want]
-    again = deserialize(serialize(net))
-    assert again.nodes == net.nodes and serialize(again) == serialize(net)
+def test_version_1_is_rejected(capsys):
+    with pytest.raises(NetworkFormatError, match="unsupported schema version 1"):
+        load(str(MIN_V1))
+    assert main(["propagate", "--net", str(MIN_V1), "--box", "0,1;0,1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: unsupported schema version 1\n"

@@ -6,7 +6,7 @@ from boxcert.fixtures import fig2_n1, fig2_n2
 from boxcert.intervals import BoxRegion, Interval
 from boxcert.construct import build_certified_network, sum_outputs
 from boxcert.expr import parse_func
-from boxcert.netio import NetworkFormatError, deserialize, serialize
+from boxcert.netio import serialize
 from boxcert.network import (
     Network,
     NetworkBuilder,
@@ -57,15 +57,6 @@ class TestValidation:
         nodes = (input_node(0), sparse_affine_node(0, [[(0, 1.0)], [(-1, 2.0)]], [0.0, 0.0]))
         with pytest.raises(ValueError, match="node 1: term column -1 out of range"):
             Network(nodes, 1, 1)
-
-    def test_sum_arity_mismatch(self):
-        # Only version-1 documents still have sum nodes; their reader checks the widths.
-        text = (
-            "boxcert-net 1\ninput_dim 1\noutput 2\nnode 0 input 0\n"
-            "node 1 affine 0 2 1 0 0 1 2\nnode 2 sum 0 1\n"
-        )
-        with pytest.raises(NetworkFormatError, match=r"node 2: sum predecessors disagree on arity: \[1, 2\]"):
-            deserialize(text)
 
     def test_multi_input_affine_reads_its_predecessors_end_to_end(self):
         b = NetworkBuilder(1)

@@ -323,6 +323,27 @@ class TestCli:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_non_positive_budget_flag_is_a_usage_error(self, tmp_path, capsys, budget):
+        code = main(
+            ["build", "--expr", CUBIC, "--domain", "-2,2", "--delta", "1.6",
+             "--out", str(tmp_path / "x.net"), "--budget", budget]
+        )
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --budget must be at least 1, got {budget}\n"
+        assert not (tmp_path / "x.net").exists()
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_non_positive_budget_env_var_is_a_usage_error(self, tmp_path, monkeypatch, capsys, budget):
+        monkeypatch.setenv("BOXCERT_BUDGET", budget)
+        code = main(
+            ["build", "--expr", CUBIC, "--domain", "-2,2", "--delta", "1.6",
+             "--out", str(tmp_path / "x.net")]
+        )
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: BOXCERT_BUDGET must be at least 1, got {budget}\n"
+        assert not (tmp_path / "x.net").exists()
+
     def test_missing_subcommand_usage(self):
         assert main([]) == 3
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import os
 import re
 import sys
 from dataclasses import replace
+
+import numpy as np
 
 from . import netio
 from .construct import (
@@ -28,9 +29,8 @@ from .construct import (
 )
 from .expr import ParseError, parse_func
 from .fixtures import FIXTURES
-from .intervals import BoxRegion
 from .netio import NetworkFormatError, parse_box_text
-from .network import eval_abstract, eval_abstract_many
+from .network import eval_abstract
 from .oracle import OracleBudgetError
 from .verify import RunConfig, network_domain, verify_network
 
@@ -38,12 +38,6 @@ EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
-
-# Cells per batched propagation in plot-data. With their sample points that
-# is 2,048 boxes, a 32 MB buffer on a 1,000-column network; all 201 x 201
-# cells at once would take 630 MB.
-PLOT_CHUNK = 1024
-
 
 class _UsageError(Exception):
     pass
@@ -191,29 +185,24 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
         domain = network_domain(net)
     f = parse_func(_expression_text(args), domain.dim, domain)
 
-    axes = []
-    for b in domain.bounds:
-        step = (b.hi - b.lo) / (args.samples - 1)
-        axes.append([b.lo + i * step for i in range(args.samples)])
     # Each sample point is the lower corner of its cell; the last cell on an axis is a point.
-    cells = [list(zip(xs, xs[1:] + xs[-1:])) for xs in axes]
-    points = list(itertools.product(*axes))
-    boxes = list(itertools.product(*cells))
+    with np.errstate(invalid="ignore"):  # an infinite step makes NaN points, which the program rejects
+        axes = [b.lo + np.arange(args.samples) * ((b.hi - b.lo) / (args.samples - 1)) for b in domain.bounds]
+    points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    uppers = np.stack(
+        [g.ravel() for g in np.meshgrid(*[np.append(xs[1:], xs[-1]) for xs in axes], indexing="ij")], axis=1
+    )
+    cell_lo, cell_hi = net.program.run(points, uppers)
+    values, _ = net.program.run(points, points)
+    f_values = f.eval_many(points)
 
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(",".join(f"x{k}" for k in range(domain.dim)) + ",f,n,box_lo,box_hi\n")
-        for at in range(0, len(points), PLOT_CHUNK):
-            chunk = points[at : at + PLOT_CHUNK]
-            props = eval_abstract_many(
-                net,
-                [BoxRegion.from_pairs(cell) for cell in boxes[at : at + PLOT_CHUNK]]
-                + [BoxRegion.point(x) for x in chunk],
-            )
-            f_values = f.eval_many(chunk).tolist()
-            for x, f_x, prop, value in zip(chunk, f_values, props, props[len(chunk) :]):
-                coords = ",".join(repr(v) for v in x)
-                lo, hi = prop.bounds[0].lo, prop.bounds[0].hi
-                fh.write(f"{coords},{f_x!r},{value.bounds[0].lo!r},{lo!r},{hi!r}\n")
+        for x, f_x, value, lo, hi in zip(
+            points.tolist(), f_values.tolist(), values[:, 0].tolist(), cell_lo[:, 0].tolist(), cell_hi[:, 0].tolist()
+        ):
+            coords = ",".join(repr(v) for v in x)
+            fh.write(f"{coords},{f_x!r},{value!r},{lo!r},{hi!r}\n")
     print(f"wrote plot data to {args.out}")
     return EXIT_OK
 

@@ -10,17 +10,20 @@ certificate exact whenever an extremum sits on the boundary.
 lattice goes into one point array, box by box, which is evaluated with one
 ``FuncExpr.eval_many`` call and reduced per box. A pass holds at most
 ``budget`` samples, the most one box may use, so a long campaign is split into
-several passes; a box that alone needs more gets no certificate.
-``certified_box_range`` is the one-box case. Each axis of a box's lattice
-holds the values ``np.linspace`` gives, so the points, the extrema and their
-first-occurrence positions do not depend on which boxes share a pass.
+several passes and its peak memory is set by the budget, not by the box
+count; a box that alone needs more gets no certificate. The boxes come in as
+``lo``/``hi`` arrays and the extrema go out as columns (``BoxRanges``).
+``certified_box_range`` is the one-box case, as a ``CertifiedBound`` pair.
+Each axis of a box's lattice holds the values ``np.linspace`` gives, so the
+points, the extrema and their first-occurrence positions do not depend on
+which boxes share a pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,95 +82,121 @@ def _cell_counts(widths: np.ndarray, target_margin: float, lipschitz: float) -> 
 
 
 def _chunks(samples: np.ndarray, budget: int):
-    """Box indices in order, grouped into runs of at most ``budget`` samples; boxes over it are left out."""
+    """Box indices in order, as arrays grouped into runs of at most ``budget`` samples; boxes over it are left out."""
     chunk: list[int] = []
     used = 0.0
     for i, n in enumerate(samples.tolist()):
         if n > budget:
             continue
         if used + n > budget:
-            yield chunk
+            yield np.array(chunk)
             chunk, used = [], 0.0
         chunk.append(i)
         used += n
     if chunk:
-        yield chunk
+        yield np.array(chunk)
 
 
 def _positions(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For segments of these sizes laid end to end: each position's index in its segment, and the starts."""
     starts = np.cumsum(sizes) - sizes
-    return np.arange(sizes.sum()) - np.repeat(starts, sizes), starts
+    i = np.arange(sizes.sum())
+    i -= np.repeat(starts, sizes)
+    return i, starts
 
 
 def _linspaces(lo: np.ndarray, hi: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every ``np.linspace(lo, hi, cells + 1)`` (``[lo]`` for no cells) laid end to end, and their starts."""
     sizes = cells.astype(np.int64) + 1
     i, starts = _positions(sizes)
-    i = i.astype(float)
+    x = i.astype(float)
     width = hi - lo
     with np.errstate(divide="ignore", invalid="ignore"):  # no cells: the one value is set below
         step = width / cells
-        x = i * np.repeat(step, sizes) + np.repeat(lo, sizes)
+        x *= np.repeat(step, sizes)
+        x += np.repeat(lo, sizes)
     for s in np.flatnonzero((step == 0) & (cells > 0)):  # np.linspace's branch for a step that underflows
-        seg = slice(starts[s], starts[s] + sizes[s])
-        x[seg] = (i[seg] / cells[s]) * width[s] + lo[s]
+        x[starts[s] : starts[s] + sizes[s]] = (np.arange(sizes[s]) / cells[s]) * width[s] + lo[s]
     x[starts + sizes - 1] = np.where(cells > 0, hi, lo)
     return x, starts
 
 
-def _sample(f: FuncExpr, lo: np.ndarray, hi: np.ndarray, cells: np.ndarray, margins: list[float]) -> list[Bounds]:
-    """Certified extrema of the boxes ``lo``/``hi`` from one ``eval_many`` call over all their lattices."""
-    k, m = lo.shape
+def _sample(f: FuncExpr, lo: np.ndarray, hi: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sampled extrema of the boxes ``lo``/``hi`` and where they sit.
+
+    One ``eval_many`` call evaluates all their lattices.
+    """
+    m = lo.shape[1]
     axis_sizes = cells.astype(np.int64) + 1
     table, table_starts = _linspaces(lo.ravel(), hi.ravel(), cells.ravel())
-    table_starts = table_starts.reshape(k, m)
-    # Each box's points in C order, the order of meshgrid(..., indexing="ij"):
-    # every point so far is followed by each of its extensions along the next axis.
-    box = np.arange(k)
-    pts = np.empty((k, 0))
-    for a in range(m):
-        n = axis_sizes[box, a]
-        i, _ = _positions(n)
-        pts = np.column_stack((np.repeat(pts, n, axis=0), table[np.repeat(table_starts[box, a], n) + i]))
-        box = np.repeat(box, n)
+    table_starts = table_starts.reshape(-1, m)
     sizes = np.prod(axis_sizes, axis=1)
-    starts = np.cumsum(sizes) - sizes
+    rest, starts = _positions(sizes)
+    # Each box's points in C order, the order of meshgrid(..., indexing="ij"):
+    # the last axis runs fastest, so a point's place in its box holds its
+    # per-axis indices as digits, the last axis least significant.
+    pts = np.empty((rest.size, m))
+    for a in range(m - 1, 0, -1):
+        rest, i = np.divmod(rest, np.repeat(axis_sizes[:, a], sizes))
+        i += np.repeat(table_starts[:, a], sizes)
+        pts[:, a] = table[i]
+    rest += np.repeat(table_starts[:, 0], sizes)
+    pts[:, 0] = table[rest]
     vals = f.eval_many(pts)
     nan = np.isnan(vals)
 
     def first(extremes: np.ndarray) -> np.ndarray:
         # np.argmin/np.argmax per box: the first point at the extreme, or the first NaN
-        hits = np.flatnonzero((vals == np.repeat(extremes, sizes)) | nan)
+        hits = vals == np.repeat(extremes, sizes)
+        hits |= nan
+        hits = np.flatnonzero(hits)
         return hits[np.searchsorted(hits, starts)]
 
     imin = first(np.minimum.reduceat(vals, starts))
     imax = first(np.maximum.reduceat(vals, starts))
-    return [
-        (CertifiedBound("min", vmin, margin, tuple(pmin)), CertifiedBound("max", vmax, margin, tuple(pmax)))
-        for vmin, vmax, margin, pmin, pmax in zip(
-            vals[imin].tolist(), vals[imax].tolist(), margins, pts[imin].tolist(), pts[imax].tolist()
+    return vals[imin], vals[imax], pts[imin], pts[imax]
+
+
+class BoxRanges(NamedTuple):
+    """Certified extrema of many boxes, one entry per box; a box over the sample budget has ``ok`` false.
+
+    The minimum is ``vmin`` less at most ``margin``, the maximum ``vmax`` plus
+    at most ``margin``; ``argmin`` and ``argmax`` are the sampled points, one
+    row per box. The entries of a box that is not ``ok`` are zeros.
+    """
+
+    ok: np.ndarray
+    vmin: np.ndarray
+    vmax: np.ndarray
+    margin: np.ndarray
+    argmin: np.ndarray
+    argmax: np.ndarray
+
+    def bounds(self, i: int) -> Bounds | None:
+        """Box ``i``'s extrema as a ``CertifiedBound`` pair, or None over the budget."""
+        if not self.ok[i]:
+            return None
+        margin = float(self.margin[i])
+        return (
+            CertifiedBound("min", float(self.vmin[i]), margin, tuple(self.argmin[i].tolist())),
+            CertifiedBound("max", float(self.vmax[i]), margin, tuple(self.argmax[i].tolist())),
         )
-    ]
 
 
 def certified_box_ranges(
     f: FuncExpr,
-    boxes: Sequence[BoxRegion],
+    lo: np.ndarray,
+    hi: np.ndarray,
     target_margin: float,
     budget: int = DEFAULT_SAMPLE_BUDGET,
-) -> list[Bounds | None]:
-    """Certified minimum and maximum of f over each box, or None for a box over the sample budget."""
-    for box in boxes:
-        if box.dim != f.dim:
-            raise ValueError(f"box is {box.dim}-d but function expects {f.dim}-d")
+) -> BoxRanges:
+    """Certified minimum and maximum of f over each box ``[lo[b], hi[b]]`` (both ``(boxes, dim)``)."""
+    count, dim = lo.shape
+    if dim != f.dim:
+        raise ValueError(f"box is {dim}-d but function expects {f.dim}-d")
     if not target_margin > 0:
         raise ValueError("target margin must be positive")
-    if not boxes:
-        return []
     lipschitz = f.lipschitz
-    lo = np.array([[b.lo for b in box.bounds] for box in boxes])
-    hi = np.array([[b.hi for b in box.bounds] for box in boxes])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         widths = hi - lo
         cells = _cell_counts(widths, target_margin, lipschitz)
@@ -175,12 +204,16 @@ def certified_box_ranges(
         # Integer factors: the sample count is exact up to 2**53 and, rounded
         # monotonically beyond, still compares exactly with any smaller budget.
         samples = np.prod(cells + 1.0, axis=1)
-    margins = (lipschitz * spacings.max(axis=1) / 2.0).tolist()
-    out: list[Bounds | None] = [None] * len(boxes)
+    out = BoxRanges(
+        np.zeros(count, dtype=bool), np.zeros(count), np.zeros(count),
+        lipschitz * spacings.max(axis=1) / 2.0, np.zeros((count, dim)), np.zeros((count, dim)),
+    )
     for chunk in _chunks(samples, budget):
-        bounds = _sample(f, lo[chunk], hi[chunk], cells[chunk], [margins[i] for i in chunk])
-        for i, b in zip(chunk, bounds):
-            out[i] = b
+        out.ok[chunk] = True
+        out.vmin[chunk], out.vmax[chunk], out.argmin[chunk], out.argmax[chunk] = _sample(
+            f, lo[chunk], hi[chunk], cells[chunk]
+        )
+    out.margin[~out.ok] = 0.0
     return out
 
 
@@ -191,9 +224,12 @@ def certified_box_range(
     budget: int = DEFAULT_SAMPLE_BUDGET,
 ) -> Bounds:
     """Certified minimum and maximum of f over a box in one sampling pass."""
-    (bounds,) = certified_box_ranges(f, [box], target_margin, budget)
+    lo = np.array([[b.lo for b in box.bounds]])
+    hi = np.array([[b.hi for b in box.bounds]])
+    bounds = certified_box_ranges(f, lo, hi, target_margin, budget).bounds(0)
     if bounds is None:
-        cells = _cell_counts(np.array([[b.width for b in box.bounds]]), target_margin, f.lipschitz)[0]
+        with np.errstate(over="ignore"):
+            cells = _cell_counts(hi - lo, target_margin, f.lipschitz)[0]
         needed = math.prod(int(n) + 1 for n in cells) if np.isfinite(cells).all() else math.inf
         raise OracleBudgetError(needed, budget)
     return bounds

@@ -11,21 +11,31 @@ Both checks fold the oracle margin so that a correctly built network can never
 be blamed for oracle slack; a reported failure is a real violation beyond
 margin and tolerance. Reports are deterministic: the same config produces a
 byte-identical report document (wall-clock time is kept out of it).
+
+A campaign is columnar from start to end: ``sample_boxes`` draws the boxes as
+``lo``/``hi`` arrays, the compiled program propagates them, the oracle returns
+its extrema as columns (``BoxRanges``) and ``_check`` computes every status and
+violation at once. ``VerificationReport`` keeps those columns and writes its
+document from them; its ``records``, one ``BoxRecord`` per box, are built on
+first access.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .expr import FuncExpr
 from .intervals import BoxRegion, Interval
-from .netio import parse_box_text
-from .network import Network, eval_abstract, eval_abstract_many
-from .oracle import DEFAULT_SAMPLE_BUDGET, Bounds, CertifiedBound, certified_box_ranges
+from .netio import format_box_text, parse_box_text
+from .network import Network, eval_abstract
+from .oracle import DEFAULT_SAMPLE_BUDGET, BoxRanges, CertifiedBound, certified_box_ranges
 
 MARGIN_FRACTION = 8.0  # per-box oracle margin target: delta / 8
 
@@ -67,24 +77,57 @@ class BoxRecord:
         return self.lower_status == "inconclusive"
 
 
-@dataclass
+STATUSES = ("holds", "vacuous", "fail", "inconclusive")  # the codes in a report's status columns
+HOLDS, VACUOUS, FAIL, INCONCLUSIVE = range(4)
+
+
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
+    """A campaign's columns, one entry per box: the box, its certified extrema, its propagated interval and verdicts.
+
+    ``status`` holds indices into ``STATUSES``. An inconclusive
+    box (over the oracle's sample budget) has both statuses inconclusive and
+    violation 0.0.
+    """
+
     delta: float
     config: RunConfig
-    records: list[BoxRecord] = field(default_factory=list)
+    lo: np.ndarray  # (boxes, dim)
+    hi: np.ndarray  # (boxes, dim)
+    ranges: BoxRanges
+    prop_lo: np.ndarray  # (boxes,)
+    prop_hi: np.ndarray  # (boxes,)
+    status: np.ndarray  # (2, boxes): the lower and the upper check's codes
+    violation: np.ndarray
     runtime_seconds: float = 0.0
+
+    @functools.cached_property
+    def records(self) -> tuple[BoxRecord, ...]:
+        records = []
+        for lo, hi, bounds, prop_lo, prop_hi, lower, upper, violation in zip(
+            self.lo.tolist(), self.hi.tolist(), map(self.ranges.bounds, range(len(self.lo))),
+            self.prop_lo.tolist(), self.prop_hi.tolist(), *self.status.tolist(),
+            self.violation.tolist(),
+        ):
+            box = BoxRegion.from_pairs(list(zip(lo, hi)))
+            if bounds is None:
+                records.append(BoxRecord(box, None, None, None, "inconclusive", "inconclusive", 0.0))
+            else:
+                prop = Interval(prop_lo, prop_hi)
+                records.append(BoxRecord(box, *bounds, prop, STATUSES[lower], STATUSES[upper], violation))
+        return tuple(records)
 
     @property
     def failures(self) -> int:
-        return sum(1 for r in self.records if r.failed)
+        return int(np.count_nonzero((self.status == FAIL).any(axis=0)))
 
     @property
     def inconclusive(self) -> int:
-        return sum(1 for r in self.records if r.inconclusive)
+        return int(np.count_nonzero(self.status[0] == INCONCLUSIVE))
 
     @property
     def max_violation(self) -> float:
-        return max((r.violation for r in self.records), default=0.0)
+        return float(self.violation.max(initial=0.0))
 
     def to_document(self) -> str:
         lines = [
@@ -94,21 +137,26 @@ class VerificationReport:
             f"config tolerance {self.config.tolerance!r}",
             f"config delta {self.delta!r}",
         ]
-        for i, r in enumerate(self.records):
-            box_text = ";".join(f"{b.lo!r},{b.hi!r}" for b in r.box.bounds)
-            if r.cmin is None or r.cmax is None or r.propagated is None:
+        r = self.ranges
+        for i, (lo, hi, ok, vmin, vmax, margin, prop_lo, prop_hi, lower, upper, violation) in enumerate(zip(
+            self.lo.tolist(), self.hi.tolist(), r.ok.tolist(), r.vmin.tolist(), r.vmax.tolist(),
+            r.margin.tolist(), self.prop_lo.tolist(), self.prop_hi.tolist(), *self.status.tolist(),
+            self.violation.tolist(),
+        )):
+            box_text = ";".join([f"{a!r},{b!r}" for a, b in zip(lo, hi)])
+            if not ok:
                 lines.append(f"box {i} {box_text} inconclusive")
                 continue
             lines.append(
                 f"box {i} {box_text} "
-                f"min {r.cmin.value!r} margin {r.cmin.margin!r} "
-                f"max {r.cmax.value!r} margin {r.cmax.margin!r} "
-                f"prop {r.propagated.lo!r} {r.propagated.hi!r} "
-                f"lower {r.lower_status} upper {r.upper_status} "
-                f"violation {r.violation!r}"
+                f"min {vmin!r} margin {margin!r} "
+                f"max {vmax!r} margin {margin!r} "
+                f"prop {prop_lo!r} {prop_hi!r} "
+                f"lower {STATUSES[lower]} upper {STATUSES[upper]} "
+                f"violation {violation!r}"
             )
         lines.append(
-            f"summary boxes {len(self.records)} failures {self.failures} "
+            f"summary boxes {len(self.lo)} failures {self.failures} "
             f"inconclusive {self.inconclusive} max_violation {self.max_violation!r} "
             f"delta {self.delta!r} seed {self.config.seed}"
         )
@@ -120,7 +168,7 @@ class VerificationReport:
 
     def summary_text(self) -> str:
         return (
-            f"boxes {len(self.records)}  failures {self.failures}  "
+            f"boxes {len(self.lo)}  failures {self.failures}  "
             f"inconclusive {self.inconclusive}  max violation {self.max_violation:g}  "
             f"delta {self.delta:g}  runtime {self.runtime_seconds:.2f}s"
         )
@@ -138,80 +186,89 @@ def network_domain(net: Network) -> BoxRegion:
     return parse_box_text(net.metadata["domain"])
 
 
-def sample_boxes(domain: BoxRegion, count: int, seed: int) -> list[BoxRegion]:
-    """The domain itself, a coarse corner lattice, then seeded random sub-boxes.
+def sample_boxes(domain: BoxRegion, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper corners, ``(count, dim)`` each, of ``count`` boxes of the domain.
 
-    The point boxes exercise the degenerate case where propagation must match
-    concrete evaluation; the random ones come from two uniform draws per axis.
-    When the domain is the symmetric two-unit box, its inner unit box is added
-    as a standard adversarial case.
+    First the domain itself, then a coarse corner lattice, then seeded random
+    sub-boxes. The point boxes exercise the degenerate case where propagation
+    must match concrete evaluation; each random one takes two
+    ``random.uniform`` draws per axis, axis by axis and box by box. When the
+    domain is the symmetric two-unit box, its inner unit box follows the
+    domain as a standard adversarial case.
     """
     m = domain.dim
-    specials: list[BoxRegion] = [domain]
+    lows = [b.lo for b in domain.bounds]
+    widths = [b.hi - b.lo for b in domain.bounds]
+    specials = [[(b.lo, b.hi) for b in domain.bounds]]
     if all(b.lo == -2.0 and b.hi == 2.0 for b in domain.bounds):
-        specials.append(BoxRegion.from_pairs([(-1.0, 1.0)] * m))
-    lattice_axes = [
-        [b.lo + t * (b.hi - b.lo) / 4.0 for t in range(5)] for b in domain.bounds
-    ]
+        specials.append([(-1.0, 1.0)] * m)
+    lattice_axes = [[a + t * w / 4.0 for t in range(5)] for a, w in zip(lows, widths)]
     corners = itertools.islice(itertools.product(*lattice_axes), max(0, count - len(specials)))
-    specials.extend(BoxRegion.point(x) for x in corners)
+    specials.extend([(v, v) for v in x] for x in corners)
+    specials = specials[:count]
     rng = random.Random(seed)
-    boxes = specials[:count]
-    while len(boxes) < count:
-        pairs = []
-        for b in domain.bounds:
-            p = rng.uniform(b.lo, b.hi)
-            q = rng.uniform(b.lo, b.hi)
-            pairs.append((min(p, q), max(p, q)))
-        boxes.append(BoxRegion.from_pairs(pairs))
-    return boxes
+    draws = np.array([rng.random() for _ in range(2 * m * (count - len(specials)))])
+    boxes = np.empty((count, m, 2))  # per box and axis: lower and upper end
+    boxes[: len(specials)] = np.reshape(specials, (-1, m, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        # two random.uniform(lo, hi) draws per axis, lo + (hi - lo) * random()
+        pairs = boxes[len(specials) :]
+        np.add(np.reshape(lows, (m, 1)), np.reshape(widths, (m, 1)) * draws.reshape(-1, m, 2), out=pairs)
+    # Neither draw is -0.0 (a sum with a nonnegative product), so sorting
+    # each pair gives Python's min and max bit for bit.
+    pairs.sort(axis=2)
+    if not np.isfinite(boxes).all():
+        raise ValueError(
+            f"cannot sample boxes of the domain {format_box_text(domain, hex_floats=False)}: "
+            "its corner lattice or random boxes leave the finite doubles"
+        )
+    return boxes[:, :, 0], boxes[:, :, 1]
+
+
+def _check(ranges: BoxRanges, prop_lo: np.ndarray, prop_hi: np.ndarray, delta: float, tolerance: float):
+    """Both inclusions of the sandwich for every box: its lower and upper status codes, ``(2, boxes)``, and its violation.
+
+    ``prop_lo``/``prop_hi`` are the propagated intervals, ``(boxes, 1)``. A
+    violation is the largest positive gap of a failed check, else ``+0.0``;
+    a NaN gap fails its check but is never the violation.
+    """
+    if prop_lo.shape[1] != 1:
+        raise ValueError("verification expects a scalar-output network")
+    prop_lo = prop_lo[:, 0]
+    prop_hi = prop_hi[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # extrema may be infinite or NaN
+        required_lo = ranges.vmin + delta
+        required_hi = ranges.vmax - delta
+        gaps = np.array([  # the lower check's two gaps, then the upper check's
+            prop_lo - required_lo,
+            required_hi - prop_hi,
+            ranges.vmin - ranges.margin - delta - prop_lo,
+            prop_hi - (ranges.vmax + ranges.margin + delta),
+        ])
+        holds = gaps <= tolerance
+        vacuous = required_lo > required_hi
+        failed = ~(holds[0::2] & holds[1::2])
+        failed[0] &= ~vacuous
+        failed &= ranges.ok
+        violation = np.where(failed.repeat(2, axis=0) & (gaps > 0.0), gaps, 0.0).max(axis=0)
+    status = np.where(failed, FAIL, HOLDS)
+    status[0, vacuous] = VACUOUS
+    status[:, ~ranges.ok] = INCONCLUSIVE
+    return status, violation
 
 
 def check_box(
     net: Network, f: FuncExpr, box: BoxRegion, delta: float, config: RunConfig
 ) -> BoxRecord:
+    """One box's record: the one-box case of a campaign's check."""
     prop_box = eval_abstract(net, box)
-    (bounds,) = certified_box_range(f, [box], _margin_target(delta), config.oracle_budget)
-    return _check(box, bounds, prop_box, delta, config)
-
-
-def _check(
-    box: BoxRegion, bounds: Bounds | None, prop_box: BoxRegion, delta: float, config: RunConfig
-) -> BoxRecord:
-    """Check both inclusions of the sandwich for one box, its certified extrema and its propagated interval."""
-    if bounds is None:
-        return BoxRecord(box, None, None, None, "inconclusive", "inconclusive", 0.0)
-    cmin, cmax = bounds
-    if prop_box.dim != 1:
-        raise ValueError("verification expects a scalar-output network")
-    prop = prop_box.bounds[0]
-    tol = config.tolerance
-
-    required_lo = cmin.hi + delta
-    required_hi = cmax.lo - delta
-    violation = 0.0
-    if required_lo > required_hi:
-        lower_status = "vacuous"
-    else:
-        lo_gap = prop.lo - required_lo
-        hi_gap = required_hi - prop.hi
-        if lo_gap <= tol and hi_gap <= tol:
-            lower_status = "holds"
-        else:
-            lower_status = "fail"
-            violation = max(violation, lo_gap, hi_gap)
-
-    bound_lo = cmin.lo - delta
-    bound_hi = cmax.hi + delta
-    lo_gap = bound_lo - prop.lo
-    hi_gap = prop.hi - bound_hi
-    if lo_gap <= tol and hi_gap <= tol:
-        upper_status = "holds"
-    else:
-        upper_status = "fail"
-        violation = max(violation, lo_gap, hi_gap)
-
-    return BoxRecord(box, cmin, cmax, prop, lower_status, upper_status, violation)
+    lo = np.array([[b.lo for b in box.bounds]])
+    hi = np.array([[b.hi for b in box.bounds]])
+    prop_lo = np.array([[b.lo for b in prop_box.bounds]])
+    prop_hi = np.array([[b.hi for b in prop_box.bounds]])
+    ranges = certified_box_range(f, lo, hi, _margin_target(delta), config.oracle_budget)
+    checks = _check(ranges, prop_lo, prop_hi, delta, config.tolerance)
+    return VerificationReport(delta, config, lo, hi, ranges, prop_lo[:, 0], prop_hi[:, 0], *checks).records[0]
 
 
 def _margin_target(delta: float) -> float:
@@ -223,11 +280,10 @@ def verify_network(net: Network, f: FuncExpr, config: RunConfig) -> Verification
     delta = network_delta(net)
     domain = network_domain(net)
     fd = f.with_domain(domain)
-    report = VerificationReport(delta=delta, config=config)
-    boxes = sample_boxes(domain, config.boxes, config.seed)
-    props = eval_abstract_many(net, boxes)
-    ranges = certified_box_range(fd, boxes, _margin_target(delta), config.oracle_budget)
-    for box, bounds, prop_box in zip(boxes, ranges, props):
-        report.records.append(_check(box, bounds, prop_box, delta, config))
-    report.runtime_seconds = time.perf_counter() - started
-    return report
+    lo, hi = sample_boxes(domain, config.boxes, config.seed)
+    prop_lo, prop_hi = net.program.run(lo, hi)
+    ranges = certified_box_range(fd, lo, hi, _margin_target(delta), config.oracle_budget)
+    checks = _check(ranges, prop_lo, prop_hi, delta, config.tolerance)
+    return VerificationReport(
+        delta, config, lo, hi, ranges, prop_lo[:, 0], prop_hi[:, 0], *checks, time.perf_counter() - started
+    )

@@ -17,6 +17,11 @@ were assembled in layers. The paper's bump, the min of the ramps through a tree
 of four-unit min gadgets (``append_min_bump``), is kept beside it as the
 reference for the min gadget's closed form and for the documents built with it
 (``tests/data``).
+
+``reference_sample_boxes`` and ``reference_check`` are the per-box references
+for the columnar campaign in ``boxcert.verify``: they draw one ``BoxRegion``
+at a time and check one box at a time in Python floats, as campaigns did
+before their boxes stayed arrays.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from boxcert.netio import MAGIC
 from boxcert.network import Network, NetworkBuilder
 from boxcert.oracle import DEFAULT_SAMPLE_BUDGET, CertifiedBound, certified_box_range
 from boxcert.slicing import SliceSpec
+from boxcert.verify import BoxRecord
 
 
 def iv_add(x: Interval, y: Interval) -> Interval:
@@ -448,12 +454,12 @@ def bump_closed_form(grid: GridSpec, rect: HyperRect, x: Sequence[float]) -> flo
     return max(0.0, total)
 
 
-def grid_boxes(domain: BoxRegion, cells: Sequence[int]) -> Iterator[BoxRegion]:
+def grid_boxes(domain: BoxRegion, cells: Sequence[int]) -> Iterator[tuple[tuple[float, float], ...]]:
     """Every grid-aligned box of ``domain``, degenerate sides included, then every half-cell-shifted one.
 
-    Axis k has ``cells[k]`` cells. An aligned box's corners are grid points
-    and a shifted box's are cell midpoints, so the shifted boxes cut through
-    cells.
+    Each box is its ``(lo, hi)`` pair per axis. Axis k has ``cells[k]``
+    cells. An aligned box's corners are grid points and a shifted box's are
+    cell midpoints, so the shifted boxes cut through cells.
     """
     for shift in (0.0, 0.5):
         axes = []
@@ -461,8 +467,7 @@ def grid_boxes(domain: BoxRegion, cells: Sequence[int]) -> Iterator[BoxRegion]:
             count = c if shift else c + 1
             points = [min(iv.hi, iv.lo + iv.width * (i + shift) / c) for i in range(count)]
             axes.append([(a, b) for i, a in enumerate(points) for b in points[i:]])
-        for pairs in itertools.product(*axes):
-            yield BoxRegion.from_pairs(pairs)
+        yield from itertools.product(*axes)
 
 
 def random_box(rng: random.Random, dim: int, lo: float = -3.0, hi: float = 3.0) -> BoxRegion:
@@ -566,6 +571,79 @@ def certified_box_max(
     f: FuncExpr, box: BoxRegion, target_margin: float, budget: int = DEFAULT_SAMPLE_BUDGET
 ) -> CertifiedBound:
     return certified_box_range(f, box, target_margin, budget)[1]
+
+
+def box_arrays(boxes: Sequence[BoxRegion]) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper corners of the boxes as ``(boxes, dim)`` arrays."""
+    lo = np.array([[b.lo for b in box.bounds] for box in boxes])
+    hi = np.array([[b.hi for b in box.bounds] for box in boxes])
+    return lo, hi
+
+
+def reference_sample_boxes(domain: BoxRegion, count: int, seed: int) -> list[BoxRegion]:
+    """The per-box reference for ``verify.sample_boxes``: one validated ``BoxRegion`` per box.
+
+    The domain itself, then the inner unit box when the domain is the
+    symmetric two-unit box, then the corner lattice, then two
+    ``random.uniform`` draws per axis, axis by axis and box by box.
+    """
+    m = domain.dim
+    specials: list[BoxRegion] = [domain]
+    if all(b.lo == -2.0 and b.hi == 2.0 for b in domain.bounds):
+        specials.append(BoxRegion.from_pairs([(-1.0, 1.0)] * m))
+    lattice_axes = [[b.lo + t * (b.hi - b.lo) / 4.0 for t in range(5)] for b in domain.bounds]
+    corners = itertools.islice(itertools.product(*lattice_axes), max(0, count - len(specials)))
+    specials.extend(BoxRegion.point(x) for x in corners)
+    rng = random.Random(seed)
+    boxes = specials[:count]
+    while len(boxes) < count:
+        pairs = []
+        for b in domain.bounds:
+            p = rng.uniform(b.lo, b.hi)
+            q = rng.uniform(b.lo, b.hi)
+            pairs.append((min(p, q), max(p, q)))
+        boxes.append(BoxRegion.from_pairs(pairs))
+    return boxes
+
+
+def reference_check(
+    box: BoxRegion,
+    bounds: tuple[CertifiedBound, CertifiedBound] | None,
+    prop_box: BoxRegion,
+    delta: float,
+    tolerance: float,
+) -> BoxRecord:
+    """The per-box reference for ``verify._check``: both inclusions of the sandwich in Python floats."""
+    if bounds is None:
+        return BoxRecord(box, None, None, None, "inconclusive", "inconclusive", 0.0)
+    cmin, cmax = bounds
+    prop = prop_box.bounds[0]
+
+    required_lo = cmin.hi + delta
+    required_hi = cmax.lo - delta
+    violation = 0.0
+    if required_lo > required_hi:
+        lower_status = "vacuous"
+    else:
+        lo_gap = prop.lo - required_lo
+        hi_gap = required_hi - prop.hi
+        if lo_gap <= tolerance and hi_gap <= tolerance:
+            lower_status = "holds"
+        else:
+            lower_status = "fail"
+            violation = max(violation, lo_gap, hi_gap)
+
+    bound_lo = cmin.lo - delta
+    bound_hi = cmax.hi + delta
+    lo_gap = bound_lo - prop.lo
+    hi_gap = prop.hi - bound_hi
+    if lo_gap <= tolerance and hi_gap <= tolerance:
+        upper_status = "holds"
+    else:
+        upper_status = "fail"
+        violation = max(violation, lo_gap, hi_gap)
+
+    return BoxRecord(box, cmin, cmax, prop, lower_status, upper_status, violation)
 
 
 def reference_box_range(

@@ -8,9 +8,11 @@ evaluator, before networks were compiled.
 import hashlib
 import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxcert import netio
@@ -18,10 +20,10 @@ from boxcert.construct import BuildBudget, build_certified_network
 from boxcert.expr import parse_func
 from boxcert.intervals import BoxRegion
 from boxcert.network import NetworkBuilder, eval_abstract, eval_abstract_many, eval_concrete, stats
-from boxcert.oracle import certified_box_ranges
-from boxcert.verify import MARGIN_FRACTION, RunConfig, _check, verify_network
+from boxcert.oracle import BoxRanges, CertifiedBound, certified_box_ranges
+from boxcert.verify import FAIL, INCONCLUSIVE, MARGIN_FRACTION, STATUSES, RunConfig, _check, verify_network
 
-from helpers import dyadic, grid_boxes, reference_eval_abstract, reference_eval_concrete
+from helpers import dyadic, grid_boxes, reference_check, reference_eval_abstract, reference_eval_concrete
 
 WEIGHTS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -3.0]),
@@ -181,17 +183,83 @@ def test_served_networks_hold_on_every_grid_box(expr, domain, delta):
     # every grid-aligned and every half-cell-shifted box, 2,000 to a batch
     f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
     net, report = build_certified_network(f, delta, BuildBudget())
-    config = RunConfig(boxes=0, seed=0)
+    tolerance = RunConfig(boxes=0, seed=0).tolerance
     boxes = grid_boxes(f.domain, report.cells_per_unit)
     checked = 0
-    while chunk := list(itertools.islice(boxes, 2000)):
-        props = eval_abstract_many(net, chunk)
-        ranges = certified_box_ranges(f, chunk, report.delta / MARGIN_FRACTION)
-        records = [_check(box, bounds, prop, report.delta, config) for box, bounds, prop in zip(chunk, ranges, props)]
-        assert [r.box for r in records if r.failed or r.inconclusive] == []
+    while pairs := list(itertools.islice(boxes, 2000)):
+        chunk = np.array(pairs)
+        lo, hi = chunk[:, :, 0], chunk[:, :, 1]
+        prop_lo, prop_hi = net.program.run(lo, hi)
+        ranges = certified_box_ranges(f, lo, hi, report.delta / MARGIN_FRACTION)
+        status, _ = _check(ranges, prop_lo, prop_hi, report.delta, tolerance)
+        bad = np.isin(status, (FAIL, INCONCLUSIVE)).any(axis=0)
+        assert chunk[bad].tolist() == []
         checked += len(chunk)
     cells = report.cells_per_unit
     assert checked == math.prod((c + 1) * (c + 2) // 2 for c in cells) + math.prod(c * (c + 1) // 2 for c in cells)
+
+
+# Check inputs from a few dyadic values, so that gaps land exactly on the
+# tolerance and on -0.0, and extrema that may be infinite or NaN.
+CHECK_VALUES = st.sampled_from([-1.0, -0.5, -0.25, -0.125, -0.0, 0.0, 0.125, 0.25, 0.5, 1.0])
+EXTREMA = st.one_of(CHECK_VALUES, st.sampled_from([math.inf, -math.inf, math.nan]), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def checked_boxes(draw):
+    """One box's oracle entry and propagated interval: (ok, vmin, vmax, margin, prop_lo, prop_hi)."""
+    a, b = draw(CHECK_VALUES), draw(st.one_of(CHECK_VALUES, st.floats(-2.0, 2.0)))
+    return (draw(st.booleans()), draw(EXTREMA), draw(EXTREMA), draw(st.sampled_from([0.0, 0.125, 0.25])),
+            min(a, b), max(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    boxes=st.lists(checked_boxes(), max_size=8),
+    delta=st.sampled_from([0.0, 0.125, 0.25, 0.5]),
+    tolerance=st.sampled_from([0.0, 1e-9, 0.125, 0.25]),
+)
+@example(  # vacuous, holds, fail on both checks, inconclusive, and gaps of exactly the tolerance and -0.0
+    boxes=[(True, 0.0, 0.25, 0.125, 0.0, 0.25), (True, 0.0, 1.0, 0.0, 0.0, 1.0), (True, 0.0, 1.0, 0.0, 0.5, 0.5),
+           (True, 0.5, 0.5, 0.0, -1.0, 1.0), (False, 0.0, 1.0, 0.0, 0.0, 1.0), (True, 0.0, 0.0, 0.0, -0.0, -0.0),
+           (True, -0.0, -0.0, 0.0, -0.125, 0.125), (True, math.nan, 1.0, 0.0, 0.0, 1.0)],
+    delta=0.125, tolerance=0.125,
+)
+def test_sandwich_columns_equal_the_per_box_check(boxes, delta, tolerance):
+    ok, vmin, vmax, margin, prop_lo, prop_hi = np.array(boxes, dtype=float).reshape(-1, 6).T
+    ok = ok.astype(bool)
+    points = np.zeros((len(boxes), 1))
+    # as certified_box_ranges has them: zeros where a box is over the budget
+    ranges = BoxRanges(ok, *(np.where(ok, column, 0.0) for column in (vmin, vmax, margin)), points, points)
+    status, violation = _check(ranges, prop_lo[:, None], prop_hi[:, None], delta, tolerance)
+    unit = BoxRegion.from_pairs([(0.0, 1.0)])
+    for i, (ok_i, vmin_i, vmax_i, margin_i, lo_i, hi_i) in enumerate(boxes):
+        bounds = None
+        if ok_i:
+            bounds = (CertifiedBound("min", vmin_i, margin_i, (0.0,)), CertifiedBound("max", vmax_i, margin_i, (0.0,)))
+        want = reference_check(unit, bounds, BoxRegion.from_pairs([(lo_i, hi_i)]), delta, tolerance)
+        assert (STATUSES[status[0, i]], STATUSES[status[1, i]]) == (want.lower_status, want.upper_status)
+        assert violation[i].hex() == want.violation.hex()
+
+
+def test_propagation_memory_does_not_grow_with_the_box_count():
+    # The program runs PASS_BOXES boxes at a time through one buffer: ten times
+    # the boxes may not take much more memory (one buffer of all 20,000 boxes
+    # would be about 270 MiB).
+    f = parse_func("x0*x1", 2, BoxRegion.from_pairs([(0.0, 1.0)] * 2))
+    net, _ = build_certified_network(f, 0.1, BuildBudget())
+    peaks = []
+    for count in (2_000, 20_000):
+        rng = np.random.default_rng(count)
+        lo = rng.uniform(0.0, 0.5, (count, 2))
+        hi = lo + rng.uniform(0.0, 0.5, (count, 2))
+        tracemalloc.start()
+        try:
+            net.program.run(lo, hi)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_mixed_budget_verify_report_is_pinned():

@@ -16,7 +16,7 @@ from boxcert.oracle import (
     certified_box_ranges,
 )
 
-from helpers import certified_box_max, certified_box_min, reference_box_range
+from helpers import box_arrays, certified_box_max, certified_box_min, reference_box_range
 
 CUBIC = "-x0*x0*x0 + 3*x0"
 DOMAIN = BoxRegion.from_pairs([(-2.0, 2.0)])
@@ -168,9 +168,10 @@ class TestBatchedRanges:
         target = data.draw(st.sampled_from([0.5, 0.1, 0.02]))
         # small budgets put boxes over it between normal ones and split the rest into several passes
         budget = data.draw(st.sampled_from([1, 9, 60, 400, DEFAULT_SAMPLE_BUDGET]))
-        batched = certified_box_ranges(f, boxes, target, budget)
-        assert len(batched) == len(boxes)
-        for box, got in zip(boxes, batched):
+        ranges = certified_box_ranges(f, *box_arrays(boxes), target, budget)
+        assert len(ranges.ok) == len(boxes)
+        for i, box in enumerate(boxes):
+            got = ranges.bounds(i)
             want = reference_box_range(f, box, target, budget)
             if want is None:
                 assert got is None
@@ -184,8 +185,7 @@ class TestBatchedRanges:
         f = parse_func("x0*x1", 2, BoxRegion.from_pairs([(0.0, 1.0)] * 2))
         huge = BoxRegion.from_pairs([(-1e10, 1e10)] * 2)
         unit = BoxRegion.from_pairs([(0.0, 1.0)] * 2)
-        first, second = certified_box_ranges(f, [huge, unit], 0.1, 2**62)
-        assert first is None and second is not None
+        assert certified_box_ranges(f, *box_arrays([huge, unit]), 0.1, 2**62).ok.tolist() == [False, True]
         with pytest.raises(OracleBudgetError) as err:
             certified_box_range(f, huge, 0.1, 2**62)
         assert err.value.needed > 2**63
@@ -196,16 +196,16 @@ class TestBatchedRanges:
         real = FuncExpr.eval_many
         monkeypatch.setattr(FuncExpr, "eval_many", lambda self, pts: calls.append(len(pts)) or real(self, pts))
         boxes = [BoxRegion.from_pairs([(-1.0 + k / 10, 1.0)]) for k in range(10)]
-        certified_box_ranges(f, boxes, 0.05)
+        certified_box_ranges(f, *box_arrays(boxes), 0.05)
         (total,) = calls
         calls.clear()
         # each box needs at most 182 samples, so a budget of 400 takes two or three per pass
-        certified_box_ranges(f, boxes, 0.05, budget=400)
+        certified_box_ranges(f, *box_arrays(boxes), 0.05, budget=400)
         assert 1 < len(calls) < len(boxes) and max(calls) <= 400
         assert sum(calls) == total
         calls.clear()
         points = [BoxRegion.point([k / 10]) for k in range(7)]
-        certified_box_ranges(f, points, 0.05, budget=3)
+        certified_box_ranges(f, *box_arrays(points), 0.05, budget=3)
         assert calls == [3, 3, 1]
 
     def test_nan_samples_follow_argmin(self):
@@ -214,13 +214,15 @@ class TestBatchedRanges:
         f = parse_func("x0*x0 - x0*x0", 1, BoxRegion.from_pairs([(0.0, 1.0)]))
         boxes = [BoxRegion.from_pairs([(1.3e154, 1.4e154)]), BoxRegion.from_pairs([(0.0, 1e154)])]
         with np.errstate(over="ignore", invalid="ignore"):
-            got = certified_box_ranges(f, boxes, 1e307)
+            ranges = certified_box_ranges(f, *box_arrays(boxes), 1e307)
+            got = [ranges.bounds(i) for i in range(len(boxes))]
             want = [reference_box_range(f, box, 1e307) for box in boxes]
         assert math.isnan(got[0][0].value) and got[1][0].value == 0.0
         assert [[hexes(b) for b in bounds] for bounds in got] == [[hexes(b) for b in bounds] for bounds in want]
 
     def test_empty_campaign(self):
-        assert certified_box_ranges(cubic(), [], 0.1) == []
+        ranges = certified_box_ranges(cubic(), np.empty((0, 1)), np.empty((0, 1)), 0.1)
+        assert [column.shape for column in ranges] == [(0,), (0,), (0,), (0,), (0, 1), (0, 1)]
 
     @settings(max_examples=200, deadline=None)
     @example(lo=0.0, width=5e-324, n=3)  # a step that underflows to zero

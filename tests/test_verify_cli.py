@@ -2,9 +2,10 @@ import itertools
 import os
 import random
 
+import numpy as np
 import pytest
 
-from boxcert import cli, netio
+from boxcert import cli, netio, network
 from boxcert.cli import main
 from boxcert.construct import build_certified_network
 from boxcert.expr import parse_func
@@ -12,7 +13,7 @@ from boxcert.intervals import BoxRegion
 from boxcert.network import Network, eval_abstract, eval_concrete
 from boxcert.verify import RunConfig, network_delta, network_domain, sample_boxes, verify_network
 
-from helpers import identity_network
+from helpers import identity_network, reference_sample_boxes
 
 CUBIC = "-x0*x0*x0 + 3*x0"
 
@@ -56,33 +57,75 @@ class TestMetadataAccess:
 class TestSampling:
     def test_specials_come_first(self):
         domain = BoxRegion.from_pairs([(-2.0, 2.0)])
-        boxes = sample_boxes(domain, 10, seed=1)
-        assert boxes[0] == domain
-        assert boxes[1] == BoxRegion.from_pairs([(-1.0, 1.0)])  # inner unit box
-        assert len(boxes) == 10
+        lo, hi = sample_boxes(domain, 10, seed=1)
+        assert (lo[0].tolist(), hi[0].tolist()) == ([-2.0], [2.0])
+        assert (lo[1].tolist(), hi[1].tolist()) == ([-1.0], [1.0])  # inner unit box
+        assert lo.shape == hi.shape == (10, 1)
 
     def test_zero_boxes(self):
-        assert sample_boxes(BoxRegion.from_pairs([(0, 1)]), 0, seed=1) == []
+        lo, hi = sample_boxes(BoxRegion.from_pairs([(0, 1)]), 0, seed=1)
+        assert lo.shape == hi.shape == (0, 1)
 
     def test_deterministic(self):
         domain = BoxRegion.from_pairs([(0.0, 1.0), (0.0, 1.0)])
-        a = sample_boxes(domain, 50, seed=9)
-        b = sample_boxes(domain, 50, seed=9)
-        assert a == b
-        c = sample_boxes(domain, 50, seed=10)
-        assert a != c
+        a = np.array(sample_boxes(domain, 50, seed=9))
+        b = np.array(sample_boxes(domain, 50, seed=9))
+        assert np.array_equal(a, b)
+        c = np.array(sample_boxes(domain, 50, seed=10))
+        assert not np.array_equal(a, c)
 
     def test_corner_points_follow_the_lattice(self):
         domain = BoxRegion.from_pairs([(0.0, 1.0), (-1.0, 3.0)])
         axes = [[0.0, 0.25, 0.5, 0.75, 1.0], [-1.0, 0.0, 1.0, 2.0, 3.0]]
-        corners = [BoxRegion.point(x) for x in itertools.product(*axes)]
-        assert sample_boxes(domain, 27, seed=1)[1:26] == corners
-        assert sample_boxes(domain, 4, seed=1) == [domain] + corners[:3]
+        corners = [list(x) for x in itertools.product(*axes)]
+        lo, hi = sample_boxes(domain, 27, seed=1)
+        assert lo[1:26].tolist() == hi[1:26].tolist() == corners
+        lo, hi = sample_boxes(domain, 4, seed=1)
+        assert lo.tolist() == [[0.0, -1.0]] + corners[:3]
+        assert hi.tolist() == [[1.0, 3.0]] + corners[:3]
 
     def test_boxes_stay_in_domain(self):
         domain = BoxRegion.from_pairs([(-1.0, 3.0)])
-        for box in sample_boxes(domain, 200, seed=3):
-            assert domain[0].lo <= box[0].lo <= box[0].hi <= domain[0].hi
+        lo, hi = sample_boxes(domain, 200, seed=3)
+        assert ((-1.0 <= lo) & (lo <= hi) & (hi <= 3.0)).all()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_arrays_equal_the_per_box_reference(self, dim):
+        # bit for bit, on the [-2,2]^m box (which adds the inner unit box) and
+        # on boxes with a -0.0 end, for counts below and past the specials
+        # and the 5^m corners
+        for domain in (
+            BoxRegion.from_pairs([(-2.0, 2.0)] * dim),
+            BoxRegion.from_pairs([(0.0, 1.0), (-1.0, 3.0), (-0.0, 0.1)][:dim]),
+            BoxRegion.from_pairs([(-0.0, 5e-324), (-2.0, 2.0), (-7.5, -0.0)][:dim]),
+        ):
+            for seed in range(50):
+                for count in [*range(31), 100]:
+                    lo, hi = sample_boxes(domain, count, seed)
+                    got = [[(a.hex(), b.hex()) for a, b in zip(row_lo, row_hi)]
+                           for row_lo, row_hi in zip(lo.tolist(), hi.tolist())]
+                    want = [[(b.lo.hex(), b.hi.hex()) for b in box.bounds]
+                            for box in reference_sample_boxes(domain, count, seed)]
+                    assert got == want
+
+    @pytest.mark.parametrize("count", [1, 2, 40])
+    def test_domain_beyond_the_finite_doubles_is_a_value_error(self, count):
+        # the width 2e308 overflows, so the lattice and the random draws are not finite
+        domain = BoxRegion.from_pairs([(-1e308, 1e308)])
+        if count == 1:  # the domain alone is finite
+            assert sample_boxes(domain, count, seed=0)[0].tolist() == [[-1e308]]
+            return
+        with pytest.raises(ValueError, match=r"domain -1e\+308,1e\+308"):
+            sample_boxes(domain, count, seed=0)
+
+    def test_cli_reports_an_unsampleable_domain_as_a_usage_error(self, tmp_path, capsys, cubic_net):
+        _, net, _, _ = cubic_net
+        wide = Network(net.nodes, net.output, net.input_dim, dict(net.metadata, domain="-1e308,1e308"))
+        path = tmp_path / "wide.net"
+        netio.save(wide, str(path))
+        code = main(["verify", "--net", str(path), "--expr", CUBIC, "--boxes", "5", "--out", str(tmp_path / "r.txt")])
+        assert code == cli.EXIT_USAGE
+        assert "domain -1e+308,1e+308" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -132,7 +175,7 @@ class TestVerify:
     def test_zero_boxes_gives_empty_passing_report(self, cubic_net):
         f, net, _, _ = cubic_net
         report = verify_network(net, f, RunConfig(boxes=0, seed=0))
-        assert report.records == []
+        assert report.records == ()
         assert report.failures == 0
 
     def test_starved_oracle_marks_boxes_inconclusive(self, cubic_net):
@@ -414,10 +457,10 @@ class TestCli:
         assert lines[0] == "x0,x1,f,n,box_lo,box_hi"
         assert len(lines) == 1 + 11 * 11
 
-    @pytest.mark.parametrize("chunk", [7, 1024])
-    def test_plot_data_rows_match_per_cell_evaluation(self, tmp_path, cubic_net, monkeypatch, chunk):
-        # A chunk of 7 cells splits rows of the 2-d grid across batches.
-        monkeypatch.setattr(cli, "PLOT_CHUNK", chunk)
+    @pytest.mark.parametrize("boxes_per_pass", [7, network.PASS_BOXES])
+    def test_plot_data_rows_match_per_cell_evaluation(self, tmp_path, cubic_net, monkeypatch, boxes_per_pass):
+        # Passes of 7 boxes split rows of the 2-d grid across passes.
+        monkeypatch.setattr(network, "PASS_BOXES", boxes_per_pass)
         square = BoxRegion.from_pairs([(0.0, 1.0), (0.0, 1.0)])
         prod = parse_func("x0*x1", 2, square)
         prod_net, _ = build_certified_network(prod, 0.5)

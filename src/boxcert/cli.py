@@ -162,7 +162,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report.save(args.out)
         print(report.summary_text())
     else:
-        sys.stdout.write(report.to_document())
+        sys.stdout.writelines(report.lines())
         print(report.summary_text(), file=sys.stderr)
     return EXIT_OK if report.failures == 0 and report.inconclusive == 0 else EXIT_FAILURES
 
@@ -212,7 +212,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print("node kind width relus terms")
     for i, node in enumerate(net.nodes):
         width = net.arity(i)
-        terms = sum(1 for row in node.weights for _, w in row if w != 0.0)
+        terms = np.count_nonzero(node.weights.values)
         print(f"{i} {node.kind} {width} {width if node.kind == 'relu' else 0} {terms}")
     print(f"stages {len(net.program.stages)}")
     return EXIT_OK

@@ -246,13 +246,13 @@ def _source(b: NetworkBuilder, domain: BoxRegion) -> list[int]:
     if all(iv.lo == 0.0 and iv.hi == 1.0 for iv in domain.bounds):
         return b.input_ids
     scales = [1.0 / iv.width if iv.width > 0 else 1.0 for iv in domain.bounds]
-    rows = [((k, r),) for k, r in enumerate(scales)]
-    return [b.sparse_affine(b.input_ids, rows, [-(iv.lo * r) for iv, r in zip(domain.bounds, scales)])]
+    bias = [-(iv.lo * r) for iv, r in zip(domain.bounds, scales)]
+    return [b.csr_affine(b.input_ids, np.ones(b.input_dim, dtype=np.intp), np.arange(b.input_dim), scales, bias)]
 
 
 def _constant(b: NetworkBuilder, values: Sequence[float]) -> int:
     """Append an affine node over the inputs whose rows have no terms: it outputs ``values``."""
-    return b.sparse_affine(b.input_ids, [()] * len(values), values)
+    return b.csr_affine(b.input_ids, np.zeros(len(values), dtype=np.intp), (), (), values)
 
 
 def build_slice_network(
@@ -271,7 +271,7 @@ def build_slice_network(
 def sum_outputs(b: NetworkBuilder, outs: Sequence[int], coefficient: float, bias: float) -> int:
     """Append ``bias + coefficient * sum(outs)`` over every output of ``outs``: one affine row."""
     width = sum(b.arity(o) for o in outs)
-    return b.affine(outs, [[coefficient] * width], [bias])
+    return b.csr_affine(outs, [width], np.arange(width), np.full(width, coefficient), [bias])
 
 
 def build_certified_network(

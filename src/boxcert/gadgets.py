@@ -43,6 +43,8 @@ bit-identically to that chain's.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .grids import GridSpec
@@ -81,9 +83,9 @@ def append_ramps(
     steep = (np.array(grid.cells, dtype=np.int64) * grid.ell).astype(float)
     weight = -sign * steep[axis]
     bias = (sign * grid.ell * index).astype(float)
-    rows = [((k, w),) for k, w in zip(axis.tolist(), weight.tolist())]
-    inner = b.relu(b.sparse_affine(source, rows, bias.tolist()))
-    ramps = b.sparse_affine(inner, [((j, -1.0),) for j in range(len(rows))], [1.0] * len(rows))
+    ones = np.ones(len(keys), dtype=np.intp)  # one term per row
+    inner = b.relu(b.csr_affine(source, ones, axis, weight, bias))
+    ramps = b.csr_affine(inner, ones, np.arange(len(keys)), np.full(len(keys), -1.0), np.ones(len(keys)))
     return ramps, columns.reshape(n, 2 * m)
 
 
@@ -93,8 +95,8 @@ def append_bumps(b: NetworkBuilder, ramps: int, columns: np.ndarray) -> int:
     Row i of ``columns`` holds rectangle i's ramp columns in node ``ramps``.
     """
     n, count = columns.shape
-    rows = [tuple((c, 1.0) for c in row) for row in columns.tolist()]
-    return b.relu(b.sparse_affine(ramps, rows, [1.0 - count] * n))
+    bumps = b.csr_affine(ramps, np.full(n, count), columns.ravel(), np.ones(n * count), np.full(n, 1.0 - count))
+    return b.relu(bumps)
 
 
 def append_slice_clips(
@@ -115,10 +117,14 @@ def append_slice_clips(
     for column, (begin, end) in enumerate(zip(first.tolist(), stop.tolist())):
         for k in range(begin, end):
             members[k].append(column)
-    clip_rows, rows = [], []
+    clips: list[list[int]] = []  # the bumps of each clip row
+    rows = []  # per slice, its clip row, or -1 without bumps
     for k, bumps_of_slice in enumerate(members):
         if bumps_of_slice and (k == 0 or bumps_of_slice != members[k - 1]):
-            clip_rows.append(tuple([(c, -1.0) for c in bumps_of_slice]))
-        rows.append(((len(clip_rows) - 1, -1.0),) if bumps_of_slice else ())
-    inner = b.relu(b.sparse_affine(bumps, clip_rows, [1.0] * len(clip_rows)))
-    return b.sparse_affine(inner, rows, [1.0 if row else 0.0 for row in rows])
+            clips.append(bumps_of_slice)
+        rows.append(len(clips) - 1 if bumps_of_slice else -1)
+    terms = list(chain.from_iterable(clips))
+    inner = b.relu(b.csr_affine(bumps, list(map(len, clips)), terms, np.full(len(terms), -1.0), np.ones(len(clips))))
+    held = [row for row in rows if row >= 0]
+    counts = [int(row >= 0) for row in rows]
+    return b.csr_affine(inner, counts, held, [-1.0] * len(held), [float(row >= 0) for row in rows])

@@ -1,57 +1,72 @@
 """Text document format for networks: versioned, line-oriented, bit-exact.
 
-Layout (version 3)::
+Layout (version 4)::
 
-    boxcert-net 3
+    boxcert-net 4
     input_dim 2
     output 5
     meta delta 0x1.999999999999ap-2
+    values -0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p-1 0x1.0000000000000p+0
     node 0 input 0
     node 1 input 1
-    node 2 affine 0,1 1,1 0x0p+0 -0x1p+0 1:0x1p+0 0:0x1p-1
+    node 2 affine 0,1 2,1 1,0 1,0,0 3,2,3
     node 5 relu 2
 
-Affine lines carry ``<preds> <terms>``, where ``preds`` lists the
-comma-separated predecessor ids whose outputs the node reads end to end and
-``terms`` the comma-separated term count of each row, one entry per row. Then
-come one bias per row and each row's terms in turn, in summation order, as
-``column:weight`` with the column counted in the predecessors' outputs laid
-end to end. Only nonzero weights are written: a zero term adds nothing to a
-row. The writer always emits hex floats, the bit-exact canonical form; the
-reader also accepts decimal literals. Node ids in a document are arbitrary
-integers, but the line order must be topological; the loader reports cycles
-and forward references separately, each with the node id.
+The ``values`` line lists each distinct bias and weight of the network once,
+before the first affine line. An affine line then carries five
+comma-separated integer lists (the last four of every line are read in one
+array call):
 
-Version 2 still loads. Its affine lines carry ``<preds> <rows> <cols>``
-followed by ``rows`` bias entries and ``rows*cols`` row-major weights, read as
-dense rows. Version 1, whose ``sum`` and ``concat`` nodes were folded into
-affine nodes, is no longer read.
+* ``preds``, the predecessor ids whose outputs the node reads end to end;
+* the term count of each row, one entry per row;
+* each row's bias, as an index into ``values``;
+* every row's term columns in turn, in summation order, each counted in the
+  predecessors' outputs laid end to end;
+* the weight of each of those terms, as an index into ``values``.
+
+A list with no entries, as the columns and weights of a node whose rows have
+no terms, is written ``-``. Only nonzero weights are written: a zero term
+adds nothing to a row. The writer emits hex floats, the bit-exact canonical
+form, in ascending order with ``-0.0`` before ``0.0``; the reader also accepts
+decimal literals. Node ids in a document are arbitrary integers, but the line
+order must be topological; the loader reports cycles and forward references
+separately, each with the node id.
+
+Versions 2 and 3 still load, into the same arrays (``network.Rows``). A
+version-3 affine line carries ``<preds> <terms>``, the comma-separated term
+count of each row, then one bias per row and each row's terms in turn as
+``column:weight``, every float written out. A version-2 affine line carries
+``<preds> <rows> <cols>`` followed by ``rows`` bias entries and
+``rows*cols`` row-major weights, read as dense rows of which the nonzero
+weights are kept. Version 1, whose ``sum`` and ``concat`` nodes were folded
+into affine nodes, is no longer read.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import accumulate
+
+import numpy as np
 
 from .intervals import BoxRegion
-from .network import Network, Node
+from .network import Network, Node, Rows
 
 MAGIC = "boxcert-net"
-VERSION = 3
+VERSION = 4
+VERSIONS = ("2", "3", "4")
+
+_MAGNITUDE = np.int64(2**63 - 1)  # every bit of a float64 but its sign
 
 
 class NetworkFormatError(ValueError):
     """A network document violated the schema."""
 
 
-def _fmt(x: float) -> str:
-    return float(x).hex()
-
-
 def _parse_float(tok: str, where: str) -> float:
     try:
         value = float.fromhex(tok) if "x" in tok.lower() else float(tok)
-    except ValueError:
+    except (ValueError, OverflowError):  # fromhex overflows past the largest double
         raise NetworkFormatError(f"bad float literal {tok!r} in {where}") from None
     if not math.isfinite(value):
         raise NetworkFormatError(f"non-finite value {tok!r} in {where}")
@@ -69,33 +84,103 @@ def _parse_term(tok: str, where: str) -> tuple[int, float]:
     return column, _parse_float(weight, where)
 
 
+def _read_ints(tokens: list[str]) -> tuple[np.ndarray, list[int]] | None:
+    """The comma-separated integer lists ``tokens`` (``-`` for an empty one), read in one array call, and their lengths.
+
+    The lists' join is checked to be digit runs joined by single commas
+    before ``np.fromstring`` reads it, so that no numpy version takes a
+    partial read for a whole one, and the element count is checked after.
+    None if a list is malformed. A number past the int64 range reads as the
+    largest int64, which no count, column or index check accepts.
+    """
+    sizes = [0 if tok == "-" else tok.count(",") + 1 for tok in tokens]
+    text = ",".join([tok for tok in tokens if tok != "-"])
+    if not text:
+        return np.empty(0, dtype=np.intp), sizes
+    if not (text.isascii() and text.replace(",", "").isdigit() and ",," not in text and text[0] != "," != text[-1]):
+        return None
+    ints = np.fromstring(text, dtype=np.intp, sep=",")
+    return (ints, sizes) if ints.size == sum(sizes) else None
+
+
+def _read_lists(pending: list[tuple[str, list[str]]], values: np.ndarray) -> list[dict]:
+    """The ``weights`` and ``bias`` of each version-4 affine line, given as ``(where, its four lists)``.
+
+    The lists of every line are read at once, the bias and weight indices
+    last, so that one lookup in ``values`` reads them all. An error names
+    the first line at fault.
+    """
+    n = len(pending)
+    read = _read_ints([lists[j] for j in (0, 2, 1, 3) for _, lists in pending])  # counts, columns, biases, weights
+    if read is None:
+        where, lists = next(line for line in pending if _read_ints(line[1]) is None)
+        raise NetworkFormatError(f"{where}: affine lists {' '.join(lists)!r} are not comma-separated integers or -")
+    ints, sizes = read
+    bounds = [0, *accumulate(sizes)]
+    split = bounds[2 * n]  # where the bias and weight indices begin
+    if ints[split:].max(initial=-1) >= len(values):
+        j = next(j for j in range(2 * n, 4 * n) if ints[bounds[j] : bounds[j + 1]].max(initial=-1) >= len(values))
+        raise NetworkFormatError(f"{pending[j % n][0]}: value index out of range for {len(values)} values")
+    floats = values[ints[split:]]
+    ints.setflags(write=False)
+    floats.setflags(write=False)
+    parts = [ints[a:b] for a, b in zip(bounds[: 2 * n], bounds[1 : 2 * n + 1])]
+    parts += [floats[a - split : b - split] for a, b in zip(bounds[2 * n : -1], bounds[2 * n + 1 :])]
+    return [{"weights": Rows(parts[k], parts[n + k], parts[3 * n + k]), "bias": parts[2 * n + k]} for k in range(n)]
+
+
+def _ints_text(values: np.ndarray) -> str:
+    return ",".join(map(str, values.tolist())) or "-"
+
+
+def _distinct_floats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct floats of ``values`` by bit pattern, ascending with ``-0.0`` before ``0.0``, and each one's index.
+
+    Flipping the magnitude bits of a negative float makes the int64 order of
+    the bit patterns the order of the floats.
+    """
+    bits = values.view(np.int64)
+    keys = bits ^ ((bits >> 63) & _MAGNITUDE)
+    table = np.array(sorted(set(keys.tolist())), dtype=np.int64)
+    return (table ^ ((table >> 63) & _MAGNITUDE)).view(np.float64), np.searchsorted(table, keys)
+
+
 def serialize(net: Network) -> str:
     lines = [f"{MAGIC} {VERSION}", f"input_dim {net.input_dim}", f"output {net.output}"]
     for key, value in net.metadata.items():
         lines.append(f"meta {key} {value}")
+    affine = [node for node in net.nodes if node.kind == "affine"]
+    terms = []  # per affine node, its counts, columns and weights without zero terms
+    for rows in [node.weights for node in affine]:
+        keep = rows.values != 0.0
+        if keep.all():
+            terms.append((rows.counts, rows.columns, rows.values))
+        else:
+            row = np.arange(len(rows)).repeat(rows.counts)[keep]
+            terms.append((np.bincount(row, minlength=len(rows)), rows.columns[keep], rows.values[keep]))
+    if affine:
+        floats = [node.bias for node in affine] + [weights for _, _, weights in terms]
+        table, index = _distinct_floats(np.concatenate(floats))
+        lines.append("values " + " ".join(map(float.hex, table.tolist())))
+        bounds = [0, *accumulate(map(len, floats))]
+        refs = [_ints_text(index[a:b]) for a, b in zip(bounds, bounds[1:])]  # every bias list, then every weight list
+        lists = iter(
+            f"{_ints_text(counts)} {bias} {_ints_text(columns)} {weights}"
+            for (counts, columns, _), bias, weights in zip(terms, refs, refs[len(affine) :])
+        )
     for i, node in enumerate(net.nodes):
         if node.kind == "input":
             lines.append(f"node {i} input {node.index}")
         elif node.kind == "affine":
-            rows = [[f"{c}:{float(w).hex()}" for c, w in row if w != 0.0] for row in node.weights]
-            counts = ",".join([str(len(row)) for row in rows])
-            toks = [_fmt(b) for b in node.bias]
-            toks.extend(chain.from_iterable(rows))
-            preds = ",".join(map(str, node.preds))
-            lines.append(f"node {i} affine {preds} {counts} " + " ".join(toks))
+            lines.append(f"node {i} affine {','.join(map(str, node.preds))} {next(lists)}")
         else:
             lines.append(f"node {i} relu {node.preds[0]}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_node(node_id: int, kind: str, rest: list[str], version: int) -> tuple:
-    """A node line's ``Node`` fields, with the predecessor ids as written in the document."""
-    where = f"node {node_id}"
-    if kind == "input":
-        if len(rest) != 1:
-            raise NetworkFormatError(f"{where}: input takes one index")
-        return "input", (), int(rest[0]), (), ()
-    if kind == "affine" and version == 3:
+def _parse_affine(where: str, rest: list[str], version: int) -> tuple:
+    """A version-2 or version-3 affine line's predecessor ids as written, its rows and its biases."""
+    if version == 3:
         if len(rest) < 2:
             raise NetworkFormatError(f"{where}: affine needs preds and term counts")
         preds, counts = tuple(map(int, rest[0].split(","))), [int(t) for t in rest[1].split(",")]
@@ -107,29 +192,48 @@ def _parse_node(node_id: int, kind: str, rest: list[str], version: int) -> tuple
                 f"{where}: affine expects {rows} biases and {sum(counts)} terms, got {len(vals)} values"
             )
         terms = [_parse_term(t, where) for t in vals[rows:]]
-        weights, at = [], 0
-        for n in counts:
-            weights.append(tuple(terms[at : at + n]))
-            at += n
-        return "affine", preds, -1, tuple(weights), tuple([_parse_float(t, where) for t in vals[:rows]])
-    if kind == "affine":
-        if len(rest) < 3:
-            raise NetworkFormatError(f"{where}: affine needs preds, rows, cols")
-        preds, rows, cols = tuple(map(int, rest[0].split(","))), int(rest[1]), int(rest[2])
-        if rows < 1 or cols < 1:
-            raise NetworkFormatError(f"{where}: affine rows and cols must be positive")
-        vals = rest[3:]
-        if len(vals) != rows + rows * cols:
+        bias = [_parse_float(t, where) for t in vals[:rows]]
+        return preds, Rows(counts, [c for c, _ in terms], [w for _, w in terms]), bias
+    if len(rest) < 3:
+        raise NetworkFormatError(f"{where}: affine needs preds, rows, cols")
+    preds, rows, cols = tuple(map(int, rest[0].split(","))), int(rest[1]), int(rest[2])
+    if rows < 1 or cols < 1:
+        raise NetworkFormatError(f"{where}: affine rows and cols must be positive")
+    vals = rest[3:]
+    if len(vals) != rows + rows * cols:
+        raise NetworkFormatError(f"{where}: affine expects {rows + rows * cols} numbers, got {len(vals)}")
+    nums = np.array([_parse_float(t, where) for t in vals])
+    dense = nums[rows:].reshape(rows, cols)
+    keep = dense != 0.0  # dense rows keep their nonzero weights, as a version-3 writer did
+    return preds, Rows(keep.sum(axis=1), keep.nonzero()[1], dense[keep]), nums[:rows]
+
+
+def _parse_node(node_id: int, kind: str, rest: list[str], version: int, values: np.ndarray | None) -> tuple:
+    """A node line's kind, its predecessor ids as written in the document, and its other ``Node`` fields.
+
+    A version-4 affine line's rows are read with every other line's once
+    the document is read, so its fields are its four integer lists for now.
+    """
+    where = f"node {node_id}"
+    if kind == "input":
+        if len(rest) != 1:
+            raise NetworkFormatError(f"{where}: input takes one index")
+        return "input", (), {"index": int(rest[0])}
+    if kind == "affine" and version == 4:
+        if len(rest) != 5:
             raise NetworkFormatError(
-                f"{where}: affine expects {rows + rows * cols} numbers, got {len(vals)}"
+                f"{where}: affine takes preds, term counts, bias indices, columns and weight indices"
             )
-        nums = [_parse_float(t, where) for t in vals]
-        weights = tuple([tuple(enumerate(nums[r : r + cols])) for r in range(rows, len(nums), cols)])
-        return "affine", preds, -1, weights, tuple(nums[:rows])
+        if values is None:
+            raise NetworkFormatError(f"{where}: affine node before the values line")
+        return "affine", tuple(map(int, rest[0].split(","))), rest[1:]
+    if kind == "affine":
+        preds, rows, bias = _parse_affine(where, rest, version)
+        return "affine", preds, {"weights": rows, "bias": bias}
     if kind == "relu":
         if len(rest) != 1:
             raise NetworkFormatError(f"{where}: relu takes one predecessor")
-        return "relu", (int(rest[0]),), -1, (), ()
+        return "relu", (int(rest[0]),), {}
     raise NetworkFormatError(f"{where}: unknown node kind {kind!r}")
 
 
@@ -151,7 +255,7 @@ def deserialize(text: str) -> Network:
     head = lines[0].split()
     if len(head) != 2 or head[0] != MAGIC:
         raise NetworkFormatError(f"missing magic line, expected '{MAGIC} <version>'")
-    if head[1] not in ("2", str(VERSION)):
+    if head[1] not in VERSIONS:
         raise NetworkFormatError(f"unsupported schema version {head[1]}")
     version = int(head[1])
 
@@ -160,8 +264,10 @@ def deserialize(text: str) -> Network:
     metadata: dict[str, str] = {}
     preds_of: dict[int, tuple[int, ...]] = {}  # node id -> predecessor ids, in line order
     position: dict[int, int] = {}  # node id -> index in the network
-    nodes: list[Node] = []
+    records: list[tuple] = []  # per node: its kind, predecessor positions and other fields
+    pending: list[int] = []  # the records of version-4 affine lines
     in_order = True  # every predecessor so far was listed before its user
+    values: np.ndarray | None = None  # the version-4 value table
 
     for ln in lines[1:]:
         parts = ln.split()
@@ -172,7 +278,7 @@ def deserialize(text: str) -> Network:
                 node_id = int(parts[1])
                 if node_id in preds_of:
                     raise NetworkFormatError(f"duplicate node id {node_id}")
-                kind, preds, index, weights, bias = _parse_node(node_id, parts[2], parts[3:], version)
+                kind, preds, fields = _parse_node(node_id, parts[2], parts[3:], version, values)
             except NetworkFormatError:
                 raise
             except ValueError as exc:  # a non-integer node id, predecessor id, index or affine size
@@ -184,8 +290,14 @@ def deserialize(text: str) -> Network:
                 except KeyError:
                     in_order = False
                 else:
-                    nodes.append(Node(kind, pred_positions, index, weights, bias))
+                    if isinstance(fields, list):
+                        pending.append(len(records))
+                    records.append((kind, pred_positions, fields))
             position[node_id] = len(position)
+        elif parts[0] == "values" and version == 4:
+            if values is not None:
+                raise NetworkFormatError("duplicate values line")
+            values = np.array([_parse_float(tok, "the values line") for tok in parts[1:]])
         elif parts[0] == "input_dim":
             input_dim = _directive_int(parts)
         elif parts[0] == "output":
@@ -207,9 +319,15 @@ def deserialize(text: str) -> Network:
         raise NetworkFormatError(f"output references undefined node {output_id}")
     if not in_order:
         _reject_order(preds_of, position)
+    if pending:
+        ids = list(position)  # in line order, as the records
+        read = _read_lists([(f"node {ids[r]}", records[r][2]) for r in pending], values)
+        for r, fields in zip(pending, read):
+            records[r] = (*records[r][:2], fields)
     output = position[output_id]
     try:
-        return Network(tuple(nodes), output, input_dim, metadata)
+        nodes = tuple([Node(kind, preds, **fields) for kind, preds, fields in records])
+        return Network(nodes, output, input_dim, metadata)
     except ValueError as exc:
         raise NetworkFormatError(f"invalid network document: {exc}") from exc
 

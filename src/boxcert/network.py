@@ -4,16 +4,21 @@ A network is a tuple of nodes stored in one fixed topological order (a node's
 predecessors are always earlier in the tuple, so positions double as ids).
 There are three node kinds: ``input``, ``affine`` and ``relu``. An affine node
 reads its predecessors' outputs laid end to end, and each of its rows is a
-sparse list of ``(column, weight)`` terms over those columns, summed in stored
-order; a dense row, with a term for every column, is the special case. A relu
-reads one predecessor.
+sparse list of terms over those columns, summed in stored order; a dense row,
+with a term for every column, is the special case. A node keeps its rows as
+read-only compressed sparse row (CSR) arrays (``Rows``): per row its term
+count, then every row's term columns and weights end to end. Builders, the
+document reader and the validation hand these arrays on as they are, with no
+object per term. A relu reads one predecessor.
 
 On first evaluation a network is lowered once into a levelled array program
 (``Network.program``). Each non-input node owns a contiguous range of columns
 in one boxes-last float64 buffer of shape ``(2, columns, boxes)``: the lower
 ends, then the upper ends, each column a contiguous row of boxes. A node's
 level is one more than its deepest predecessor's, and the affine rows and
-relus of one level each run as one array stage over all boxes of a pass.
+relus of one level each run as one array stage over all boxes of a pass. The
+compiler lays out the tables of every affine row of the network in one batch
+of array operations over the nodes' CSR arrays, then slices them per stage.
 ``Program.run`` takes its boxes as ``lo``/``hi`` arrays, ``PASS_BOXES`` to a
 pass, so the buffer's size does not grow with the box count.
 ``eval_abstract_many`` runs the program on ``BoxRegion``s; ``eval_abstract``
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -57,32 +62,112 @@ from .intervals import BoxRegion, Interval
 PASS_BOXES = 256
 
 
-@dataclass(frozen=True, slots=True)
+def _frozen(values: Sequence | np.ndarray, dtype: type) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``: kept if it is one already, else copied."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+class Rows:
+    """An affine node's rows in compressed sparse row (CSR) form, as read-only arrays.
+
+    Row ``r`` sums ``counts[r]`` terms, in order: the next ``counts[r]``
+    entries of ``columns`` (a column of the predecessors' outputs laid end to
+    end) and ``values`` (its weight). ``len`` counts the rows. An argument
+    that is a read-only array of the right dtype is kept; any other is copied.
+    """
+
+    __slots__ = ("counts", "columns", "values")
+
+    def __init__(self, counts: Sequence[int], columns: Sequence[int], values: Sequence[float]) -> None:
+        self.counts = _frozen(counts, np.intp)
+        self.columns = _frozen(columns, np.intp)
+        self.values = _frozen(values, np.float64)
+
+    @classmethod
+    def from_terms(cls, rows: Sequence[Sequence[tuple[int, float]]]) -> Rows:
+        """Rows that list their ``(column, weight)`` terms in summation order."""
+        terms = [term for row in rows for term in row]
+        return cls([len(row) for row in rows], [c for c, _ in terms], [w for _, w in terms])
+
+    @classmethod
+    def dense(cls, matrix: Sequence[Sequence[float]]) -> Rows:
+        """Rows with a term for each of their entries, in column order."""
+        columns = [c for row in matrix for c in range(len(row))]
+        return cls([len(row) for row in matrix], columns, [w for row in matrix for w in row])
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Rows):
+            return NotImplemented
+        return (
+            np.array_equal(self.counts, other.counts)
+            and np.array_equal(self.columns, other.columns)
+            and np.array_equal(self.values, other.values)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Rows(counts={self.counts.tolist()}, columns={self.columns.tolist()}, values={self.values.tolist()})"
+
+
+_NO_ROWS = Rows((), (), ())
+_NO_BIAS = _NO_ROWS.values  # an empty read-only float64 array
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Node:
-    """One DAG node. ``preds`` are positions of earlier nodes in the network."""
+    """One DAG node. ``preds`` are positions of earlier nodes in the network.
+
+    An affine node keeps its rows in ``weights`` and one bias per row in
+    ``bias``, a read-only float64 array.
+    """
 
     kind: str
     preds: tuple[int, ...] = ()
     index: int = -1  # input coordinate, for kind == "input"
-    weights: tuple[tuple[tuple[int, float], ...], ...] = ()  # per row, its (column, weight) terms
-    bias: tuple[float, ...] = ()
+    weights: Rows = field(default_factory=lambda: _NO_ROWS)
+    bias: np.ndarray = field(default_factory=lambda: _NO_BIAS)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bias", _frozen(self.bias, np.float64))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Node):
+            return NotImplemented
+        return (
+            (self.kind, self.preds, self.index) == (other.kind, other.preds, other.index)
+            and self.weights == other.weights
+            and np.array_equal(self.bias, other.bias)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 def input_node(index: int) -> Node:
     return Node("input", index=index)
 
 
+def _preds(preds: int | Sequence[int]) -> tuple[int, ...]:
+    return (preds,) if isinstance(preds, int) else tuple(preds)
+
+
 def affine_node(preds: int | Sequence[int], weights: Sequence[Sequence[float]], bias: Sequence[float]) -> Node:
     """An affine node with dense rows over one predecessor or over several, read end to end."""
-    return sparse_affine_node(preds, [enumerate(map(float, row)) for row in weights], bias)
+    return Node("affine", _preds(preds), weights=Rows.dense(weights), bias=bias)
 
 
 def sparse_affine_node(
     preds: int | Sequence[int], rows: Sequence[Sequence[tuple[int, float]]], bias: Sequence[float]
 ) -> Node:
     """An affine node whose rows list their ``(column, weight)`` terms in summation order."""
-    preds = (preds,) if isinstance(preds, int) else tuple(preds)
-    return Node("affine", preds=preds, weights=tuple([tuple(row) for row in rows]), bias=tuple(map(float, bias)))
+    return Node("affine", _preds(preds), weights=Rows.from_terms(rows), bias=bias)
 
 
 def relu_node(pred: int) -> Node:
@@ -117,6 +202,14 @@ class Network:
 
 
 def _validate(nodes: tuple[Node, ...], output: int, input_dim: int) -> tuple[int, ...]:
+    """Each node's output width, after checking the nodes' structure and their affine rows.
+
+    One pass over the nodes checks predecessor order, input indices, node
+    kinds and row/bias counts, as each width depends on the earlier ones.
+    The terms of every affine row are then checked in one batch of array
+    operations: term counts against the columns, and columns against the
+    width of the node's predecessors.
+    """
     if not nodes:
         raise ValueError("network has no nodes")
     if not 0 <= output < len(nodes):
@@ -125,6 +218,8 @@ def _validate(nodes: tuple[Node, ...], output: int, input_dim: int) -> tuple[int
         raise ValueError("input_dim must be at least 1")
     arities: list[int] = []
     seen_inputs: dict[int, int] = {}
+    affine: list[int] = []
+    widths: list[int] = []  # per affine node, its predecessors' width
     for i, node in enumerate(nodes):
         for p in node.preds:
             if not 0 <= p < i:
@@ -139,16 +234,14 @@ def _validate(nodes: tuple[Node, ...], output: int, input_dim: int) -> tuple[int
         elif node.kind == "affine":
             if not node.preds:
                 raise ValueError(f"node {i}: affine needs at least one predecessor")
-            rows = len(node.weights)
-            if rows == 0 or len(node.bias) != rows:
+            rows = node.weights
+            if len(rows) == 0 or len(node.bias) != len(rows):
                 raise ValueError(f"node {i}: affine needs matching weight rows and bias entries")
-            cols = sum(arities[p] for p in node.preds)
-            terms = list(chain.from_iterable(node.weights))
-            # (column, weight) pairs order by column first
-            if terms and not (0 <= min(terms)[0] and max(terms)[0] < cols):
-                bad = next(c for c, _ in terms if not 0 <= c < cols)
-                raise ValueError(f"node {i}: term column {bad} out of range for predecessor width {cols}")
-            arities.append(rows)
+            if len(rows.values) != len(rows.columns):
+                raise ValueError(f"node {i}: affine has {len(rows.columns)} term columns, {len(rows.values)} weights")
+            affine.append(i)
+            widths.append(sum(arities[p] for p in node.preds))
+            arities.append(len(rows))
         elif node.kind == "relu":
             if len(node.preds) != 1:
                 raise ValueError(f"node {i}: relu takes exactly one predecessor")
@@ -158,7 +251,30 @@ def _validate(nodes: tuple[Node, ...], output: int, input_dim: int) -> tuple[int
     if len(seen_inputs) != input_dim:
         missing = sorted(set(range(input_dim)) - set(seen_inputs))
         raise ValueError(f"missing input nodes for indices {missing}")
+    if affine:
+        _validate_terms([nodes[i].weights for i in affine], affine, widths)
     return tuple(arities)
+
+
+def _validate_terms(rows: list[Rows], ids: list[int], widths: list[int]) -> None:
+    """Check the rows of the affine nodes ``ids`` at once; an error names the first bad node."""
+    counts = np.concatenate([r.counts for r in rows])
+    terms = [len(r.columns) for r in rows]
+    # A float64 sum of nonnegative counts cannot wrap around, so it equals the
+    # node's term total only if every count is at most that total.
+    sums = np.add.reduceat(counts, [0, *accumulate(map(len, rows[:-1]))], dtype=np.float64)
+    if counts.min() < 0 or (sums != terms).any():
+        for i, r, total in zip(ids, rows, terms):
+            if r.counts.min() < 0:
+                raise ValueError(f"node {i}: affine term counts must not be negative")
+            if r.counts.sum(dtype=np.float64) != total:
+                raise ValueError(f"node {i}: affine term counts do not add up to its {total} terms")
+    columns = np.concatenate([r.columns for r in rows])
+    if columns.size and (columns.min() < 0 or (columns >= np.repeat(widths, terms)).any()):
+        for i, r, width in zip(ids, rows, widths):
+            bad = r.columns[(r.columns < 0) | (r.columns >= width)]
+            if bad.size:
+                raise ValueError(f"node {i}: term column {bad[0]} out of range for predecessor width {width}")
 
 
 class _AffineStage(NamedTuple):
@@ -242,69 +358,100 @@ def _compile(net: Network) -> Program:
     level = [0] * len(nodes)
     groups: dict[tuple[int, str], list[int]] = {}
     for i, node in enumerate(nodes):
-        kind = node.kind
-        if kind == "input":
-            continue
-        preds = node.preds
-        top = level[preds[0]] if len(preds) == 1 else max(level[p] for p in preds)
-        level[i] = top + 1
-        groups.setdefault((top + 1, kind), []).append(i)
+        if node.kind != "input":
+            level[i] = 1 + max([level[p] for p in node.preds])
+            groups.setdefault((level[i], node.kind), []).append(i)
     keys = sorted(groups)
 
     # Columns: inputs first, then each stage's nodes in a contiguous block.
-    cols: list[Sequence[int]] = [(node.index,) for node in nodes]  # kept for inputs only
+    first = [node.index for node in nodes]  # each node's first column; an input's is its index
     spans = []
     nxt = net.input_dim
     for key in keys:
         start = nxt
         for i in groups[key]:
-            cols[i] = range(nxt, nxt + arities[i])
+            first[i] = nxt
             nxt += arities[i]
         spans.append((start, nxt))
-    pad = nxt  # the -0.0 column
-    columns = nxt + 1
+    columns = nxt + 1  # the last one holds -0.0
 
+    affine = [span for key, span in zip(keys, spans) if key[1] == "affine"]
+    members = [i for key in keys if key[1] == "affine" for i in groups[key]]
+    tables = iter(_affine_tables(net, first, columns, members, affine) if members else [])
     stages: list[_AffineStage | _ReluStage] = []
     for key, (start, stop) in zip(keys, spans):
-        members = [nodes[i] for i in groups[key]]
-        if key[1] == "relu":
-            src = [c for node in members for c in cols[node.preds[0]]]
-            span = slice(src[0], src[0] + len(src))
-            contiguous = src == list(range(span.start, span.stop))
-            stages.append(_ReluStage(start, stop, span if contiguous else np.array(src, dtype=np.intp)))
+        if key[1] == "affine":
+            stages.append(_AffineStage(start, stop, *next(tables)))
+            continue
+        reads = [(first[nodes[i].preds[0]], arities[i]) for i in groups[key]]
+        if all(a + w == b for (a, w), (b, _) in zip(reads, reads[1:])):
+            stages.append(_ReluStage(start, stop, slice(reads[0][0], reads[0][0] + stop - start)))
         else:
-            lookup: list[int] = []  # the members' predecessor columns, end to end
-            starts: list[int] = []  # per row, where its node's columns begin in lookup
-            lengths: list[int] = []  # per row, its term count
-            terms: list[tuple[int, float]] = []
-            bias: list[float] = []
-            for node in members:
-                starts.extend([len(lookup)] * len(node.weights))
-                for p in node.preds:
-                    lookup.extend(cols[p])
-                lengths.extend(map(len, node.weights))
-                terms.extend(chain.from_iterable(node.weights))
-                bias.extend(node.bias)
-            flat = np.fromiter(chain.from_iterable(terms), float, 2 * len(terms)).reshape(-1, 2)
-            w = flat[:, 1]
-            c = np.array(lookup, dtype=np.intp)[np.repeat(starts, lengths) + flat[:, 0].astype(np.intp)]
-            keep = w != 0.0
-            w = w[keep]
-            c = c[keep]
-            row = np.repeat(np.arange(len(bias)), lengths)[keep]
-            k = np.arange(row.size) - np.searchsorted(row, row)  # term's place in its row
-            depth = int(k.max()) + 1 if k.size else 1
-            w_table = np.ones((depth, len(bias)))  # a pad term is 1.0 * -0.0
-            w_table[k, row] = w
-            c_table = np.full((depth, len(bias)), pad, dtype=np.intp)
-            c_table[k, row] = c
-            # A negative weight takes a term's lower end from the upper input end.
-            pos = w_table > 0.0
-            lo_src = np.where(pos, c_table, c_table + columns)
-            hi_src = np.where(pos, c_table + columns, c_table)
-            src = np.stack([lo_src, hi_src], axis=1)
-            stages.append(_AffineStage(start, stop, src, w_table[:, None, :, None], np.array(bias)[:, None]))
-    return Program(net.input_dim, columns, tuple(stages), np.array(cols[net.output], dtype=np.intp))
+            stages.append(_ReluStage(start, stop, np.concatenate([np.arange(a, a + w) for a, w in reads])))
+    out = first[net.output]
+    return Program(net.input_dim, columns, tuple(stages), np.arange(out, out + arities[net.output]))
+
+
+def _affine_tables(
+    net: Network, first: list[int], columns: int, members: list[int], spans: list[tuple[int, int]]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The ``(src, weights, bias)`` of every affine stage, laid out in one batch of array operations.
+
+    ``first`` is each node's first buffer column, ``members`` lists the
+    affine nodes in column order and ``spans`` each affine stage's columns.
+    The ``size[s]`` rows of stage ``s`` share a block of one flat table,
+    ``depth[s]`` term places deep: row ``r`` of the stage keeps its ``k``-th
+    nonzero term at ``k * size[s] + r`` of the block. Rows shorter than the
+    deepest are padded with ``1.0 * -0.0``, read from the last buffer column.
+    """
+    nodes, arities = net.nodes, net.arities
+    rows = [nodes[i].weights for i in members]
+    counts = np.concatenate([r.counts for r in rows])
+    local = np.concatenate([r.columns for r in rows])
+    weights = np.concatenate([r.values for r in rows])
+    bias = np.concatenate([nodes[i].bias for i in members])[:, None]
+
+    # A term's buffer column: ``lookup`` holds every member's predecessor
+    # columns, read end to end, one member after another.
+    moves, widths, offsets = [], [], []  # per predecessor read: its shift and width; per member: its offset
+    at = 0
+    for i in members:
+        offsets.append(at)
+        for p in nodes[i].preds:
+            moves.append(first[p] - at)
+            widths.append(arities[p])
+            at += arities[p]
+    lookup = np.arange(at) + np.repeat(moves, widths)
+    source = lookup[local + np.repeat(offsets, [len(r.columns) for r in rows])]
+
+    row = np.arange(counts.size).repeat(counts)
+    if not weights.all():  # a zero term adds nothing to its row
+        keep = weights != 0.0
+        weights, source, row = weights[keep], source[keep], row[keep]
+        counts = np.bincount(row, minlength=counts.size)
+    k = np.arange(row.size) - row.searchsorted(row)  # a term's place in its row
+
+    size = [stop - start for start, stop in spans]  # rows per stage
+    row_start = [0, *accumulate(size)][:-1]
+    depth = [max(d, 1) for d in np.maximum.reduceat(counts, row_start).tolist()]
+    block = [0, *accumulate([d * r for d, r in zip(depth, size)])]  # where each stage's table begins
+    base = np.repeat([b - r0 for b, r0 in zip(block, row_start)], size) + np.arange(counts.size)
+    at = base[row] + k * np.repeat(size, size)[row]
+    w_table = np.ones(block[-1])  # a pad term is 1.0 * -0.0
+    w_table[at] = weights
+    c_table = np.full(block[-1], columns - 1, dtype=np.intp)
+    c_table[at] = source
+    # A negative weight takes a term's lower end from the upper input end,
+    # which the flat (2 * columns, boxes) view holds ``columns`` rows later.
+    upper = np.where(w_table > 0.0, columns, 0)
+    src = np.empty((2, block[-1]), dtype=np.intp)
+    np.subtract(c_table + columns, upper, out=src[0])
+    np.add(c_table, upper, out=src[1])
+    tables = []
+    for d, r, b, r0 in zip(depth, size, block, row_start):
+        lo_hi = src[:, b : b + d * r].reshape(2, d, r).transpose(1, 0, 2).copy()
+        tables.append((lo_hi, w_table[b : b + d * r].reshape(d, 1, r, 1), bias[r0 : r0 + r]))
+    return tables
 
 
 def eval_abstract_many(net: Network, boxes: Sequence[BoxRegion]) -> list[BoxRegion]:
@@ -339,7 +486,7 @@ def eval_concrete(net: Network, x: Sequence[float]) -> tuple[float, ...]:
 def stats(net: Network) -> dict[str, int]:
     """Flat counts: nodes, ReLU units, parameters (stored terms and biases), and longest path to the output."""
     relus = sum(net.arity(i) for i, n in enumerate(net.nodes) if n.kind == "relu")
-    params = sum(sum(map(len, n.weights)) + len(n.bias) for n in net.nodes if n.kind == "affine")
+    params = sum(len(n.weights.columns) + len(n.bias) for n in net.nodes)
     depth = [0] * len(net.nodes)
     for i, n in enumerate(net.nodes):
         if n.kind != "input":
@@ -375,19 +522,31 @@ class NetworkBuilder:
         self._arities.append(arity)
         return len(self._nodes) - 1
 
+    def _append_affine(self, node: Node) -> int:
+        return self._append(node, len(node.weights))
+
     def affine(
         self, preds: int | Sequence[int], weights: Sequence[Sequence[float]], bias: Sequence[float]
     ) -> int:
         """Append an affine node with dense rows."""
-        node = affine_node(preds, weights, bias)
-        return self._append(node, len(node.weights))
+        return self._append_affine(affine_node(preds, weights, bias))
 
     def sparse_affine(
         self, preds: int | Sequence[int], rows: Sequence[Sequence[tuple[int, float]]], bias: Sequence[float]
     ) -> int:
         """Append an affine node whose rows list their ``(column, weight)`` terms."""
-        node = sparse_affine_node(preds, rows, bias)
-        return self._append(node, len(node.weights))
+        return self._append_affine(sparse_affine_node(preds, rows, bias))
+
+    def csr_affine(
+        self,
+        preds: int | Sequence[int],
+        counts: Sequence[int],
+        columns: Sequence[int],
+        values: Sequence[float],
+        bias: Sequence[float],
+    ) -> int:
+        """Append an affine node whose rows are given as CSR arrays, as ``Rows`` takes them."""
+        return self._append_affine(Node("affine", _preds(preds), weights=Rows(counts, columns, values), bias=bias))
 
     def relu(self, pred: int) -> int:
         return self._append(relu_node(pred), self._arities[pred])

@@ -28,6 +28,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .network import Network, eval_abstract
 from .oracle import DEFAULT_SAMPLE_BUDGET, BoxRanges, CertifiedBound, certified_box_ranges
 
 MARGIN_FRACTION = 8.0  # per-box oracle margin target: delta / 8
+LINE_BOXES = 1024  # boxes whose report lines are made from one conversion of the columns
 
 # The campaign samples all its boxes through this module-level name, which
 # bench/spans.py times as the ``oracle.range`` span.
@@ -129,42 +131,46 @@ class VerificationReport:
     def max_violation(self) -> float:
         return float(self.violation.max(initial=0.0))
 
-    def to_document(self) -> str:
-        lines = [
-            "boxcert-verify 1",
-            f"config boxes {self.config.boxes}",
-            f"config seed {self.config.seed}",
-            f"config tolerance {self.config.tolerance!r}",
-            f"config delta {self.delta!r}",
-        ]
+    def lines(self) -> Iterator[str]:
+        """The report document line by line, each with its newline, converting ``LINE_BOXES`` boxes at a time."""
+        yield "boxcert-verify 1\n"
+        yield f"config boxes {self.config.boxes}\n"
+        yield f"config seed {self.config.seed}\n"
+        yield f"config tolerance {self.config.tolerance!r}\n"
+        yield f"config delta {self.delta!r}\n"
         r = self.ranges
-        for i, (lo, hi, ok, vmin, vmax, margin, prop_lo, prop_hi, lower, upper, violation) in enumerate(zip(
-            self.lo.tolist(), self.hi.tolist(), r.ok.tolist(), r.vmin.tolist(), r.vmax.tolist(),
-            r.margin.tolist(), self.prop_lo.tolist(), self.prop_hi.tolist(), *self.status.tolist(),
-            self.violation.tolist(),
-        )):
-            box_text = ";".join([f"{a!r},{b!r}" for a, b in zip(lo, hi)])
-            if not ok:
-                lines.append(f"box {i} {box_text} inconclusive")
-                continue
-            lines.append(
-                f"box {i} {box_text} "
-                f"min {vmin!r} margin {margin!r} "
-                f"max {vmax!r} margin {margin!r} "
-                f"prop {prop_lo!r} {prop_hi!r} "
-                f"lower {STATUSES[lower]} upper {STATUSES[upper]} "
-                f"violation {violation!r}"
-            )
-        lines.append(
+        for at in range(0, len(self.lo), LINE_BOXES):
+            part = slice(at, at + LINE_BOXES)
+            for i, (lo, hi, ok, vmin, vmax, margin, prop_lo, prop_hi, lower, upper, violation) in enumerate(zip(
+                self.lo[part].tolist(), self.hi[part].tolist(), r.ok[part].tolist(), r.vmin[part].tolist(),
+                r.vmax[part].tolist(), r.margin[part].tolist(), self.prop_lo[part].tolist(),
+                self.prop_hi[part].tolist(), *self.status[:, part].tolist(), self.violation[part].tolist(),
+            ), at):
+                box_text = ";".join([f"{a!r},{b!r}" for a, b in zip(lo, hi)])
+                if not ok:
+                    yield f"box {i} {box_text} inconclusive\n"
+                    continue
+                yield (
+                    f"box {i} {box_text} "
+                    f"min {vmin!r} margin {margin!r} "
+                    f"max {vmax!r} margin {margin!r} "
+                    f"prop {prop_lo!r} {prop_hi!r} "
+                    f"lower {STATUSES[lower]} upper {STATUSES[upper]} "
+                    f"violation {violation!r}\n"
+                )
+        yield (
             f"summary boxes {len(self.lo)} failures {self.failures} "
             f"inconclusive {self.inconclusive} max_violation {self.max_violation!r} "
-            f"delta {self.delta!r} seed {self.config.seed}"
+            f"delta {self.delta!r} seed {self.config.seed}\n"
         )
-        return "\n".join(lines) + "\n"
+
+    def to_document(self) -> str:
+        return "".join(self.lines())
 
     def save(self, path: str) -> None:
+        """Write the document as its lines come, so that it is never held whole."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_document())
+            fh.writelines(self.lines())
 
     def summary_text(self) -> str:
         return (

@@ -40,7 +40,7 @@ from boxcert.expr import FuncExpr
 from boxcert.grids import GridSpec, RectCorners
 from boxcert.intervals import BoxRegion, Interval
 from boxcert.netio import MAGIC
-from boxcert.network import Network, NetworkBuilder
+from boxcert.network import Network, NetworkBuilder, Node
 from boxcert.oracle import DEFAULT_SAMPLE_BUDGET, CertifiedBound, certified_box_range
 from boxcert.slicing import SliceSpec
 from boxcert.verify import BoxRecord
@@ -178,6 +178,14 @@ def random_network(rng: random.Random, max_extra_nodes: int = 8) -> Network:
     return b.finish(ids[-1])
 
 
+def row_terms(node: Node) -> list[list[tuple[int, float]]]:
+    """An affine node's rows as lists of their ``(column, weight)`` terms, in summation order."""
+    rows = node.weights
+    terms = list(zip(rows.columns.tolist(), rows.values.tolist()))
+    ends = np.cumsum(rows.counts).tolist()
+    return [terms[end - n : end] for n, end in zip(rows.counts.tolist(), ends)]
+
+
 def identity_network(dim: int) -> Network:
     b = NetworkBuilder(dim)
     rows = [[1.0 if j == i else 0.0 for j in range(dim)] for i in range(dim)]
@@ -192,7 +200,7 @@ def append_copy(b: NetworkBuilder, net: Network) -> int:
         if node.kind == "input":
             ids.append(b.input_id(node.index))
         elif node.kind == "affine":
-            ids.append(b.sparse_affine(preds, node.weights, node.bias))
+            ids.append(b.sparse_affine(preds, row_terms(node), node.bias))
         else:
             ids.append(b.relu(preds[0]))
     return ids[net.output]
@@ -360,9 +368,10 @@ def serialize_v2(net: Network) -> str:
         if node.kind == "input":
             lines.append(f"node {i} input {node.index}")
         elif node.kind == "affine":
-            cols = len(node.weights[0])
-            assert all([c for c, _ in row] == list(range(cols)) for row in node.weights), "rows must be dense"
-            toks = [b.hex() for b in node.bias] + [w.hex() for row in node.weights for _, w in row]
+            rows = row_terms(node)
+            cols = len(rows[0])
+            assert all([c for c, _ in row] == list(range(cols)) for row in rows), "rows must be dense"
+            toks = [b.hex() for b in node.bias.tolist()] + [w.hex() for row in rows for _, w in row]
             preds = ",".join(map(str, node.preds))
             lines.append(f"node {i} affine {preds} {len(node.weights)} {cols} " + " ".join(toks))
         else:
@@ -506,7 +515,7 @@ def reference_eval_concrete(net: Network, x) -> tuple[float, ...]:
         elif node.kind == "affine":
             v = [t for p in node.preds for t in vals[p]]
             out = []
-            for row, b in zip(node.weights, node.bias):
+            for row, b in zip(row_terms(node), node.bias.tolist()):
                 acc = 0.0
                 for c, w in row:
                     acc += w * v[c]
@@ -527,7 +536,7 @@ def reference_eval_abstract(net: Network, box: BoxRegion) -> BoxRegion:
             v = [t for p in node.preds for t in vals[p]]
             vals.append(tuple(
                 iv_affine_row([w for _, w in row], b, [v[c] for c, _ in row])
-                for row, b in zip(node.weights, node.bias)
+                for row, b in zip(row_terms(node), node.bias.tolist())
             ))
         else:
             vals.append(tuple(iv_relu(t) for t in vals[node.preds[0]]))

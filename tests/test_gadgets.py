@@ -29,6 +29,7 @@ from helpers import (
     nmin2_closed_form,
     rand_dyadic,
     rand_dyadic_interval,
+    row_terms,
 )
 
 
@@ -324,7 +325,7 @@ class TestLocalBump:
         shared = operands[0, 0]
         assert operands[1, 0] == shared and len(set(operands.ravel().tolist())) == 7
         steep = float(grid.cells[0] * grid.ell)
-        assert rows.weights[shared] == ((0, -steep),)
+        assert row_terms(rows)[shared] == [(0, -steep)]
         assert rows.bias[shared] == float(grid.ell * 1)
         for column, rect in enumerate(rects):
             check_bump_contract(net, grid, rect, random.Random(3), column)

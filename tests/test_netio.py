@@ -1,7 +1,11 @@
 import random
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boxcert.cli import EXIT_USAGE, main
 from boxcert.fixtures import fig2_n2
@@ -18,7 +22,7 @@ from boxcert.netio import (
 )
 from boxcert.network import NetworkBuilder, eval_abstract, eval_abstract_many, eval_concrete
 
-from helpers import random_network
+from helpers import random_network, row_terms
 
 
 def test_round_trip_preserves_propagation():
@@ -63,10 +67,12 @@ def test_decimal_weights_accepted():
         "node 1 affine 0 1 1 0.25 -1.5\n"
     )
     net = deserialize(text)
-    assert net.nodes[1].weights == (((0, -1.5),),)
-    assert net.nodes[1].bias == (0.25,)
+    assert row_terms(net.nodes[1]) == [[(0, -1.5)]]
+    assert net.nodes[1].bias.tolist() == [0.25]
     sparse = deserialize(f"{MAGIC} 3\ninput_dim 1\noutput 1\nnode 0 input 0\nnode 1 affine 0 1 0.25 0:-1.5\n")
     assert sparse.nodes == net.nodes
+    table = deserialize(f"{MAGIC} 4\ninput_dim 1\noutput 1\nvalues -1.5 0.25\nnode 0 input 0\nnode 1 affine 0 1 1 0 0")
+    assert table.nodes == net.nodes
 
 
 def test_missing_magic():
@@ -213,12 +219,22 @@ def test_box_text_round_trip():
         parse_box_text("1;2,3")
 
 
+def test_hex_float_past_the_largest_double_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(NetworkFormatError, match=re.escape("bad float literal '0x1p+1024' in box text")):
+        parse_box_text("0,0x1p+1024")
+    path = tmp_path / "n2.net"
+    save(fig2_n2(), str(path))
+    assert main(["propagate", "--net", str(path), "--box", "0,0x1p+1024"]) == EXIT_USAGE
+    assert "bad float literal" in capsys.readouterr().err
+
+
 def test_multi_input_affine_line():
     b = NetworkBuilder(2)
     net = b.finish(b.affine([1, 0], [[0.5, -1.0]], [0.25]))
     text = serialize(net)
-    assert text.startswith(f"{MAGIC} 3\n")
-    assert "node 2 affine 1,0 2 0x1.0000000000000p-2 0:0x1.0000000000000p-1 1:-0x1.0000000000000p+0\n" in text
+    assert text.startswith(f"{MAGIC} 4\n")
+    assert "values -0x1.0000000000000p+0 0x1.0000000000000p-2 0x1.0000000000000p-1\n" in text
+    assert "node 2 affine 1,0 2 1 0,1 2,0\n" in text
     assert deserialize(text).nodes == net.nodes
 
 
@@ -226,10 +242,11 @@ def test_only_nonzero_terms_are_written():
     # rows with a zero, a -0.0 and no term at all; signed-zero biases stay as written
     b = NetworkBuilder(2)
     net = b.finish(b.sparse_affine([0, 1], [[(1, 0.0), (0, 2.0)], [(0, -0.0)], []], [-0.0, 1.0, 0.0]))
-    line = serialize(net).splitlines()[-1]
-    assert line == "node 2 affine 0,1 1,0,0 -0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0:0x1.0000000000000p+1"
+    lines = serialize(net).splitlines()
+    assert "values -0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+1" in lines
+    assert lines[-1] == "node 2 affine 0,1 1,0,0 0,2,1 0 3"
     back = deserialize(serialize(net))
-    assert back.nodes[2].weights == (((0, 2.0),), (), ())
+    assert row_terms(back.nodes[2]) == [[(0, 2.0)], [], []]
     assert [b.hex() for b in back.nodes[2].bias] == ["-0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"]
     boxes = [BoxRegion.from_pairs([(-1.0, 0.5), (-0.0, 2.0)]), BoxRegion.point([-0.0, -0.0])]
     for got, want in zip(eval_abstract_many(back, boxes), eval_abstract_many(net, boxes)):
@@ -269,3 +286,182 @@ def test_version_1_is_rejected(capsys):
         load(str(MIN_V1))
     assert main(["propagate", "--net", str(MIN_V1), "--box", "0,1;0,1"]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: unsupported schema version 1\n"
+
+
+MIN_V2 = Path(__file__).parent / "data" / "min-v2.net"
+# The version-3 document that the version-3 writer made of min-v2.net's network.
+MIN_V3 = Path(__file__).parent / "data" / "min-v3.net"
+
+
+def test_versions_2_3_and_4_load_to_the_same_rows():
+    v2, v3 = load(str(MIN_V2)), load(str(MIN_V3))
+    text = serialize(v2)
+    assert text.startswith(f"{MAGIC} 4\n") and serialize(v3) == text
+    v4 = deserialize(text)
+    assert v2.metadata == v3.metadata == v4.metadata
+    assert (v2.output, v2.input_dim) == (v3.output, v3.input_dim) == (v4.output, v4.input_dim)
+    for a, b, c in zip(v2.nodes, v3.nodes, v4.nodes, strict=True):
+        assert (a.kind, a.preds, a.index) == (b.kind, b.preds, b.index) == (c.kind, c.preds, c.index)
+        for field in ("counts", "columns", "values"):
+            arrays = [getattr(n.weights, field) for n in (a, b, c)]
+            assert arrays[0].tobytes() == arrays[1].tobytes() == arrays[2].tobytes()
+        assert a.bias.tobytes() == b.bias.tobytes() == c.bias.tobytes()
+    # dense version-2 rows keep only their nonzero weights
+    assert all(n.weights.values.all() for n in v2.nodes)
+    rng = random.Random(7)
+    boxes = []
+    for _ in range(40):
+        x, y = rng.uniform(-0.25, 1.25), rng.uniform(-0.25, 1.25)
+        w, h = rng.choice([0.0, rng.uniform(0.0, 0.5)]), rng.choice([0.0, rng.uniform(0.0, 0.5)])
+        boxes.append(BoxRegion.from_pairs([(x, x + w), (y, y + h)]))
+    hexes = [[[(iv.lo.hex(), iv.hi.hex()) for iv in out.bounds] for out in eval_abstract_many(n, boxes)]
+             for n in (v2, v3, v4)]
+    assert hexes[0] == hexes[1] == hexes[2]
+
+
+V4_HEAD = f"{MAGIC} 4\ninput_dim 2\noutput 2\n"
+V4_NODES = "node 0 input 0\nnode 1 input 1\n"
+
+
+def v4_document(affine: str = "0,1 1,1 1,0 0,1 2,2", values: str = "values -1.0 0.5 2.0") -> str:
+    """Two inputs and one affine node over both: rows ``2*x0 + 0.5`` and ``2*x1 - 1.0`` by default."""
+    return V4_HEAD + values + "\n" + V4_NODES + f"node 2 affine {affine}\n"
+
+
+def test_version_4_document_reads_its_lists():
+    net = deserialize(v4_document())
+    assert row_terms(net.nodes[2]) == [[(0, 2.0)], [(1, 2.0)]]
+    assert net.nodes[2].bias.tolist() == [0.5, -1.0]
+    assert eval_concrete(net, [1.0, 3.0]) == (2.5, 5.0)
+    # a node whose rows have no terms writes its columns and weights as -
+    b = NetworkBuilder(1)
+    constant = b.finish(b.sparse_affine(0, [[], []], [1.0, -0.0]))
+    assert serialize(constant).splitlines()[-1] == "node 1 affine 0 0,0 1,0 - -"
+    assert deserialize(serialize(constant)).nodes == constant.nodes
+
+
+@pytest.mark.parametrize(
+    "affine, message",
+    [
+        ("0,1 1,,1 1,0 0,1 2,2", "node 2: affine lists '1,,1 1,0 0,1 2,2' are not"),
+        ("0,1 1.5 1,0 0,1 2,2", "node 2: affine lists '1.5 1,0 0,1 2,2' are not"),
+        ("0,1 1,1 1,0 0,1, 2,2", "node 2: affine lists '1,1 1,0 0,1, 2,2' are not"),
+        ("0,1 1,1 1,0 ,0,1 2,2", "node 2: affine lists '1,1 1,0 ,0,1 2,2' are not"),
+        ("0,1 1,1 -1,0 0,1 2,2", "node 2: affine lists '1,1 -1,0 0,1 2,2' are not"),
+        ("0,1 -1,3 1,0 0,1 2,2", "node 2: affine lists '-1,3 1,0 0,1 2,2' are not"),
+        ("0,1 1,1 1,0 0,1 2,١", "node 2: affine lists '1,1 1,0 0,1 2,١' are not"),
+        ("0,1 1,1 1,0 0,1 2,3", "node 2: value index out of range for 3 values"),
+        ("0,1 1,1 1,7 0,1 2,2", "node 2: value index out of range for 3 values"),
+        ("0,1 1,1 1,0 0,1 2,99999999999999999999", "node 2: value index out of range"),
+        ("0,1 2,1 1,0 0,1 2,2", "node 2: affine term counts do not add up to its 2 terms"),
+        ("0,1 1,1 1,0 0,99999999999999999999 2,2", "node 2: term column 9223372036854775807 out of range"),
+        ("0,1 1,1 1,0 0,5 2,2", "node 2: term column 5 out of range for predecessor width 2"),
+        ("0,1 1,1 1,0 0 2,2", "node 2: affine has 1 term columns, 2 weights"),
+        ("0,1 1,1 1 0,1 2,2", "node 2: affine needs matching weight rows and bias entries"),
+        ("0,1 1,1 1,0 0,1", "node 2: affine takes preds, term counts, bias indices, columns and weight indices"),
+        ("0,1 - - - -", "node 2: affine needs matching weight rows and bias entries"),
+    ],
+    ids=["empty-entry", "non-integer", "trailing-comma", "leading-comma", "negative-index", "negative-count",
+         "non-ascii-digit", "weight-index", "bias-index", "huge-index", "count-sum", "huge-column", "column",
+         "columns-and-weights", "biases", "list-count", "no-rows"],
+)
+def test_malformed_version_4_lists_name_the_node(affine, message):
+    with pytest.raises(NetworkFormatError, match=re.escape(message)):
+        deserialize(v4_document(affine))
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ("values -1.0 inf 2.0", "non-finite value 'inf' in the values line"),
+        ("values -1.0 nan 2.0", "non-finite value 'nan' in the values line"),
+        ("values -1.0 1e999 2.0", "non-finite value '1e999' in the values line"),
+        ("values -1.0 0x1p+1024 2.0", "bad float literal '0x1p+1024' in the values line"),
+        ("values -1.0 1.0.0 2.0", "bad float literal '1.0.0' in the values line"),
+    ],
+)
+def test_bad_values_are_rejected(values, message):
+    with pytest.raises(NetworkFormatError, match=re.escape(message)):
+        deserialize(v4_document(values=values))
+
+
+def test_the_values_line_comes_before_the_affine_lines():
+    text = V4_HEAD + V4_NODES + "node 2 affine 0,1 1,1 1,0 0,1 2,2\nvalues -1.0 0.5 2.0\n"
+    with pytest.raises(NetworkFormatError, match="node 2: affine node before the values line"):
+        deserialize(text)
+    with pytest.raises(NetworkFormatError, match="duplicate values line"):
+        deserialize(v4_document().replace("values", "values 1.0\nvalues", 1))
+    with pytest.raises(NetworkFormatError, match="unknown directive 'values'"):
+        deserialize(f"{MAGIC} 3\ninput_dim 1\noutput 1\nvalues 1.0\nnode 0 input 0\nnode 1 affine 0 1 0.25 0:-1.5\n")
+
+
+def test_a_partial_read_of_the_lists_names_the_node(monkeypatch):
+    # a numpy that only deprecates a malformed read warns and returns the
+    # entries before the bad one instead of raising: the element counts
+    # catch such a partial read
+    fromstring = np.fromstring
+    monkeypatch.setattr(np, "fromstring", lambda text, **kw: fromstring(text, **kw)[:-1])
+    with pytest.raises(NetworkFormatError, match=re.escape("node 2: affine lists '1,1 1,0 0,1 2,2' are not")):
+        deserialize(v4_document())
+
+
+ROUND_TRIP_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def sparse_networks(draw):
+    """Random DAGs whose affine rows hold up to four terms, or none, with any finite weights and biases."""
+    b = NetworkBuilder(draw(st.integers(1, 3)))
+    ids = list(b.input_ids)
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            ids.append(b.relu(draw(st.sampled_from(ids))))
+            continue
+        preds = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3))
+        width = sum(b.arity(p) for p in preds)
+        term = st.tuples(st.integers(0, width - 1), ROUND_TRIP_FLOATS)
+        rows = draw(st.lists(st.lists(term, max_size=4), min_size=1, max_size=4))
+        bias = draw(st.lists(ROUND_TRIP_FLOATS, min_size=len(rows), max_size=len(rows)))
+        ids.append(b.sparse_affine(preds, rows, bias))
+    return b.finish(ids[-1])
+
+
+def edge_network():
+    """Rows with no terms, a zero weight, a -0.0 bias and weight, and subnormal and largest doubles."""
+    b = NetworkBuilder(2)
+    rows = [[], [(1, 5e-324), (0, -1.7976931348623157e308)], [(0, 0.0), (1, -0.0), (1, 1e-310)]]
+    return b.finish(b.relu(b.sparse_affine([0, 1], rows, [-0.0, 2.2250738585072014e-308, 1e308])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_networks(), st.booleans())
+@example(edge_network(), False)
+@example(edge_network(), True)
+def test_version_4_round_trip_is_bit_exact(net, decimal):
+    text = serialize(net)
+    if decimal:  # the reader also takes the values as decimal literals
+        head, _, rest = text.partition("\nvalues ")
+        if rest:
+            line, _, tail = rest.partition("\n")
+            line = " ".join(repr(float.fromhex(tok)) for tok in line.split())
+            text = f"{head}\nvalues {line}\n{tail}"
+    back = deserialize(text)
+    assert serialize(back) == serialize(net)
+
+    def terms(node):
+        return [[(c, w.hex()) for c, w in row if w != 0.0] for row in row_terms(node)]
+
+    for node, got in zip(net.nodes, back.nodes, strict=True):
+        assert (got.kind, got.preds, got.index) == (node.kind, node.preds, node.index)
+        assert terms(got) == terms(node)
+        assert [v.hex() for v in got.bias.tolist()] == [v.hex() for v in node.bias.tolist()]
+
+
+def test_a_bad_list_names_its_own_node():
+    with pytest.raises(NetworkFormatError, match=re.escape("node 3: affine lists '1 0 0,1, 2' are not")):
+        deserialize(v4_document() + "node 3 affine 2 1 0 0,1, 2\n")
+    with pytest.raises(NetworkFormatError, match="node 3: value index out of range for 3 values"):
+        deserialize(v4_document() + "node 3 affine 2 1 3 0 1\n")

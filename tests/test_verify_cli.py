@@ -1,11 +1,13 @@
+import hashlib
 import itertools
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from boxcert import cli, netio, network
+from boxcert import cli, netio, network, verify
 from boxcert.cli import main
 from boxcert.construct import build_certified_network
 from boxcert.expr import parse_func
@@ -510,3 +512,53 @@ class TestCli:
         assert sum(int(r[3]) for r in rows) == report.relu_count
         assert rows[-1][1:] == ["affine", "1", "0", str(report.slice_count)]  # the sum over the slices
         assert lines[-1] == f"stages {len(net.program.stages)}"
+
+
+# sha256 of `boxcert stats` on the served networks, as the version-3 code
+# printed it when it counted terms row by row.
+SERVED_STATS = (
+    ("-x0*x0*x0 + 3*x0", [(-2.0, 2.0)], 0.4, "4bae306c2d24c74c84bb4ffacf7d5cafe830cdc7f22385b25b9d15ad392a9d04"),
+    ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.5, "8f1fe22ccb65349b93c685847df12b5a003d8c8551cfd2a53f80e3fe90d1bfe1"),
+    ("abs(x0 - 0.5)*relu(x1)", [(0.0, 1.0), (0.0, 1.0)], 0.25,
+     "3a8d93013596f8c3eeb3a8cf2648ac37b805b19898fa48bdd30a4c7df81220dd"),
+)
+
+
+@pytest.mark.parametrize("expr, domain, delta, stats_sha", SERVED_STATS, ids=["cubic", "product", "abs-relu"])
+def test_stats_output_is_pinned(tmp_path, capsys, expr, domain, delta, stats_sha):
+    net, _ = build_certified_network(parse_func(expr, len(domain), BoxRegion.from_pairs(domain)), delta)
+    path = tmp_path / "served.net"
+    netio.save(net, str(path))
+    assert main(["stats", "--net", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stats_sha
+
+
+def test_report_lines_stream_in_chunks(cubic_net, tmp_path, monkeypatch, capsys):
+    f, net, _, path = cubic_net
+    report = verify_network(net, f, RunConfig(boxes=10, seed=3, oracle_budget=64))
+    assert 0 < report.inconclusive < 10
+    whole = report.to_document()
+    monkeypatch.setattr(verify, "LINE_BOXES", 3)
+    lines = list(report.lines())
+    assert "".join(lines) == whole
+    assert all(line.count("\n") == 1 and line.endswith("\n") for line in lines)
+    report.save(str(tmp_path / "report"))
+    assert (tmp_path / "report").read_text() == whole
+    capsys.readouterr()
+    main(["verify", "--net", path, "--expr", CUBIC, "--boxes", "10", "--seed", "3"])
+    assert capsys.readouterr().out == verify_network(net, f, RunConfig(boxes=10, seed=3)).to_document()
+
+
+def test_saving_a_report_does_not_hold_its_document(tmp_path):
+    f = parse_func("x0*x1", 2, BoxRegion.from_pairs([(0.0, 1.0), (0.0, 1.0)]))
+    net, _ = build_certified_network(f, 0.5)
+    report = verify_network(net, f, RunConfig(boxes=10_000, seed=0))
+    path = tmp_path / "report"
+    tracemalloc.start()
+    try:
+        report.save(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the lines of LINE_BOXES boxes at a time (0.5 MB), not the 2.4 MB document
+    assert peak < path.stat().st_size / 3

@@ -14,8 +14,8 @@ Layout (version 4)::
 
 The ``values`` line lists each distinct bias and weight of the network once,
 before the first affine line. An affine line then carries five
-comma-separated integer lists (the last four of every line are read in one
-array call):
+comma-separated integer lists (the last four of a line are read in one array
+call):
 
 * ``preds``, the predecessor ids whose outputs the node reads end to end;
 * the term count of each row, one entry per row;
@@ -84,49 +84,31 @@ def _parse_term(tok: str, where: str) -> tuple[int, float]:
     return column, _parse_float(weight, where)
 
 
-def _read_ints(tokens: list[str]) -> tuple[np.ndarray, list[int]] | None:
-    """The comma-separated integer lists ``tokens`` (``-`` for an empty one), read in one array call, and their lengths.
+def _read_lists(where: str, lists: list[str], values: np.ndarray) -> dict:
+    """The ``weights`` and ``bias`` of a version-4 affine line, from its four integer lists (``-`` for an empty one).
 
     The lists' join is checked to be digit runs joined by single commas
-    before ``np.fromstring`` reads it, so that no numpy version takes a
-    partial read for a whole one, and the element count is checked after.
-    None if a list is malformed. A number past the int64 range reads as the
-    largest int64, which no count, column or index check accepts.
+    before one ``np.fromstring`` call reads it, so that no numpy version takes
+    a partial read for a whole one, and the element count is checked after.
+    A number past the int64 range reads as the largest int64, which no count,
+    column or index check accepts.
     """
-    sizes = [0 if tok == "-" else tok.count(",") + 1 for tok in tokens]
-    text = ",".join([tok for tok in tokens if tok != "-"])
-    if not text:
-        return np.empty(0, dtype=np.intp), sizes
-    if not (text.isascii() and text.replace(",", "").isdigit() and ",," not in text and text[0] != "," != text[-1]):
-        return None
-    ints = np.fromstring(text, dtype=np.intp, sep=",")
-    return (ints, sizes) if ints.size == sum(sizes) else None
-
-
-def _read_lists(pending: list[tuple[str, list[str]]], values: np.ndarray) -> list[dict]:
-    """The ``weights`` and ``bias`` of each version-4 affine line, given as ``(where, its four lists)``.
-
-    The lists of every line are read at once, the bias and weight indices
-    last, so that one lookup in ``values`` reads them all. An error names
-    the first line at fault.
-    """
-    n = len(pending)
-    read = _read_ints([lists[j] for j in (0, 2, 1, 3) for _, lists in pending])  # counts, columns, biases, weights
-    if read is None:
-        where, lists = next(line for line in pending if _read_ints(line[1]) is None)
+    sizes = [0 if tok == "-" else tok.count(",") + 1 for tok in lists]
+    text = ",".join([tok for tok in lists if tok != "-"])
+    well_formed = not text or (
+        text.isascii() and text.replace(",", "").isdigit() and ",," not in text and text[0] != "," != text[-1]
+    )
+    ints = np.fromstring(text, dtype=np.intp, sep=",") if text and well_formed else np.empty(0, dtype=np.intp)
+    if not well_formed or ints.size != sum(sizes):
         raise NetworkFormatError(f"{where}: affine lists {' '.join(lists)!r} are not comma-separated integers or -")
-    ints, sizes = read
-    bounds = [0, *accumulate(sizes)]
-    split = bounds[2 * n]  # where the bias and weight indices begin
-    if ints[split:].max(initial=-1) >= len(values):
-        j = next(j for j in range(2 * n, 4 * n) if ints[bounds[j] : bounds[j + 1]].max(initial=-1) >= len(values))
-        raise NetworkFormatError(f"{pending[j % n][0]}: value index out of range for {len(values)} values")
-    floats = values[ints[split:]]
     ints.setflags(write=False)
-    floats.setflags(write=False)
-    parts = [ints[a:b] for a, b in zip(bounds[: 2 * n], bounds[1 : 2 * n + 1])]
-    parts += [floats[a - split : b - split] for a, b in zip(bounds[2 * n : -1], bounds[2 * n + 1 :])]
-    return [{"weights": Rows(parts[k], parts[n + k], parts[3 * n + k]), "bias": parts[2 * n + k]} for k in range(n)]
+    a, b, c = accumulate(sizes[:3])  # counts, bias indices, columns, weight indices
+    if ints[a:b].max(initial=-1) >= len(values) or ints[c:].max(initial=-1) >= len(values):
+        raise NetworkFormatError(f"{where}: value index out of range for {len(values)} values")
+    bias, weights = values[ints[a:b]], values[ints[c:]]
+    bias.setflags(write=False)
+    weights.setflags(write=False)
+    return {"weights": Rows(ints[:a], ints[b:c], weights), "bias": bias}
 
 
 def _ints_text(values: np.ndarray) -> str:
@@ -209,11 +191,7 @@ def _parse_affine(where: str, rest: list[str], version: int) -> tuple:
 
 
 def _parse_node(node_id: int, kind: str, rest: list[str], version: int, values: np.ndarray | None) -> tuple:
-    """A node line's kind, its predecessor ids as written in the document, and its other ``Node`` fields.
-
-    A version-4 affine line's rows are read with every other line's once
-    the document is read, so its fields are its four integer lists for now.
-    """
+    """A node line's kind, its predecessor ids as written in the document, and its other ``Node`` fields."""
     where = f"node {node_id}"
     if kind == "input":
         if len(rest) != 1:
@@ -226,7 +204,7 @@ def _parse_node(node_id: int, kind: str, rest: list[str], version: int, values: 
             )
         if values is None:
             raise NetworkFormatError(f"{where}: affine node before the values line")
-        return "affine", tuple(map(int, rest[0].split(","))), rest[1:]
+        return "affine", tuple(map(int, rest[0].split(","))), _read_lists(where, rest[1:], values)
     if kind == "affine":
         preds, rows, bias = _parse_affine(where, rest, version)
         return "affine", preds, {"weights": rows, "bias": bias}
@@ -265,7 +243,6 @@ def deserialize(text: str) -> Network:
     preds_of: dict[int, tuple[int, ...]] = {}  # node id -> predecessor ids, in line order
     position: dict[int, int] = {}  # node id -> index in the network
     records: list[tuple] = []  # per node: its kind, predecessor positions and other fields
-    pending: list[int] = []  # the records of version-4 affine lines
     in_order = True  # every predecessor so far was listed before its user
     values: np.ndarray | None = None  # the version-4 value table
 
@@ -290,8 +267,6 @@ def deserialize(text: str) -> Network:
                 except KeyError:
                     in_order = False
                 else:
-                    if isinstance(fields, list):
-                        pending.append(len(records))
                     records.append((kind, pred_positions, fields))
             position[node_id] = len(position)
         elif parts[0] == "values" and version == 4:
@@ -319,11 +294,6 @@ def deserialize(text: str) -> Network:
         raise NetworkFormatError(f"output references undefined node {output_id}")
     if not in_order:
         _reject_order(preds_of, position)
-    if pending:
-        ids = list(position)  # in line order, as the records
-        read = _read_lists([(f"node {ids[r]}", records[r][2]) for r in pending], values)
-        for r, fields in zip(pending, read):
-            records[r] = (*records[r][:2], fields)
     output = position[output_id]
     try:
         nodes = tuple([Node(kind, preds, **fields) for kind, preds, fields in records])

@@ -88,12 +88,6 @@ class Rows:
         self.values = _frozen(values, np.float64)
 
     @classmethod
-    def from_terms(cls, rows: Sequence[Sequence[tuple[int, float]]]) -> Rows:
-        """Rows that list their ``(column, weight)`` terms in summation order."""
-        terms = [term for row in rows for term in row]
-        return cls([len(row) for row in rows], [c for c, _ in terms], [w for _, w in terms])
-
-    @classmethod
     def dense(cls, matrix: Sequence[Sequence[float]]) -> Rows:
         """Rows with a term for each of their entries, in column order."""
         columns = [c for row in matrix for c in range(len(row))]
@@ -163,13 +157,6 @@ def affine_node(preds: int | Sequence[int], weights: Sequence[Sequence[float]], 
     return Node("affine", _preds(preds), weights=Rows.dense(weights), bias=bias)
 
 
-def sparse_affine_node(
-    preds: int | Sequence[int], rows: Sequence[Sequence[tuple[int, float]]], bias: Sequence[float]
-) -> Node:
-    """An affine node whose rows list their ``(column, weight)`` terms in summation order."""
-    return Node("affine", _preds(preds), weights=Rows.from_terms(rows), bias=bias)
-
-
 def relu_node(pred: int) -> Node:
     return Node("relu", preds=(pred,))
 
@@ -205,10 +192,8 @@ def _validate(nodes: tuple[Node, ...], output: int, input_dim: int) -> tuple[int
     """Each node's output width, after checking the nodes' structure and their affine rows.
 
     One pass over the nodes checks predecessor order, input indices, node
-    kinds and row/bias counts, as each width depends on the earlier ones.
-    The terms of every affine row are then checked in one batch of array
-    operations: term counts against the columns, and columns against the
-    width of the node's predecessors.
+    kinds and row/bias counts, as each width depends on the earlier ones, and
+    each affine node's terms with a few array operations on its rows.
     """
     if not nodes:
         raise ValueError("network has no nodes")
@@ -218,8 +203,6 @@ def _validate(nodes: tuple[Node, ...], output: int, input_dim: int) -> tuple[int
         raise ValueError("input_dim must be at least 1")
     arities: list[int] = []
     seen_inputs: dict[int, int] = {}
-    affine: list[int] = []
-    widths: list[int] = []  # per affine node, its predecessors' width
     for i, node in enumerate(nodes):
         for p in node.preds:
             if not 0 <= p < i:
@@ -237,10 +220,7 @@ def _validate(nodes: tuple[Node, ...], output: int, input_dim: int) -> tuple[int
             rows = node.weights
             if len(rows) == 0 or len(node.bias) != len(rows):
                 raise ValueError(f"node {i}: affine needs matching weight rows and bias entries")
-            if len(rows.values) != len(rows.columns):
-                raise ValueError(f"node {i}: affine has {len(rows.columns)} term columns, {len(rows.values)} weights")
-            affine.append(i)
-            widths.append(sum(arities[p] for p in node.preds))
+            _check_terms(i, rows, sum(arities[p] for p in node.preds))
             arities.append(len(rows))
         elif node.kind == "relu":
             if len(node.preds) != 1:
@@ -251,30 +231,26 @@ def _validate(nodes: tuple[Node, ...], output: int, input_dim: int) -> tuple[int
     if len(seen_inputs) != input_dim:
         missing = sorted(set(range(input_dim)) - set(seen_inputs))
         raise ValueError(f"missing input nodes for indices {missing}")
-    if affine:
-        _validate_terms([nodes[i].weights for i in affine], affine, widths)
     return tuple(arities)
 
 
-def _validate_terms(rows: list[Rows], ids: list[int], widths: list[int]) -> None:
-    """Check the rows of the affine nodes ``ids`` at once; an error names the first bad node."""
-    counts = np.concatenate([r.counts for r in rows])
-    terms = [len(r.columns) for r in rows]
-    # A float64 sum of nonnegative counts cannot wrap around, so it equals the
-    # node's term total only if every count is at most that total.
-    sums = np.add.reduceat(counts, [0, *accumulate(map(len, rows[:-1]))], dtype=np.float64)
-    if counts.min() < 0 or (sums != terms).any():
-        for i, r, total in zip(ids, rows, terms):
-            if r.counts.min() < 0:
-                raise ValueError(f"node {i}: affine term counts must not be negative")
-            if r.counts.sum(dtype=np.float64) != total:
-                raise ValueError(f"node {i}: affine term counts do not add up to its {total} terms")
-    columns = np.concatenate([r.columns for r in rows])
-    if columns.size and (columns.min() < 0 or (columns >= np.repeat(widths, terms)).any()):
-        for i, r, width in zip(ids, rows, widths):
-            bad = r.columns[(r.columns < 0) | (r.columns >= width)]
-            if bad.size:
-                raise ValueError(f"node {i}: term column {bad[0]} out of range for predecessor width {width}")
+def _check_terms(i: int, rows: Rows, width: int) -> None:
+    """Check affine node ``i``'s term counts and columns against its predecessors' ``width``.
+
+    Read as unsigned, a negative count or column is above any bound, so one
+    maximum checks each against both ends.
+    """
+    terms = len(rows.columns)
+    if len(rows.values) != terms:
+        raise ValueError(f"node {i}: affine has {terms} term columns, {len(rows.values)} weights")
+    # Counts of at most ``terms`` each add up in float64 without rounding.
+    if rows.counts.view(np.uintp).max() > terms or rows.counts.sum(dtype=np.float64) != terms:
+        if rows.counts.min() < 0:
+            raise ValueError(f"node {i}: affine term counts must not be negative")
+        raise ValueError(f"node {i}: affine term counts do not add up to its {terms} terms")
+    if terms and rows.columns.view(np.uintp).max() >= width:
+        bad = rows.columns[(rows.columns < 0) | (rows.columns >= width)]
+        raise ValueError(f"node {i}: term column {bad[0]} out of range for predecessor width {width}")
 
 
 class _AffineStage(NamedTuple):
@@ -530,12 +506,6 @@ class NetworkBuilder:
     ) -> int:
         """Append an affine node with dense rows."""
         return self._append_affine(affine_node(preds, weights, bias))
-
-    def sparse_affine(
-        self, preds: int | Sequence[int], rows: Sequence[Sequence[tuple[int, float]]], bias: Sequence[float]
-    ) -> int:
-        """Append an affine node whose rows list their ``(column, weight)`` terms."""
-        return self._append_affine(sparse_affine_node(preds, rows, bias))
 
     def csr_affine(
         self,

@@ -186,6 +186,19 @@ def row_terms(node: Node) -> list[list[tuple[int, float]]]:
     return [terms[end - n : end] for n, end in zip(rows.counts.tolist(), ends)]
 
 
+def csr(rows: Sequence[Sequence[tuple[int, float]]]) -> tuple[list[int], list[int], list[float]]:
+    """Rows that list their ``(column, weight)`` terms in summation order, as CSR counts, columns and weights."""
+    terms = [term for row in rows for term in row]
+    return [len(row) for row in rows], [c for c, _ in terms], [w for _, w in terms]
+
+
+def sparse_affine(
+    b: NetworkBuilder, preds: int | Sequence[int], rows: Sequence[Sequence[tuple[int, float]]], bias: Sequence[float]
+) -> int:
+    """Append an affine node whose rows list their ``(column, weight)`` terms."""
+    return b.csr_affine(preds, *csr(rows), bias)
+
+
 def identity_network(dim: int) -> Network:
     b = NetworkBuilder(dim)
     rows = [[1.0 if j == i else 0.0 for j in range(dim)] for i in range(dim)]
@@ -200,7 +213,7 @@ def append_copy(b: NetworkBuilder, net: Network) -> int:
         if node.kind == "input":
             ids.append(b.input_id(node.index))
         elif node.kind == "affine":
-            ids.append(b.sparse_affine(preds, row_terms(node), node.bias))
+            ids.append(sparse_affine(b, preds, row_terms(node), node.bias))
         else:
             ids.append(b.relu(preds[0]))
     return ids[net.output]

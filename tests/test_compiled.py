@@ -23,7 +23,14 @@ from boxcert.network import NetworkBuilder, eval_abstract, eval_abstract_many, e
 from boxcert.oracle import BoxRanges, CertifiedBound, certified_box_ranges
 from boxcert.verify import FAIL, INCONCLUSIVE, MARGIN_FRACTION, STATUSES, RunConfig, _check, verify_network
 
-from helpers import dyadic, grid_boxes, reference_check, reference_eval_abstract, reference_eval_concrete
+from helpers import (
+    dyadic,
+    grid_boxes,
+    reference_check,
+    reference_eval_abstract,
+    reference_eval_concrete,
+    sparse_affine,
+)
 
 WEIGHTS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -3.0]),
@@ -59,7 +66,7 @@ def networks(draw):
             term = st.tuples(st.integers(0, cols - 1), WEIGHTS)
             rows = draw(st.lists(st.lists(term, max_size=5), min_size=1, max_size=3))
             bias = draw(st.lists(WEIGHTS, min_size=len(rows), max_size=len(rows)))
-            ids.append(b.sparse_affine(preds, rows, bias))
+            ids.append(sparse_affine(b, preds, rows, bias))
             continue
         rows = draw(st.lists(st.lists(WEIGHTS, min_size=cols, max_size=cols), min_size=1, max_size=3))
         if kind == "zero_row_affine":

@@ -30,6 +30,7 @@ from helpers import (
     rand_dyadic,
     rand_dyadic_interval,
     row_terms,
+    sparse_affine,
 )
 
 
@@ -208,7 +209,7 @@ class TestClip:
         n = len(terms)
         b = NetworkBuilder(n)
         chain = b.finish(append_clip_above(b, b.input_ids, 1.0))
-        bumps = b.relu(b.sparse_affine(b.input_ids, [[(k, 1.0)] for k in range(n)], [0.0] * n))
+        bumps = b.relu(sparse_affine(b, b.input_ids, [[(k, 1.0)] for k in range(n)], [0.0] * n))
         layered = b.finish(append_slice_clips(b, bumps, np.zeros(n, int), np.ones(n, int), 1))
         want = iv_clip_above(1.0, functools.reduce(iv_add, terms))
         for net in (chain, layered):

@@ -22,7 +22,7 @@ from boxcert.netio import (
 )
 from boxcert.network import NetworkBuilder, eval_abstract, eval_abstract_many, eval_concrete
 
-from helpers import random_network, row_terms
+from helpers import random_network, row_terms, sparse_affine
 
 
 def test_round_trip_preserves_propagation():
@@ -241,7 +241,7 @@ def test_multi_input_affine_line():
 def test_only_nonzero_terms_are_written():
     # rows with a zero, a -0.0 and no term at all; signed-zero biases stay as written
     b = NetworkBuilder(2)
-    net = b.finish(b.sparse_affine([0, 1], [[(1, 0.0), (0, 2.0)], [(0, -0.0)], []], [-0.0, 1.0, 0.0]))
+    net = b.finish(sparse_affine(b, [0, 1], [[(1, 0.0), (0, 2.0)], [(0, -0.0)], []], [-0.0, 1.0, 0.0]))
     lines = serialize(net).splitlines()
     assert "values -0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+1" in lines
     assert lines[-1] == "node 2 affine 0,1 1,0,0 0,2,1 0 3"
@@ -335,7 +335,7 @@ def test_version_4_document_reads_its_lists():
     assert eval_concrete(net, [1.0, 3.0]) == (2.5, 5.0)
     # a node whose rows have no terms writes its columns and weights as -
     b = NetworkBuilder(1)
-    constant = b.finish(b.sparse_affine(0, [[], []], [1.0, -0.0]))
+    constant = b.finish(sparse_affine(b, 0, [[], []], [1.0, -0.0]))
     assert serialize(constant).splitlines()[-1] == "node 1 affine 0 0,0 1,0 - -"
     assert deserialize(serialize(constant)).nodes == constant.nodes
 
@@ -425,7 +425,7 @@ def sparse_networks(draw):
         term = st.tuples(st.integers(0, width - 1), ROUND_TRIP_FLOATS)
         rows = draw(st.lists(st.lists(term, max_size=4), min_size=1, max_size=4))
         bias = draw(st.lists(ROUND_TRIP_FLOATS, min_size=len(rows), max_size=len(rows)))
-        ids.append(b.sparse_affine(preds, rows, bias))
+        ids.append(sparse_affine(b, preds, rows, bias))
     return b.finish(ids[-1])
 
 
@@ -433,7 +433,7 @@ def edge_network():
     """Rows with no terms, a zero weight, a -0.0 bias and weight, and subnormal and largest doubles."""
     b = NetworkBuilder(2)
     rows = [[], [(1, 5e-324), (0, -1.7976931348623157e308)], [(0, 0.0), (1, -0.0), (1, 1e-310)]]
-    return b.finish(b.relu(b.sparse_affine([0, 1], rows, [-0.0, 2.2250738585072014e-308, 1e308])))
+    return b.finish(b.relu(sparse_affine(b, [0, 1], rows, [-0.0, 2.2250738585072014e-308, 1e308])))
 
 
 @settings(max_examples=150, deadline=None)

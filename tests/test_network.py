@@ -14,14 +14,16 @@ from boxcert.network import (
     eval_abstract,
     eval_concrete,
     input_node,
+    Node,
+    Rows,
     relu_node,
-    sparse_affine_node,
     stats,
 )
 
 from helpers import (
     append_copy,
     box_subset,
+    csr,
     difference_network,
     hat_function,
     identity_network,
@@ -29,6 +31,7 @@ from helpers import (
     random_box,
     random_network,
     shrink_box,
+    sparse_affine,
 )
 
 
@@ -54,7 +57,7 @@ class TestValidation:
             Network(nodes, 1, 1)
 
     def test_negative_term_column(self):
-        nodes = (input_node(0), sparse_affine_node(0, [[(0, 1.0)], [(-1, 2.0)]], [0.0, 0.0]))
+        nodes = (input_node(0), Node("affine", (0,), weights=Rows(*csr([[(0, 1.0)], [(-1, 2.0)]])), bias=[0.0, 0.0]))
         with pytest.raises(ValueError, match="node 1: term column -1 out of range"):
             Network(nodes, 1, 1)
 
@@ -67,7 +70,8 @@ class TestValidation:
         with pytest.raises(ValueError, match="term column 3 out of range for predecessor width 3"):
             Network(nodes, 2, 1)
         # a sparse row names the columns it reads, in the order it sums them
-        sparse = Network((*net.nodes[:2], sparse_affine_node([1, 0], [[(2, 100.0), (0, 1.0)], []], [0.5, 7.0])), 2, 1)
+        rows = Rows(*csr([[(2, 100.0), (0, 1.0)], []]))
+        sparse = Network((*net.nodes[:2], Node("affine", (1, 0), weights=rows, bias=[0.5, 7.0])), 2, 1)
         assert eval_concrete(sparse, [1.0]) == (101.5, 7.0)
 
     def test_dimension_mismatch_on_eval(self):
@@ -182,7 +186,7 @@ class TestStats:
     def test_param_count_of_ragged_rows(self):
         # stored terms plus biases: rows of three, no and one term
         b = NetworkBuilder(2)
-        out = b.sparse_affine(b.input_ids, [[(0, 1.0), (1, 2.0), (0, 3.0)], [], [(1, 0.5)]], [0.0, 1.0, 2.0])
+        out = sparse_affine(b, b.input_ids, [[(0, 1.0), (1, 2.0), (0, 3.0)], [], [(1, 0.5)]], [0.0, 1.0, 2.0])
         assert stats(b.finish(out))["param_count"] == 7
 
 

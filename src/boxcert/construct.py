@@ -47,7 +47,7 @@ from .grids import GridSpec, RectCorners, prune_maximal
 from .intervals import BoxRegion
 from .netio import format_box_text
 from .network import Network, NetworkBuilder, stats
-from .oracle import DEFAULT_SAMPLE_BUDGET, certified_box_range
+from .oracle import DEFAULT_SAMPLE_BUDGET, certified_box_range, count_text
 from .slicing import SliceSpec, make_slice_spec
 
 RANGE_MARGIN_FRACTION = 16.0  # range margin target: delta / 16
@@ -222,7 +222,7 @@ def delta_sets(
     candidates = grid.rect_count()
     if candidates > budget.max_candidates:
         raise BuildBudgetError(
-            f"{candidates} candidate rectangles exceed the budget {budget.max_candidates}; "
+            f"{count_text(candidates)} candidate rectangles exceed the budget {budget.max_candidates}; "
             f"raise delta or lower the input dimension (enumeration grows like the product of cells[k]^2)"
         )
     target = spec.delta / RECT_MARGIN_FRACTION

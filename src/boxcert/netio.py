@@ -4,42 +4,37 @@ Layout (version 4)::
 
     boxcert-net 4
     input_dim 2
-    output 5
+    output 3
     meta delta 0x1.999999999999ap-2
     values -0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p-1 0x1.0000000000000p+0
     node 0 input 0
     node 1 input 1
     node 2 affine 0,1 2,1 1,0 1,0,0 3,2,3
-    node 5 relu 2
+    node 3 relu 2
 
 The ``values`` line lists each distinct bias and weight of the network once,
 before the first affine line. An affine line then carries five
-comma-separated integer lists (the last four of a line are read in one array
-call):
+comma-separated integer lists, all read in one array call:
 
-* ``preds``, the predecessor ids whose outputs the node reads end to end;
+* ``preds``, the ids of the predecessors whose outputs the node reads end to
+  end;
 * the term count of each row, one entry per row;
 * each row's bias, as an index into ``values``;
 * every row's term columns in turn, in summation order, each counted in the
   predecessors' outputs laid end to end;
 * the weight of each of those terms, as an index into ``values``.
 
+So node 2 above has the rows ``1.0*x1 + 0.5*x0 + 0.0`` and ``1.0*x0 - 1.0``.
 A list with no entries, as the columns and weights of a node whose rows have
 no terms, is written ``-``. Only nonzero weights are written: a zero term
 adds nothing to a row. The writer emits hex floats, the bit-exact canonical
 form, in ascending order with ``-0.0`` before ``0.0``; the reader also accepts
-decimal literals. Node ids in a document are arbitrary integers, but the line
-order must be topological; the loader reports cycles and forward references
-separately, each with the node id.
+decimal literals.
 
-Versions 2 and 3 still load, into the same arrays (``network.Rows``). A
-version-3 affine line carries ``<preds> <terms>``, the comma-separated term
-count of each row, then one bias per row and each row's terms in turn as
-``column:weight``, every float written out. A version-2 affine line carries
-``<preds> <rows> <cols>`` followed by ``rows`` bias entries and
-``rows*cols`` row-major weights, read as dense rows of which the nonzero
-weights are kept. Version 1, whose ``sum`` and ``concat`` nodes were folded
-into affine nodes, is no longer read.
+The k-th node line has id ``k``, its node's position in the network, so each
+predecessor id is smaller than its user's and ``output`` names one of the
+ids; the network's validation names the node that breaks either rule. Every
+integer in a node line is a run of ASCII digits. Only version 4 is read.
 """
 
 from __future__ import annotations
@@ -54,7 +49,6 @@ from .network import Network, Node, Rows
 
 MAGIC = "boxcert-net"
 VERSION = 4
-VERSIONS = ("2", "3", "4")
 
 _MAGNITUDE = np.int64(2**63 - 1)  # every bit of a float64 but its sign
 
@@ -73,42 +67,36 @@ def _parse_float(tok: str, where: str) -> float:
     return value
 
 
-def _parse_term(tok: str, where: str) -> tuple[int, float]:
-    col, sep, weight = tok.partition(":")
-    if not sep:
-        raise NetworkFormatError(f"bad term {tok!r} in {where}: expected column:weight")
-    try:
-        column = int(col)
-    except ValueError:
-        raise NetworkFormatError(f"bad term column {col!r} in {where}") from None
-    return column, _parse_float(weight, where)
+def _digit_runs(tok: str) -> bool:
+    """Whether ``tok`` is runs of ASCII digits joined by single commas: no sign, ``_`` or other script."""
+    return tok.isascii() and tok.replace(",", "").isdigit() and ",," not in tok and tok[0] != "," != tok[-1]
 
 
-def _read_lists(where: str, lists: list[str], values: np.ndarray) -> dict:
-    """The ``weights`` and ``bias`` of a version-4 affine line, from its four integer lists (``-`` for an empty one).
+def _read_lists(where: str, lists: list[str], values: np.ndarray) -> Node:
+    """The node of a version-4 affine line, from its five integer lists (``-`` for an empty one).
 
-    The lists' join is checked to be digit runs joined by single commas
-    before one ``np.fromstring`` call reads it, so that no numpy version takes
-    a partial read for a whole one, and the element count is checked after.
-    A number past the int64 range reads as the largest int64, which no count,
-    column or index check accepts.
+    Each list is checked to be digit runs before one ``np.fromstring`` call
+    reads them all, so that no numpy version takes a partial read for a whole
+    one, and the element count is checked after. A number past the int64
+    range reads as the largest int64, which no predecessor, count, column or
+    index check accepts.
     """
+    for tok in lists:
+        if tok != "-" and not _digit_runs(tok):
+            raise ValueError(f"{tok!r} is not comma-separated integers or -")
     sizes = [0 if tok == "-" else tok.count(",") + 1 for tok in lists]
     text = ",".join([tok for tok in lists if tok != "-"])
-    well_formed = not text or (
-        text.isascii() and text.replace(",", "").isdigit() and ",," not in text and text[0] != "," != text[-1]
-    )
-    ints = np.fromstring(text, dtype=np.intp, sep=",") if text and well_formed else np.empty(0, dtype=np.intp)
-    if not well_formed or ints.size != sum(sizes):
-        raise NetworkFormatError(f"{where}: affine lists {' '.join(lists)!r} are not comma-separated integers or -")
+    ints = np.fromstring(text, dtype=np.intp, sep=",") if text else np.empty(0, dtype=np.intp)
+    if ints.size != sum(sizes):
+        raise ValueError(f"read {ints.size} of the {sum(sizes)} integers in {' '.join(lists)!r}")
     ints.setflags(write=False)
-    a, b, c = accumulate(sizes[:3])  # counts, bias indices, columns, weight indices
+    p, a, b, c = accumulate(sizes[:4])  # preds, counts, bias indices, columns, weight indices
     if ints[a:b].max(initial=-1) >= len(values) or ints[c:].max(initial=-1) >= len(values):
         raise NetworkFormatError(f"{where}: value index out of range for {len(values)} values")
     bias, weights = values[ints[a:b]], values[ints[c:]]
     bias.setflags(write=False)
     weights.setflags(write=False)
-    return {"weights": Rows(ints[:a], ints[b:c], weights), "bias": bias}
+    return Node("affine", tuple(ints[:p].tolist()), weights=Rows(ints[p:a], ints[b:c], weights), bias=bias)
 
 
 def _ints_text(values: np.ndarray) -> str:
@@ -160,59 +148,32 @@ def serialize(net: Network) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_affine(where: str, rest: list[str], version: int) -> tuple:
-    """A version-2 or version-3 affine line's predecessor ids as written, its rows and its biases."""
-    if version == 3:
-        if len(rest) < 2:
-            raise NetworkFormatError(f"{where}: affine needs preds and term counts")
-        preds, counts = tuple(map(int, rest[0].split(","))), [int(t) for t in rest[1].split(",")]
-        if min(counts) < 0:
-            raise NetworkFormatError(f"{where}: affine term counts must not be negative")
-        rows, vals = len(counts), rest[2:]
-        if len(vals) != rows + sum(counts):
-            raise NetworkFormatError(
-                f"{where}: affine expects {rows} biases and {sum(counts)} terms, got {len(vals)} values"
-            )
-        terms = [_parse_term(t, where) for t in vals[rows:]]
-        bias = [_parse_float(t, where) for t in vals[:rows]]
-        return preds, Rows(counts, [c for c, _ in terms], [w for _, w in terms]), bias
-    if len(rest) < 3:
-        raise NetworkFormatError(f"{where}: affine needs preds, rows, cols")
-    preds, rows, cols = tuple(map(int, rest[0].split(","))), int(rest[1]), int(rest[2])
-    if rows < 1 or cols < 1:
-        raise NetworkFormatError(f"{where}: affine rows and cols must be positive")
-    vals = rest[3:]
-    if len(vals) != rows + rows * cols:
-        raise NetworkFormatError(f"{where}: affine expects {rows + rows * cols} numbers, got {len(vals)}")
-    nums = np.array([_parse_float(t, where) for t in vals])
-    dense = nums[rows:].reshape(rows, cols)
-    keep = dense != 0.0  # dense rows keep their nonzero weights, as a version-3 writer did
-    return preds, Rows(keep.sum(axis=1), keep.nonzero()[1], dense[keep]), nums[:rows]
+def _digits(tok: str) -> int:
+    """An input index or relu operand: one run of ASCII digits."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise ValueError(f"{tok!r} is not a run of ASCII digits")
+    return int(tok)
 
 
-def _parse_node(node_id: int, kind: str, rest: list[str], version: int, values: np.ndarray | None) -> tuple:
-    """A node line's kind, its predecessor ids as written in the document, and its other ``Node`` fields."""
-    where = f"node {node_id}"
+def _parse_node(k: int, kind: str, rest: list[str], values: np.ndarray | None) -> Node:
+    """The node of a line ``node k <kind> <rest>``, with ``values`` the table of the values line read so far."""
     if kind == "input":
         if len(rest) != 1:
-            raise NetworkFormatError(f"{where}: input takes one index")
-        return "input", (), {"index": int(rest[0])}
-    if kind == "affine" and version == 4:
+            raise NetworkFormatError(f"node {k}: input takes one index")
+        return Node("input", index=_digits(rest[0]))
+    if kind == "affine":
         if len(rest) != 5:
             raise NetworkFormatError(
-                f"{where}: affine takes preds, term counts, bias indices, columns and weight indices"
+                f"node {k}: affine takes preds, term counts, bias indices, columns and weight indices"
             )
         if values is None:
-            raise NetworkFormatError(f"{where}: affine node before the values line")
-        return "affine", tuple(map(int, rest[0].split(","))), _read_lists(where, rest[1:], values)
-    if kind == "affine":
-        preds, rows, bias = _parse_affine(where, rest, version)
-        return "affine", preds, {"weights": rows, "bias": bias}
+            raise NetworkFormatError(f"node {k}: affine node before the values line")
+        return _read_lists(f"node {k}", rest, values)
     if kind == "relu":
         if len(rest) != 1:
-            raise NetworkFormatError(f"{where}: relu takes one predecessor")
-        return "relu", (int(rest[0]),), {}
-    raise NetworkFormatError(f"{where}: unknown node kind {kind!r}")
+            raise NetworkFormatError(f"node {k}: relu takes one predecessor")
+        return Node("relu", (_digits(rest[0]),))
+    raise NetworkFormatError(f"node {k}: unknown node kind {kind!r}")
 
 
 def _directive_int(parts: list[str]) -> int:
@@ -233,18 +194,14 @@ def deserialize(text: str) -> Network:
     head = lines[0].split()
     if len(head) != 2 or head[0] != MAGIC:
         raise NetworkFormatError(f"missing magic line, expected '{MAGIC} <version>'")
-    if head[1] not in VERSIONS:
+    if head[1] != str(VERSION):
         raise NetworkFormatError(f"unsupported schema version {head[1]}")
-    version = int(head[1])
 
     input_dim: int | None = None
-    output_id: int | None = None
+    output: int | None = None
     metadata: dict[str, str] = {}
-    preds_of: dict[int, tuple[int, ...]] = {}  # node id -> predecessor ids, in line order
-    position: dict[int, int] = {}  # node id -> index in the network
-    records: list[tuple] = []  # per node: its kind, predecessor positions and other fields
-    in_order = True  # every predecessor so far was listed before its user
-    values: np.ndarray | None = None  # the version-4 value table
+    nodes: list[Node] = []
+    values: np.ndarray | None = None
 
     for ln in lines[1:]:
         parts = ln.split()
@@ -252,31 +209,21 @@ def deserialize(text: str) -> Network:
             if len(parts) < 3:
                 raise NetworkFormatError(f"malformed node line: {ln!r}")
             try:
-                node_id = int(parts[1])
-                if node_id in preds_of:
-                    raise NetworkFormatError(f"duplicate node id {node_id}")
-                kind, preds, fields = _parse_node(node_id, parts[2], parts[3:], version, values)
+                if parts[1] != str(len(nodes)):
+                    raise ValueError(f"expected node id {len(nodes)}, got {parts[1]!r}")
+                nodes.append(_parse_node(len(nodes), parts[2], parts[3:], values))
             except NetworkFormatError:
                 raise
-            except ValueError as exc:  # a non-integer node id, predecessor id, index or affine size
+            except ValueError as exc:  # an id out of order, or a token that is not a digit run
                 raise NetworkFormatError(f"malformed node line {ln!r}: {exc}") from None
-            preds_of[node_id] = preds
-            if in_order:
-                try:
-                    pred_positions = tuple([position[p] for p in preds])
-                except KeyError:
-                    in_order = False
-                else:
-                    records.append((kind, pred_positions, fields))
-            position[node_id] = len(position)
-        elif parts[0] == "values" and version == 4:
+        elif parts[0] == "values":
             if values is not None:
                 raise NetworkFormatError("duplicate values line")
             values = np.array([_parse_float(tok, "the values line") for tok in parts[1:]])
         elif parts[0] == "input_dim":
             input_dim = _directive_int(parts)
         elif parts[0] == "output":
-            output_id = _directive_int(parts)
+            output = _directive_int(parts)
         elif parts[0] == "meta":
             if len(parts) < 2:
                 raise NetworkFormatError("meta line needs a key")
@@ -286,55 +233,14 @@ def deserialize(text: str) -> Network:
 
     if input_dim is None:
         raise NetworkFormatError("missing input_dim")
-    if not preds_of:
+    if not nodes:
         raise NetworkFormatError("no output node (document defines no nodes)")
-    if output_id is None:
+    if output is None:
         raise NetworkFormatError("no output node")
-    if output_id not in preds_of:
-        raise NetworkFormatError(f"output references undefined node {output_id}")
-    if not in_order:
-        _reject_order(preds_of, position)
-    output = position[output_id]
     try:
-        nodes = tuple([Node(kind, preds, **fields) for kind, preds, fields in records])
-        return Network(nodes, output, input_dim, metadata)
-    except ValueError as exc:
+        return Network(tuple(nodes), output, input_dim, metadata)
+    except ValueError as exc:  # a predecessor at or after its user, an undefined output, bad rows
         raise NetworkFormatError(f"invalid network document: {exc}") from exc
-
-
-def _reject_order(preds_of: dict[int, tuple[int, ...]], position: dict[int, int]) -> None:
-    """Name the first undefined predecessor, else the cycle or forward reference."""
-    for node_id, preds in preds_of.items():
-        for p in preds:
-            if p not in preds_of:
-                raise NetworkFormatError(f"node {node_id} references undefined node {p}")
-    # Every predecessor listed earlier rules out a cycle; only an out-of-order
-    # document needs the cycle search, which tells a cycle from a forward reference.
-    for node_id, preds in preds_of.items():
-        for p in preds:
-            if position[p] >= position[node_id]:
-                _reject_cycles(preds_of)
-                raise NetworkFormatError(f"node {node_id} listed before predecessor {p}")
-
-
-def _reject_cycles(preds_of: dict[int, tuple[int, ...]]) -> None:
-    remaining = {node_id: set(preds) for node_id, preds in preds_of.items()}
-    users: dict[int, list[int]] = {node_id: [] for node_id in preds_of}
-    for node_id, preds in preds_of.items():
-        for p in set(preds):
-            users[p].append(node_id)
-    ready = [n for n, deps in remaining.items() if not deps]
-    done = 0
-    while ready:
-        n = ready.pop()
-        done += 1
-        for u in users[n]:
-            remaining[u].discard(n)
-            if not remaining[u]:
-                ready.append(u)
-    if done != len(preds_of):
-        stuck = sorted(n for n, deps in remaining.items() if deps)
-        raise NetworkFormatError(f"cycle involving node(s) {stuck}")
 
 
 def format_box_text(box: BoxRegion, hex_floats: bool = True) -> str:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import NamedTuple
 
 import numpy as np
@@ -33,12 +34,17 @@ from .intervals import BoxRegion
 DEFAULT_SAMPLE_BUDGET = 4_000_000
 
 
+def count_text(n: int | float) -> str:
+    """A count as written in an error: in full up to 10**15, as ``%.3e`` above, however many digits it has."""
+    return str(n) if n <= 10**15 or n == math.inf else f"{Decimal(n):.3e}"
+
+
 class OracleBudgetError(RuntimeError):
-    """The requested margin would need more samples than the budget allows."""
+    """The requested margin would need more samples than the budget allows; ``needed`` is exact."""
 
     def __init__(self, needed: int | float, budget: int):
         super().__init__(
-            f"certifying this margin needs {needed} samples but the budget is {budget}; "
+            f"certifying this margin needs {count_text(needed)} samples but the budget is {budget}; "
             "raise the target margin or the sample budget"
         )
         self.needed = needed

@@ -39,7 +39,6 @@ from boxcert.construct import build_certified_network, delta_sets
 from boxcert.expr import FuncExpr
 from boxcert.grids import GridSpec, RectCorners
 from boxcert.intervals import BoxRegion, Interval
-from boxcert.netio import MAGIC
 from boxcert.network import Network, NetworkBuilder, Node
 from boxcert.oracle import DEFAULT_SAMPLE_BUDGET, CertifiedBound, certified_box_range
 from boxcert.slicing import SliceSpec
@@ -371,25 +370,6 @@ def reference_build(f: FuncExpr, delta: float, bump=append_local_bump) -> Networ
             source = [b.affine(b.input_ids, rows, [-(iv.lo * r) for iv, r in zip(f.domain.bounds, scales)])]
         outs.append(append_clip_above(b, [bump(b, grid, rect, source) for rect in rects], 1.0))
     return b.finish(b.affine(outs, [[spec.half_delta] * len(outs)], [spec.bottom]), net.metadata)
-
-
-def serialize_v2(net: Network) -> str:
-    """A network whose affine rows are dense, as a version-2 document (row-major weights)."""
-    lines = [f"{MAGIC} 2", f"input_dim {net.input_dim}", f"output {net.output}"]
-    lines.extend(f"meta {key} {value}" for key, value in net.metadata.items())
-    for i, node in enumerate(net.nodes):
-        if node.kind == "input":
-            lines.append(f"node {i} input {node.index}")
-        elif node.kind == "affine":
-            rows = row_terms(node)
-            cols = len(rows[0])
-            assert all([c for c, _ in row] == list(range(cols)) for row in rows), "rows must be dense"
-            toks = [b.hex() for b in node.bias.tolist()] + [w.hex() for row in rows for _, w in row]
-            preds = ",".join(map(str, node.preds))
-            lines.append(f"node {i} affine {preds} {len(node.weights)} {cols} " + " ".join(toks))
-        else:
-            lines.append(f"node {i} relu {node.preds[0]}")
-    return "\n".join(lines) + "\n"
 
 
 def build_nmin2() -> Network:

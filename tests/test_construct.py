@@ -42,7 +42,6 @@ from helpers import (
     rect_hull,
     reference_build,
     reference_prune_maximal,
-    serialize_v2,
     slice_members,
 )
 
@@ -496,33 +495,34 @@ def test_node_count_does_not_grow_with_the_bumps(expr, domain, deltas, nodes):
     assert reports[0].relu_count < reports[-1].relu_count
 
 
-# The min build with the paper's min-tree bumps, as the version-2 document the
-# per-bump builder wrote, with dense rows and merged nodes (sha256
-# c8999ec7da9eed532a94e0ddb01269d7600bf815c0e9ebc2d34c3832260cc8d7).
-MIN_V2 = Path(__file__).parent / "data" / "min-v2.net"
+# The min build with the paper's min-tree bumps, which the per-bump builder
+# wrote as a version-2 document with dense rows and merged nodes (sha256
+# c8999ec7da9eed532a94e0ddb01269d7600bf815c0e9ebc2d34c3832260cc8d7). It is kept
+# as the version-4 document that version-2 load serializes to.
+MIN_TREE = Path(__file__).parent / "data" / "min-tree.net"
 
 
 @functools.cache
 def min_tree_chain_and_old_document():
     expr, domain, delta, _, _ = PINNED_BUILDS[2]
     f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
-    return reference_build(f, delta, append_min_bump), load(str(MIN_V2))
+    return reference_build(f, delta, append_min_bump), load(str(MIN_TREE))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.floats(-0.25, 1.25), st.floats(-0.25, 1.25), st.floats(0.0, 0.5),
                           st.floats(0.0, 0.5), st.booleans()), min_size=1, max_size=8))
 def test_old_documents_propagate_like_the_min_tree_chain(drawn):
-    net, v2 = min_tree_chain_and_old_document()
+    net, old = min_tree_chain_and_old_document()
     boxes = [BoxRegion.from_pairs([(x, x if point else x + w), (y, y if point else y + h)])
              for x, y, w, h, point in drawn]
 
     def endpoints(n):
         return [[(iv.lo.hex(), iv.hi.hex()) for iv in out.bounds] for out in eval_abstract_many(n, boxes)]
 
-    assert endpoints(v2) == endpoints(net)
-    assert v2.metadata == net.metadata
-    assert (stats(v2)["node_count"], stats(v2)["relu_count"]) == (85, 66)
+    assert endpoints(old) == endpoints(net)
+    assert old.metadata == net.metadata
+    assert (stats(old)["node_count"], stats(old)["relu_count"]) == (85, 66)
 
 
 def test_build_memory_stays_below_the_float_table():
@@ -557,17 +557,19 @@ def test_build_constructs_one_network(monkeypatch, expr, domain, slices):
 # The three served cases and min(x0, x1), with the sha256 of their networks as
 # the per-bump reference builds them (helpers.reference_build: every bump its own
 # gadget chain, nothing shared, the cubic's unit-box input map A once per slice),
-# written as version-2 documents. They were re-recorded when the bump's min
-# tree gave way to one affine row over its ramps.
+# as version-4 documents. They were re-recorded when the bump's min tree gave
+# way to one affine row over its ramps, and again when version 2 stopped
+# loading: each version-2 document, with the dense rows of the per-bump
+# chain, loads to the same nodes as its version-4 document.
 UNMERGED_BUILDS = (
     (CUBIC, [(-2.0, 2.0)], 0.4,
-     "37b5df34dd3680524201a697dc5aac0ba30decf970f7d2cf961dbc5ac8d95f16"),
+     "47b1502e99a3ea5092b8e55efe2c2e28e1018e84404b5c78997503f9f9594b37"),
     ("x0*x1", [(0.0, 1.0), (0.0, 1.0)], 0.5,
-     "90f032bb2735bb593a645575a7c06f013b1aa1eacc07625609ccf404be8f2a9c"),
+     "f892e396bb3d9def7d5701070c84d6ece2e30c0916921164a541ec530b17511d"),
     ("abs(x0 - 0.5)*relu(x1)", [(0.0, 1.0), (0.0, 1.0)], 0.25,
-     "0378fad9121fc2feb28a1137960787cc1e15361ab701694b22cea6c4e2a49624"),
+     "4b5f3429f706f9849f7c0b9c8d5d06e63bb1cc777ecd26b49898afda9014f4b8"),
     ("min(x0, x1)", [(0.0, 1.0), (0.0, 1.0)], 0.5,
-     "50da1afaa1244eab46aa7bf52dc6f2f096b215c80b13b5fc4685a7eb88c42f48"),
+     "5d41b8db46ab4cdeb4ecf2ba3a203352cd5d95e1eef41d222bb3d4427dab8e8b"),
 )
 
 # Every build the layered assembly is checked against the reference on: the
@@ -599,17 +601,17 @@ def test_slices_with_the_same_bumps_share_a_clip_row():
 
 @functools.cache
 def layered_and_reference(case):
-    """The build of ``REFERENCE_CASES[case]``, its per-bump reference, and that reference read back from version 2."""
+    """The build of ``REFERENCE_CASES[case]``, its per-bump reference, and that reference read back from its document."""
     expr, domain, delta = REFERENCE_CASES[case]
     f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
     reference = reference_build(f, delta)
-    return build_certified_network(f, delta)[0], reference, deserialize(serialize_v2(reference))
+    return build_certified_network(f, delta)[0], reference, deserialize(serialize(reference))
 
 
 @pytest.mark.parametrize("case", range(len(UNMERGED_BUILDS)), ids=["cubic", "product", "abs-relu", "min"])
 def test_unmerged_reference_is_the_earlier_document(case):
     layered, reference, _ = layered_and_reference(case)
-    assert hashlib.sha256(serialize_v2(reference).encode()).hexdigest() == UNMERGED_BUILDS[case][3]
+    assert hashlib.sha256(serialize(reference).encode()).hexdigest() == UNMERGED_BUILDS[case][3]
     small, large = stats(layered), stats(reference)
     assert small["node_count"] <= large["node_count"]
     assert small["relu_count"] <= large["relu_count"]

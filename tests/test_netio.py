@@ -1,5 +1,6 @@
 import random
 import re
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from boxcert import netio
 from boxcert.cli import EXIT_USAGE, main
 from boxcert.fixtures import fig2_n2
 from boxcert.intervals import BoxRegion, Interval
@@ -59,20 +61,10 @@ def test_weights_are_hex_floats():
 
 
 def test_decimal_weights_accepted():
-    text = (
-        f"{MAGIC} 2\n"
-        "input_dim 1\n"
-        "output 1\n"
-        "node 0 input 0\n"
-        "node 1 affine 0 1 1 0.25 -1.5\n"
-    )
-    net = deserialize(text)
+    net = deserialize(f"{MAGIC} 4\ninput_dim 1\noutput 1\nvalues -1.5 0.25\nnode 0 input 0\nnode 1 affine 0 1 1 0 0")
     assert row_terms(net.nodes[1]) == [[(0, -1.5)]]
     assert net.nodes[1].bias.tolist() == [0.25]
-    sparse = deserialize(f"{MAGIC} 3\ninput_dim 1\noutput 1\nnode 0 input 0\nnode 1 affine 0 1 0.25 0:-1.5\n")
-    assert sparse.nodes == net.nodes
-    table = deserialize(f"{MAGIC} 4\ninput_dim 1\noutput 1\nvalues -1.5 0.25\nnode 0 input 0\nnode 1 affine 0 1 1 0 0")
-    assert table.nodes == net.nodes
+    assert "values -0x1.8000000000000p+0 0x1.0000000000000p-2\n" in serialize(net)
 
 
 def test_missing_magic():
@@ -86,7 +78,7 @@ def test_unsupported_version():
 
 
 def test_empty_document_has_no_output_node():
-    text = f"{MAGIC} 2\ninput_dim 1\n"
+    text = f"{MAGIC} 4\ninput_dim 1\n"
     with pytest.raises(NetworkFormatError, match="no output node"):
         deserialize(text)
 
@@ -102,14 +94,14 @@ def test_empty_document_has_no_output_node():
     ],
 )
 def test_directive_needs_one_integer(header, message):
-    text = f"{MAGIC} 2\n{header}\nnode 0 input 0\n"
+    text = f"{MAGIC} 4\n{header}\nnode 0 input 0\n"
     with pytest.raises(NetworkFormatError, match=message):
         deserialize(text)
 
 
 def test_propagate_rejects_directive_without_value(tmp_path, capsys):
     path = tmp_path / "bad.net"
-    path.write_text(f"{MAGIC} 2\ninput_dim 1\noutput\nnode 0 input 0\n", encoding="utf-8")
+    path.write_text(f"{MAGIC} 4\ninput_dim 1\noutput\nnode 0 input 0\n", encoding="utf-8")
     assert main(["propagate", "--net", str(path), "--box", "0,1"]) == EXIT_USAGE
     assert "output takes exactly one value" in capsys.readouterr().err
 
@@ -122,92 +114,97 @@ def test_propagate_rejects_directive_without_value(tmp_path, capsys):
         ("node 1 relu a", "'a'"),
         ("node 1 affine 0 r 1 0.0 1.0", "'r'"),
         ("node 1 affine 0 1 c 0.0 1.0", "'c'"),
+        # Python's int() reads each of these as an integer
+        ("node +1 input 0", "'+1'"),
+        ("node 01 input 0", "'01'"),
+        ("node 1 input +0", "'+0'"),
+        ("node 1 relu 0_0", "'0_0'"),
+        ("node 1 relu \u0660", "'\u0660'"),
+        ("node 1 affine 0,+0 1 0 0 0", "'0,+0'"),
     ],
 )
 def test_non_integer_in_node_line(line, token):
-    text = f"{MAGIC} 2\ninput_dim 1\noutput 0\nnode 0 input 0\n{line}\n"
-    with pytest.raises(NetworkFormatError, match=f"malformed node line {line!r}: .*{token}"):
+    text = f"{MAGIC} 4\ninput_dim 1\noutput 0\nvalues 1.0\nnode 0 input 0\n{line}\n"
+    with pytest.raises(NetworkFormatError, match=f"malformed node line {re.escape(repr(line))}: .*{re.escape(token)}"):
         deserialize(text)
 
 
 def test_cycle_detected():
+    # ids are positions, so a cycle needs a predecessor at or after its user
     text = (
-        f"{MAGIC} 2\n"
+        f"{MAGIC} 4\n"
         "input_dim 1\n"
         "output 2\n"
         "node 0 input 0\n"
         "node 1 relu 2\n"
         "node 2 relu 1\n"
     )
-    with pytest.raises(NetworkFormatError, match="cycle"):
+    with pytest.raises(NetworkFormatError, match="invalid network document: node 1 must come after its predecessor 2"):
         deserialize(text)
 
 
 def test_forward_reference_without_cycle():
     text = (
-        f"{MAGIC} 2\n"
+        f"{MAGIC} 4\n"
         "input_dim 1\n"
         "output 2\n"
         "node 0 input 0\n"
-        "node 2 relu 1\n"
-        "node 1 relu 0\n"
+        "node 1 relu 2\n"
+        "node 2 relu 0\n"
     )
-    with pytest.raises(NetworkFormatError, match="listed before predecessor"):
+    with pytest.raises(NetworkFormatError, match="node 1 must come after its predecessor 2"):
         deserialize(text)
+    # listing the nodes in another order breaks the id rule instead
+    swapped = text.replace("node 1 relu 2\nnode 2 relu 0", "node 2 relu 1\nnode 1 relu 0")
+    with pytest.raises(NetworkFormatError, match="malformed node line 'node 2 relu 1': expected node id 1, got '2'"):
+        deserialize(swapped)
 
 
 def test_undefined_predecessor():
-    text = f"{MAGIC} 2\ninput_dim 1\noutput 1\nnode 0 input 0\nnode 1 relu 9\n"
-    with pytest.raises(NetworkFormatError, match="node 1 references undefined node 9"):
+    text = f"{MAGIC} 4\ninput_dim 1\noutput 1\nnode 0 input 0\nnode 1 relu 9\n"
+    with pytest.raises(NetworkFormatError, match="node 1 must come after its predecessor 9"):
         deserialize(text)
-
-
-def test_undefined_predecessor_reported_before_forward_reference():
-    text = (
-        f"{MAGIC} 2\n"
-        "input_dim 1\n"
-        "output 2\n"
-        "node 0 input 0\n"
-        "node 2 relu 1\n"
-        "node 1 relu 9\n"
-    )
-    with pytest.raises(NetworkFormatError, match="node 1 references undefined node 9"):
-        deserialize(text)
+    with pytest.raises(NetworkFormatError, match="output node 2 is not defined"):
+        deserialize(text.replace("output 1", "output 2").replace("relu 9", "relu 0"))
 
 
 def test_duplicate_node_id():
-    text = f"{MAGIC} 2\ninput_dim 1\noutput 0\nnode 0 input 0\nnode 0 relu 0\n"
-    with pytest.raises(NetworkFormatError, match="duplicate node id 0"):
+    text = f"{MAGIC} 4\ninput_dim 1\noutput 0\nnode 0 input 0\nnode 0 relu 0\n"
+    with pytest.raises(NetworkFormatError, match="malformed node line 'node 0 relu 0': expected node id 1, got '0'"):
         deserialize(text)
 
 
 def test_unknown_kind():
-    text = f"{MAGIC} 2\ninput_dim 1\noutput 1\nnode 0 input 0\nnode 1 conv 0\n"
-    with pytest.raises(NetworkFormatError, match="unknown node kind"):
-        deserialize(text)
+    # version 1's sum and concat nodes are unknown kinds too
+    for kind in ("conv 0", "sum 0 0", "concat 0"):
+        text = f"{MAGIC} 4\ninput_dim 1\noutput 1\nnode 0 input 0\nnode 1 {kind}\n"
+        with pytest.raises(NetworkFormatError, match=f"node 1: unknown node kind '{kind.split()[0]}'"):
+            deserialize(text)
 
 
 def test_affine_value_count_mismatch():
-    text = f"{MAGIC} 2\ninput_dim 1\noutput 1\nnode 0 input 0\nnode 1 affine 0 1 1 0.0\n"
-    with pytest.raises(NetworkFormatError, match="expects 2 numbers"):
+    text = f"{MAGIC} 4\ninput_dim 1\noutput 1\nvalues 0.0 1.0\nnode 0 input 0\nnode 1 affine 0 1 0 0 1,1\n"
+    with pytest.raises(NetworkFormatError, match="node 1: affine has 1 term columns, 2 weights"):
         deserialize(text)
 
 
 def test_arity_violation_reported_with_node_id():
+    # one row over columns 0 and 1 of a width-1 input
     text = (
-        f"{MAGIC} 2\n"
+        f"{MAGIC} 4\n"
         "input_dim 1\n"
         "output 1\n"
+        "values 0.0 1.0 2.0\n"
         "node 0 input 0\n"
-        "node 1 affine 0 1 2 0.0 1.0 2.0\n"
+        "node 1 affine 0 2 0 0,1 1,2\n"
     )
-    with pytest.raises(NetworkFormatError, match="node 1"):
+    with pytest.raises(NetworkFormatError, match="node 1: term column 1 out of range for predecessor width 1"):
         deserialize(text)
 
 
 def test_non_finite_weight_rejected():
-    text = f"{MAGIC} 2\ninput_dim 1\noutput 1\nnode 0 input 0\nnode 1 affine 0 1 1 0.0 inf\n"
-    with pytest.raises(NetworkFormatError, match="non-finite"):
+    text = f"{MAGIC} 4\ninput_dim 1\noutput 1\nvalues 0.0 inf\nnode 0 input 0\nnode 1 affine 0 1 0 0 1\n"
+    with pytest.raises(NetworkFormatError, match="non-finite value 'inf' in the values line"):
         deserialize(text)
 
 
@@ -254,69 +251,48 @@ def test_only_nonzero_terms_are_written():
 
 
 @pytest.mark.parametrize(
-    "line, message",
+    "lists, message",
     [
-        ("node 2 affine 0,1 1,1 0 0 -1:1.0 0:1.0", "node 2: term column -1 out of range for predecessor width 2"),
-        ("node 2 affine 0,1 1,1 0 0 2:1.0 0:1.0", "node 2: term column 2 out of range for predecessor width 2"),
-        ("node 2 affine 0,1 2,1 0 0 0:1.0 1:1.0", "node 2: affine expects 2 biases and 3 terms, got 4 values"),
-        ("node 2 affine 0,1 1,-1 0 0 0:1.0", "node 2: affine term counts must not be negative"),
-        ("node 2 affine 0,1 1 0 1.0", "bad term '1.0' in node 2: expected column:weight"),
-        ("node 2 affine 0,1 1 0 a:1.0", "bad term column 'a' in node 2"),
+        ("0,1 2,1 0,0 0,-1,1 1,1,1", "'0,-1,1' is not comma-separated integers or -"),
+        ("0,1 2,1 0,0 0,2,1 1,1,1", "node 2: term column 2 out of range for predecessor width 2"),
+        ("0,1 2,2 0,0 0,1,1 1,1,1", "node 2: affine term counts do not add up to its 3 terms"),
+        ("0,1 2,-1 0,0 0,1,1 1,1,1", "'2,-1' is not comma-separated integers or -"),
+        ("0,1 2,1 0,0 0,1 1,1,1", "node 2: affine has 2 term columns, 3 weights"),
+        ("0,1 2,1 0,0 0,a,1 1,1,1", "'0,a,1' is not comma-separated integers or -"),
     ],
     ids=["negative-column", "column-past-width", "term-count", "negative-count", "no-column", "bad-column"],
 )
-def test_bad_sparse_terms_are_rejected(line, message):
-    text = f"{MAGIC} 3\ninput_dim 2\noutput 2\nnode 0 input 0\nnode 1 input 1\n{line}\n"
-    with pytest.raises(NetworkFormatError, match=message):
-        deserialize(text)
-
-
-@pytest.mark.parametrize("line", ["node 1 sum 0 0", "node 1 concat 0"])
-def test_version_2_has_no_sum_or_concat(line):
-    text = f"{MAGIC} 2\ninput_dim 1\noutput 1\nnode 0 input 0\n{line}\n"
-    with pytest.raises(NetworkFormatError, match="unknown node kind"):
+def test_bad_sparse_terms_are_rejected(lists, message):
+    # rows x0 + x1 and x1 over two inputs, with one fault each
+    text = f"{MAGIC} 4\ninput_dim 2\noutput 2\nvalues 0.0 1.0\nnode 0 input 0\nnode 1 input 1\nnode 2 affine {lists}\n"
+    with pytest.raises(NetworkFormatError, match=re.escape(message)):
         deserialize(text)
 
 
 MIN_V1 = Path(__file__).parent / "data" / "min-v1.net"
 
 
-def test_version_1_is_rejected(capsys):
-    with pytest.raises(NetworkFormatError, match="unsupported schema version 1"):
-        load(str(MIN_V1))
-    assert main(["propagate", "--net", str(MIN_V1), "--box", "0,1;0,1"]) == EXIT_USAGE
-    assert capsys.readouterr().err == "error: unsupported schema version 1\n"
+@pytest.mark.parametrize("version", ["1", "2", "3", "5"])
+def test_version_1_is_rejected(tmp_path, capsys, version):
+    # min-v1.net is a version-1 document; the others carry a version-4 body
+    if version == "1":
+        path = MIN_V1
+    else:
+        path = tmp_path / f"v{version}.net"
+        path.write_text(serialize(fig2_n2()).replace(f"{MAGIC} 4\n", f"{MAGIC} {version}\n", 1), encoding="utf-8")
+    with pytest.raises(NetworkFormatError, match=f"unsupported schema version {version}"):
+        load(str(path))
+    assert main(["propagate", "--net", str(path), "--box", "0,1;0,1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: unsupported schema version {version}\n"
 
 
-MIN_V2 = Path(__file__).parent / "data" / "min-v2.net"
-# The version-3 document that the version-3 writer made of min-v2.net's network.
-MIN_V3 = Path(__file__).parent / "data" / "min-v3.net"
-
-
-def test_versions_2_3_and_4_load_to_the_same_rows():
-    v2, v3 = load(str(MIN_V2)), load(str(MIN_V3))
-    text = serialize(v2)
-    assert text.startswith(f"{MAGIC} 4\n") and serialize(v3) == text
-    v4 = deserialize(text)
-    assert v2.metadata == v3.metadata == v4.metadata
-    assert (v2.output, v2.input_dim) == (v3.output, v3.input_dim) == (v4.output, v4.input_dim)
-    for a, b, c in zip(v2.nodes, v3.nodes, v4.nodes, strict=True):
-        assert (a.kind, a.preds, a.index) == (b.kind, b.preds, b.index) == (c.kind, c.preds, c.index)
-        for field in ("counts", "columns", "values"):
-            arrays = [getattr(n.weights, field) for n in (a, b, c)]
-            assert arrays[0].tobytes() == arrays[1].tobytes() == arrays[2].tobytes()
-        assert a.bias.tobytes() == b.bias.tobytes() == c.bias.tobytes()
-    # dense version-2 rows keep only their nonzero weights
-    assert all(n.weights.values.all() for n in v2.nodes)
-    rng = random.Random(7)
-    boxes = []
-    for _ in range(40):
-        x, y = rng.uniform(-0.25, 1.25), rng.uniform(-0.25, 1.25)
-        w, h = rng.choice([0.0, rng.uniform(0.0, 0.5)]), rng.choice([0.0, rng.uniform(0.0, 0.5)])
-        boxes.append(BoxRegion.from_pairs([(x, x + w), (y, y + h)]))
-    hexes = [[[(iv.lo.hex(), iv.hi.hex()) for iv in out.bounds] for out in eval_abstract_many(n, boxes)]
-             for n in (v2, v3, v4)]
-    assert hexes[0] == hexes[1] == hexes[2]
+def test_the_docstring_example_loads_as_described():
+    example = textwrap.dedent(netio.__doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0])
+    net = deserialize(example)
+    assert row_terms(net.nodes[2]) == [[(1, 1.0), (0, 0.5)], [(0, 1.0)]]
+    assert net.nodes[2].bias.tolist() == [0.0, -1.0]
+    assert (net.output, net.nodes[3].kind, net.nodes[3].preds) == (3, "relu", (2,))
+    assert serialize(net) == example + "\n"  # the example is in canonical form
 
 
 V4_HEAD = f"{MAGIC} 4\ninput_dim 2\noutput 2\n"
@@ -343,13 +319,18 @@ def test_version_4_document_reads_its_lists():
 @pytest.mark.parametrize(
     "affine, message",
     [
-        ("0,1 1,,1 1,0 0,1 2,2", "node 2: affine lists '1,,1 1,0 0,1 2,2' are not"),
-        ("0,1 1.5 1,0 0,1 2,2", "node 2: affine lists '1.5 1,0 0,1 2,2' are not"),
-        ("0,1 1,1 1,0 0,1, 2,2", "node 2: affine lists '1,1 1,0 0,1, 2,2' are not"),
-        ("0,1 1,1 1,0 ,0,1 2,2", "node 2: affine lists '1,1 1,0 ,0,1 2,2' are not"),
-        ("0,1 1,1 -1,0 0,1 2,2", "node 2: affine lists '1,1 -1,0 0,1 2,2' are not"),
-        ("0,1 -1,3 1,0 0,1 2,2", "node 2: affine lists '-1,3 1,0 0,1 2,2' are not"),
-        ("0,1 1,1 1,0 0,1 2,١", "node 2: affine lists '1,1 1,0 0,1 2,١' are not"),
+        ("0,1 1,,1 1,0 0,1 2,2", "'1,,1' is not comma-separated integers or -"),
+        ("0,1 1.5 1,0 0,1 2,2", "'1.5' is not"),
+        ("0,1 1,1 1,0 0,1, 2,2", "'0,1,' is not"),
+        ("0,1 1,1 1,0 ,0,1 2,2", "',0,1' is not"),
+        ("0,1 1,1 -1,0 0,1 2,2", "'-1,0' is not"),
+        ("0,1 -1,3 1,0 0,1 2,2", "'-1,3' is not"),
+        ("0,1 1,1 1,0 0,1 2,\u0661", "'2,\u0661' is not"),
+        ("0,+1 1,1 1,0 0,1 2,2", "'0,+1' is not"),
+        ("0_0,1 1,1 1,0 0,1 2,2", "'0_0,1' is not"),
+        ("0,\u0661 1,1 1,0 0,1 2,2", "'0,\u0661' is not"),
+        ("1,0,3 1,1 1,0 0,1 2,2", "node 2 must come after its predecessor 3"),
+        ("0,99999999999999999999 1,1 1,0 0,1 2,2", "node 2 must come after its predecessor 9223372036854775807"),
         ("0,1 1,1 1,0 0,1 2,3", "node 2: value index out of range for 3 values"),
         ("0,1 1,1 1,7 0,1 2,2", "node 2: value index out of range for 3 values"),
         ("0,1 1,1 1,0 0,1 2,99999999999999999999", "node 2: value index out of range"),
@@ -362,10 +343,14 @@ def test_version_4_document_reads_its_lists():
         ("0,1 - - - -", "node 2: affine needs matching weight rows and bias entries"),
     ],
     ids=["empty-entry", "non-integer", "trailing-comma", "leading-comma", "negative-index", "negative-count",
-         "non-ascii-digit", "weight-index", "bias-index", "huge-index", "count-sum", "huge-column", "column",
+         "non-ascii-digit", "preds-plus", "preds-underscore", "preds-non-ascii-digit", "later-pred", "huge-pred",
+         "weight-index", "bias-index", "huge-index", "count-sum", "huge-column", "column",
          "columns-and-weights", "biases", "list-count", "no-rows"],
 )
 def test_malformed_version_4_lists_name_the_node(affine, message):
+    # a token that is not an integer list names its line, a bad value the node
+    if not message.startswith("node 2"):
+        message = f"malformed node line 'node 2 affine {affine}': {message}"
     with pytest.raises(NetworkFormatError, match=re.escape(message)):
         deserialize(v4_document(affine))
 
@@ -391,8 +376,6 @@ def test_the_values_line_comes_before_the_affine_lines():
         deserialize(text)
     with pytest.raises(NetworkFormatError, match="duplicate values line"):
         deserialize(v4_document().replace("values", "values 1.0\nvalues", 1))
-    with pytest.raises(NetworkFormatError, match="unknown directive 'values'"):
-        deserialize(f"{MAGIC} 3\ninput_dim 1\noutput 1\nvalues 1.0\nnode 0 input 0\nnode 1 affine 0 1 0.25 0:-1.5\n")
 
 
 def test_a_partial_read_of_the_lists_names_the_node(monkeypatch):
@@ -401,7 +384,7 @@ def test_a_partial_read_of_the_lists_names_the_node(monkeypatch):
     # catch such a partial read
     fromstring = np.fromstring
     monkeypatch.setattr(np, "fromstring", lambda text, **kw: fromstring(text, **kw)[:-1])
-    with pytest.raises(NetworkFormatError, match=re.escape("node 2: affine lists '1,1 1,0 0,1 2,2' are not")):
+    with pytest.raises(NetworkFormatError, match=re.escape("'node 2 affine 0,1 1,1 1,0 0,1 2,2': read 9 of the 10 integers")):
         deserialize(v4_document())
 
 
@@ -461,7 +444,7 @@ def test_version_4_round_trip_is_bit_exact(net, decimal):
 
 
 def test_a_bad_list_names_its_own_node():
-    with pytest.raises(NetworkFormatError, match=re.escape("node 3: affine lists '1 0 0,1, 2' are not")):
+    with pytest.raises(NetworkFormatError, match=re.escape("malformed node line 'node 3 affine 2 1 0 0,1, 2': '0,1,'")):
         deserialize(v4_document() + "node 3 affine 2 1 0 0,1, 2\n")
     with pytest.raises(NetworkFormatError, match="node 3: value index out of range for 3 values"):
         deserialize(v4_document() + "node 3 affine 2 1 3 0 1\n")

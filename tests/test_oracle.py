@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from boxcert.oracle import (
     _linspaces,
     certified_box_range,
     certified_box_ranges,
+    count_text,
 )
 
 from helpers import box_arrays, certified_box_max, certified_box_min, reference_box_range
@@ -189,6 +191,13 @@ class TestBatchedRanges:
         with pytest.raises(OracleBudgetError) as err:
             certified_box_range(f, huge, 0.1, 2**62)
         assert err.value.needed > 2**63
+        assert re.search(r"needs \d\.\d{3}e\+\d+ samples", str(err.value))  # the exact count stays in ``needed``
+
+    def test_counts_past_10_to_the_15_print_in_short(self):
+        assert count_text(10**15) == "1000000000000000"
+        assert count_text(10**15 + 1) == "1.000e+15"
+        assert count_text(15 * 10**600 + 7) == "1.500e+601"
+        assert count_text(math.inf) == "inf"
 
     def test_one_evaluation_per_pass(self, monkeypatch):
         f = parse_func("-x0*x0*x0 + 3*x0", 1, DOMAIN)

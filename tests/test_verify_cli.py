@@ -344,6 +344,17 @@ class TestCli:
         assert err.startswith("error: axis 0 ") and err.count("\n") == 1
         assert not (tmp_path / "x.net").exists()
 
+    def test_astronomical_candidate_count_prints_short(self, tmp_path, capsys):
+        # a 1e-300-wide axis asks for about 1.5e600 candidates, once a 604-digit integer
+        code = main(
+            ["build", "--expr", "x0*x1", "--domain", "0,1e-300;0,1", "--delta", "0.25",
+             "--out", str(tmp_path / "x.net")]
+        )
+        assert code == cli.EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err.startswith("error: 1.500e+600 candidate rectangles exceed the budget 5000000;")
+        assert err.count("\n") == 1 and len(err) < 200
+
     def test_oracle_budget_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "DEFAULT_BUDGET", cli.BuildBudget(max_oracle_samples=200))
         code = main(

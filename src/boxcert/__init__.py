@@ -24,7 +24,6 @@ from .network import (
     Network,
     NetworkBuilder,
     eval_abstract,
-    eval_abstract_many,
     eval_concrete,
     stats,
 )

@@ -27,9 +27,9 @@ from .construct import (
     build_certified_network,
     format_cells,
 )
-from .expr import ParseError, parse_func
+from .expr import parse_func
 from .fixtures import FIXTURES
-from .netio import NetworkFormatError, parse_box_text
+from .netio import parse_box_text
 from .network import eval_abstract
 from .oracle import OracleBudgetError
 from .verify import RunConfig, network_domain, verify_network
@@ -234,9 +234,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, NetworkFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BuildBudgetError, OracleBudgetError) as exc:

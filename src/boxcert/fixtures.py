@@ -14,9 +14,9 @@ from .network import Network, NetworkBuilder
 
 def _two_layer(hidden2: tuple[tuple[float, float], tuple[float, float]], name: str) -> Network:
     b = NetworkBuilder(1)
-    first = b.relu(b.affine(b.input_id(0), [[0.5], [0.5]], [0.0, 0.0]))
-    second = b.relu(b.affine(first, hidden2, [0.5, 0.5]))
-    out = b.affine(second, [[1.0, 1.0]], [0.0])
+    first = b.relu(b.csr_affine(0, [1, 1], [0, 0], [0.5, 0.5], [0.0, 0.0]))
+    second = b.relu(b.csr_affine(first, [2, 2], [0, 1, 0, 1], [w for row in hidden2 for w in row], [0.5, 0.5]))
+    out = b.csr_affine(second, [2], [0, 1], [1.0, 1.0], [0.0])
     return b.finish(out, {"fixture": name})
 
 

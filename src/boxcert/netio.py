@@ -33,8 +33,11 @@ decimal literals.
 
 The k-th node line has id ``k``, its node's position in the network, so each
 predecessor id is smaller than its user's and ``output`` names one of the
-ids; the network's validation names the node that breaks either rule. Every
-integer in a node line is a run of ASCII digits. Only version 4 is read.
+ids. The first ``input_dim`` lines are the inputs, each ``node k input k``:
+node ``k`` reads coordinate ``k``, and no later node is an input. The
+reader or the network's validation names the node that breaks a rule. Every
+integer in a node line, and the values of ``input_dim`` and ``output``, is a
+run of ASCII digits. Only version 4 is read.
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ def serialize(net: Network) -> str:
         )
     for i, node in enumerate(net.nodes):
         if node.kind == "input":
-            lines.append(f"node {i} input {node.index}")
+            lines.append(f"node {i} input {i}")
         elif node.kind == "affine":
             lines.append(f"node {i} affine {','.join(map(str, node.preds))} {next(lists)}")
         else:
@@ -149,7 +152,7 @@ def serialize(net: Network) -> str:
 
 
 def _digits(tok: str) -> int:
-    """An input index or relu operand: one run of ASCII digits."""
+    """An input index, relu operand or directive value: one run of ASCII digits."""
     if not (tok.isascii() and tok.isdigit()):
         raise ValueError(f"{tok!r} is not a run of ASCII digits")
     return int(tok)
@@ -160,7 +163,10 @@ def _parse_node(k: int, kind: str, rest: list[str], values: np.ndarray | None) -
     if kind == "input":
         if len(rest) != 1:
             raise NetworkFormatError(f"node {k}: input takes one index")
-        return Node("input", index=_digits(rest[0]))
+        if rest[0] != str(k):
+            _digits(rest[0])  # a token that is no digit run makes the line malformed, as in any node line
+            raise NetworkFormatError(f"node {k}: an input line reads 'node {k} input {k}', not index {rest[0]}")
+        return Node("input")
     if kind == "affine":
         if len(rest) != 5:
             raise NetworkFormatError(
@@ -181,9 +187,9 @@ def _directive_int(parts: list[str]) -> int:
     if len(parts) != 2:
         raise NetworkFormatError(f"{parts[0]} takes exactly one value, got {len(parts) - 1}")
     try:
-        return int(parts[1])
-    except ValueError:
-        raise NetworkFormatError(f"{parts[0]} value {parts[1]!r} is not an integer") from None
+        return _digits(parts[1])
+    except ValueError as exc:
+        raise NetworkFormatError(f"{parts[0]} value {exc}") from None
 
 
 def deserialize(text: str) -> Network:

@@ -2,14 +2,16 @@
 
 A network is a tuple of nodes stored in one fixed topological order (a node's
 predecessors are always earlier in the tuple, so positions double as ids).
-There are three node kinds: ``input``, ``affine`` and ``relu``. An affine node
-reads its predecessors' outputs laid end to end, and each of its rows is a
-sparse list of terms over those columns, summed in stored order; a dense row,
-with a term for every column, is the special case. A node keeps its rows as
-read-only compressed sparse row (CSR) arrays (``Rows``): per row its term
-count, then every row's term columns and weights end to end. Builders, the
-document reader and the validation hand these arrays on as they are, with no
-object per term. A relu reads one predecessor.
+There are three node kinds: ``input``, ``affine`` and ``relu``. The first
+``input_dim`` nodes are the inputs, node ``k`` reading coordinate ``k``, and
+no other node is one. An affine node reads its predecessors' outputs laid end
+to end, and each of its rows is a sparse list of terms over those columns,
+summed in stored order; a dense row, with a term for every column, is the
+special case. A node keeps its rows as read-only compressed sparse row (CSR)
+arrays (``Rows``): per row its term count, then every row's term columns and
+weights end to end. Builders, the document reader and the validation hand
+these arrays on as they are, with no object per term. A relu reads one
+predecessor.
 
 On first evaluation a network is lowered once into a levelled array program
 (``Network.program``). Each non-input node owns a contiguous range of columns
@@ -21,8 +23,8 @@ compiler lays out the tables of every affine row of the network in one batch
 of array operations over the nodes' CSR arrays, then slices them per stage.
 ``Program.run`` takes its boxes as ``lo``/``hi`` arrays, ``PASS_BOXES`` to a
 pass, so the buffer's size does not grow with the box count.
-``eval_abstract_many`` runs the program on ``BoxRegion``s; ``eval_abstract``
-is its one-box case and ``eval_concrete`` its point-box case.
+``eval_abstract`` runs it on one ``BoxRegion`` and ``eval_concrete`` on a
+point box.
 
 The stages repeat the scalar interval transformers (``iv_affine_row`` and
 ``iv_relu`` in ``tests/helpers.py``) bit for bit, so a point box propagates to
@@ -87,12 +89,6 @@ class Rows:
         self.columns = _frozen(columns, np.intp)
         self.values = _frozen(values, np.float64)
 
-    @classmethod
-    def dense(cls, matrix: Sequence[Sequence[float]]) -> Rows:
-        """Rows with a term for each of their entries, in column order."""
-        columns = [c for row in matrix for c in range(len(row))]
-        return cls([len(row) for row in matrix], columns, [w for row in matrix for w in row])
-
     def __len__(self) -> int:
         return len(self.counts)
 
@@ -119,13 +115,13 @@ _NO_BIAS = _NO_ROWS.values  # an empty read-only float64 array
 class Node:
     """One DAG node. ``preds`` are positions of earlier nodes in the network.
 
-    An affine node keeps its rows in ``weights`` and one bias per row in
-    ``bias``, a read-only float64 array.
+    An input node reads the coordinate of its position. An affine node keeps
+    its rows in ``weights`` and one bias per row in ``bias``, a read-only
+    float64 array.
     """
 
     kind: str
     preds: tuple[int, ...] = ()
-    index: int = -1  # input coordinate, for kind == "input"
     weights: Rows = field(default_factory=lambda: _NO_ROWS)
     bias: np.ndarray = field(default_factory=lambda: _NO_BIAS)
 
@@ -136,29 +132,12 @@ class Node:
         if not isinstance(other, Node):
             return NotImplemented
         return (
-            (self.kind, self.preds, self.index) == (other.kind, other.preds, other.index)
+            (self.kind, self.preds) == (other.kind, other.preds)
             and self.weights == other.weights
             and np.array_equal(self.bias, other.bias)
         )
 
     __hash__ = None  # type: ignore[assignment]
-
-
-def input_node(index: int) -> Node:
-    return Node("input", index=index)
-
-
-def _preds(preds: int | Sequence[int]) -> tuple[int, ...]:
-    return (preds,) if isinstance(preds, int) else tuple(preds)
-
-
-def affine_node(preds: int | Sequence[int], weights: Sequence[Sequence[float]], bias: Sequence[float]) -> Node:
-    """An affine node with dense rows over one predecessor or over several, read end to end."""
-    return Node("affine", _preds(preds), weights=Rows.dense(weights), bias=bias)
-
-
-def relu_node(pred: int) -> Node:
-    return Node("relu", preds=(pred,))
 
 
 @dataclass(frozen=True)
@@ -175,10 +154,6 @@ class Network:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "arities", _validate(self.nodes, self.output, self.input_dim))
 
-    @property
-    def output_dim(self) -> int:
-        return self.arities[self.output]
-
     def arity(self, node_id: int) -> int:
         return self.arities[node_id]
 
@@ -191,7 +166,7 @@ class Network:
 def _validate(nodes: tuple[Node, ...], output: int, input_dim: int) -> tuple[int, ...]:
     """Each node's output width, after checking the nodes' structure and their affine rows.
 
-    One pass over the nodes checks predecessor order, input indices, node
+    One pass over the nodes checks predecessor order, input placement, node
     kinds and row/bias counts, as each width depends on the earlier ones, and
     each affine node's terms with a few array operations on its rows.
     """
@@ -201,18 +176,16 @@ def _validate(nodes: tuple[Node, ...], output: int, input_dim: int) -> tuple[int
         raise ValueError(f"output node {output} is not defined")
     if input_dim < 1:
         raise ValueError("input_dim must be at least 1")
+    if len(nodes) < input_dim:
+        raise ValueError(f"missing input node {len(nodes)}: the first {input_dim} nodes are the inputs")
     arities: list[int] = []
-    seen_inputs: dict[int, int] = {}
     for i, node in enumerate(nodes):
         for p in node.preds:
             if not 0 <= p < i:
                 raise ValueError(f"node {i} must come after its predecessor {p}")
+        if (node.kind == "input") != (i < input_dim):
+            raise ValueError(f"node {i}: the first {input_dim} nodes are the inputs, and no other node is one")
         if node.kind == "input":
-            if not 0 <= node.index < input_dim:
-                raise ValueError(f"node {i}: input index {node.index} out of range for dim {input_dim}")
-            if node.index in seen_inputs:
-                raise ValueError(f"node {i}: input index {node.index} already used by node {seen_inputs[node.index]}")
-            seen_inputs[node.index] = i
             arities.append(1)
         elif node.kind == "affine":
             if not node.preds:
@@ -228,9 +201,6 @@ def _validate(nodes: tuple[Node, ...], output: int, input_dim: int) -> tuple[int
             arities.append(arities[node.preds[0]])
         else:
             raise ValueError(f"node {i}: unknown kind {node.kind!r}")
-    if len(seen_inputs) != input_dim:
-        missing = sorted(set(range(input_dim)) - set(seen_inputs))
-        raise ValueError(f"missing input nodes for indices {missing}")
     return tuple(arities)
 
 
@@ -340,7 +310,7 @@ def _compile(net: Network) -> Program:
     keys = sorted(groups)
 
     # Columns: inputs first, then each stage's nodes in a contiguous block.
-    first = [node.index for node in nodes]  # each node's first column; an input's is its index
+    first = list(range(len(nodes)))  # each node's first column; an input's is its position
     spans = []
     nxt = net.input_dim
     for key in keys:
@@ -430,24 +400,10 @@ def _affine_tables(
     return tables
 
 
-def eval_abstract_many(net: Network, boxes: Sequence[BoxRegion]) -> list[BoxRegion]:
-    """Propagate every box through the compiled program: ``Program.run`` on their corners."""
-    if not boxes:
-        return []
-    for box in boxes:
-        if box.dim != net.input_dim:
-            raise ValueError(f"expected a {net.input_dim}-d box, got {box.dim}-d")
-    bounds = np.array([[(b.lo, b.hi) for b in box.bounds] for box in boxes])
-    lo, hi = net.program.run(bounds[:, :, 0], bounds[:, :, 1])
-    return [
-        BoxRegion(tuple(Interval(a, b) for a, b in zip(row_lo, row_hi)))
-        for row_lo, row_hi in zip(lo.tolist(), hi.tolist())
-    ]
-
-
 def eval_abstract(net: Network, box: BoxRegion) -> BoxRegion:
-    """Propagate one box: the one-box case of ``eval_abstract_many``."""
-    return eval_abstract_many(net, [box])[0]
+    """Propagate one box: ``Program.run`` on its corners."""
+    lo, hi = net.program.run(np.array([[b.lo for b in box.bounds]]), np.array([[b.hi for b in box.bounds]]))
+    return BoxRegion(tuple(Interval(a, b) for a, b in zip(lo[0].tolist(), hi[0].tolist())))
 
 
 def eval_concrete(net: Network, x: Sequence[float]) -> tuple[float, ...]:
@@ -460,19 +416,9 @@ def eval_concrete(net: Network, x: Sequence[float]) -> tuple[float, ...]:
 
 
 def stats(net: Network) -> dict[str, int]:
-    """Flat counts: nodes, ReLU units, parameters (stored terms and biases), and longest path to the output."""
+    """Flat counts: nodes and ReLU units."""
     relus = sum(net.arity(i) for i, n in enumerate(net.nodes) if n.kind == "relu")
-    params = sum(len(n.weights.columns) + len(n.bias) for n in net.nodes)
-    depth = [0] * len(net.nodes)
-    for i, n in enumerate(net.nodes):
-        if n.kind != "input":
-            depth[i] = 1 + max((depth[p] for p in n.preds), default=0)
-    return {
-        "node_count": len(net.nodes),
-        "relu_count": relus,
-        "param_count": params,
-        "depth": depth[net.output],
-    }
+    return {"node_count": len(net.nodes), "relu_count": relus}
 
 
 class NetworkBuilder:
@@ -480,11 +426,8 @@ class NetworkBuilder:
 
     def __init__(self, input_dim: int):
         self.input_dim = input_dim
-        self._nodes: list[Node] = [input_node(i) for i in range(input_dim)]
+        self._nodes: list[Node] = [Node("input")] * input_dim
         self._arities: list[int] = [1] * input_dim
-
-    def input_id(self, index: int) -> int:
-        return index
 
     @property
     def input_ids(self) -> list[int]:
@@ -498,15 +441,6 @@ class NetworkBuilder:
         self._arities.append(arity)
         return len(self._nodes) - 1
 
-    def _append_affine(self, node: Node) -> int:
-        return self._append(node, len(node.weights))
-
-    def affine(
-        self, preds: int | Sequence[int], weights: Sequence[Sequence[float]], bias: Sequence[float]
-    ) -> int:
-        """Append an affine node with dense rows."""
-        return self._append_affine(affine_node(preds, weights, bias))
-
     def csr_affine(
         self,
         preds: int | Sequence[int],
@@ -516,10 +450,12 @@ class NetworkBuilder:
         bias: Sequence[float],
     ) -> int:
         """Append an affine node whose rows are given as CSR arrays, as ``Rows`` takes them."""
-        return self._append_affine(Node("affine", _preds(preds), weights=Rows(counts, columns, values), bias=bias))
+        preds = (preds,) if isinstance(preds, int) else tuple(preds)
+        node = Node("affine", preds, weights=Rows(counts, columns, values), bias=bias)
+        return self._append(node, len(node.weights))
 
     def relu(self, pred: int) -> int:
-        return self._append(relu_node(pred), self._arities[pred])
+        return self._append(Node("relu", (pred,)), self._arities[pred])
 
     def finish(self, output: int, metadata: dict[str, str] | None = None) -> Network:
         return Network(tuple(self._nodes), output, self.input_dim, dict(metadata or {}))

@@ -173,7 +173,7 @@ def random_network(rng: random.Random, max_extra_nodes: int = 8) -> Network:
         rows = rng.randint(1, 3)
         weights = [[rng.uniform(-2, 2) for _ in range(cols)] for _ in range(rows)]
         bias = [rng.uniform(-1, 1) for _ in range(rows)]
-        ids.append(b.affine(preds, weights, bias))
+        ids.append(dense_affine(b, preds, weights, bias))
     return b.finish(ids[-1])
 
 
@@ -198,19 +198,27 @@ def sparse_affine(
     return b.csr_affine(preds, *csr(rows), bias)
 
 
+def dense_affine(
+    b: NetworkBuilder, preds: int | Sequence[int], rows: Sequence[Sequence[float]], bias: Sequence[float]
+) -> int:
+    """Append an affine node with a term for each entry of its rows, in column order."""
+    columns = [c for row in rows for c in range(len(row))]
+    return b.csr_affine(preds, [len(row) for row in rows], columns, [w for row in rows for w in row], bias)
+
+
 def identity_network(dim: int) -> Network:
     b = NetworkBuilder(dim)
     rows = [[1.0 if j == i else 0.0 for j in range(dim)] for i in range(dim)]
-    return b.finish(b.affine(b.input_ids, rows, [0.0] * dim))
+    return b.finish(dense_affine(b, b.input_ids, rows, [0.0] * dim))
 
 
 def append_copy(b: NetworkBuilder, net: Network) -> int:
     """Append a copy of ``net`` wired to ``b``'s inputs; return the copy's output id."""
     ids: list[int] = []
-    for node in net.nodes:
+    for k, node in enumerate(net.nodes):
         preds = [ids[p] for p in node.preds]
         if node.kind == "input":
-            ids.append(b.input_id(node.index))
+            ids.append(k)
         elif node.kind == "affine":
             ids.append(sparse_affine(b, preds, row_terms(node), node.bias))
         else:
@@ -221,7 +229,7 @@ def append_copy(b: NetworkBuilder, net: Network) -> int:
 def difference_network(net: Network) -> Network:
     """``net(x) - net(x)`` for a scalar ``net``: two copies and the affine row [1, -1] over both."""
     b = NetworkBuilder(net.input_dim)
-    return b.finish(b.affine([append_copy(b, net), append_copy(b, net)], [[1.0, -1.0]], [0.0]))
+    return b.finish(dense_affine(b, [append_copy(b, net), append_copy(b, net)], [[1.0, -1.0]], [0.0]))
 
 
 @dataclass(frozen=True, order=True)
@@ -249,8 +257,8 @@ NMIN2_OUT = (0.5, -0.5, -0.5, -0.5)
 
 def append_nmin2(b: NetworkBuilder, left: int, right: int) -> int:
     """Min of two scalar nodes via the four-unit gadget."""
-    hidden = b.relu(b.affine((left, right), NMIN2_HIDDEN, (0.0, 0.0, 0.0, 0.0)))
-    return b.affine(hidden, [NMIN2_OUT], (0.0,))
+    hidden = b.relu(dense_affine(b, (left, right), NMIN2_HIDDEN, (0.0, 0.0, 0.0, 0.0)))
+    return dense_affine(b, hidden, [NMIN2_OUT], (0.0,))
 
 
 def append_nmin_tree(b: NetworkBuilder, args: Sequence[int]) -> int:
@@ -265,8 +273,8 @@ def append_nmin_tree(b: NetworkBuilder, args: Sequence[int]) -> int:
 
 def append_clip_above(b: NetworkBuilder, preds: Sequence[int], bound: float) -> int:
     """``bound - R(bound - sum(preds))`` over scalar nodes, with the sum folded into the first row."""
-    inner = b.relu(b.affine(preds, [[-1.0] * len(preds)], [float(bound)]))
-    return b.affine(inner, [[-1.0]], [float(bound)])
+    inner = b.relu(dense_affine(b, preds, [[-1.0] * len(preds)], [float(bound)]))
+    return dense_affine(b, inner, [[-1.0]], [float(bound)])
 
 
 def append_ramp_chain(
@@ -296,10 +304,10 @@ def append_ramp_chain(
             (row_lo, float(grid.ell * rect.lower[k])),
             (row_hi, float(-grid.ell * rect.upper[k])),
         ):
-            inner = b.affine(source, [row], [offset])
+            inner = dense_affine(b, source, [row], [offset])
             if clamped or ramps:  # only the first ramp may be left unclamped
                 inner = b.relu(inner)
-            ramps.append(b.affine(inner, [[-1.0]], [1.0]))
+            ramps.append(dense_affine(b, inner, [[-1.0]], [1.0]))
     return ramps
 
 
@@ -319,7 +327,7 @@ def append_local_bump(
     """
     ramps = append_ramp_chain(b, grid, rect, source, clamped)
     bias = 1.0 - len(ramps) if bias is None else bias
-    return b.relu(b.affine(ramps, [[1.0] * len(ramps)], [bias]))
+    return b.relu(dense_affine(b, ramps, [[1.0] * len(ramps)], [bias]))
 
 
 def append_min_bump(b: NetworkBuilder, grid: GridSpec, rect: HyperRect, source: Sequence[int]) -> int:
@@ -361,20 +369,20 @@ def reference_build(f: FuncExpr, delta: float, bump=append_local_bump) -> Networ
     outs = []
     for rects in slice_members(delta_sets(f, grid, spec), spec.count):
         if not rects:
-            outs.append(b.affine(b.input_ids, [[0.0] * f.dim], [0.0]))
+            outs.append(dense_affine(b, b.input_ids, [[0.0] * f.dim], [0.0]))
             continue
         source = b.input_ids
         if any(iv.lo != 0.0 or iv.hi != 1.0 for iv in f.domain.bounds):
             scales = [1.0 / iv.width if iv.width > 0 else 1.0 for iv in f.domain.bounds]
             rows = [[scales[k] if j == k else 0.0 for j in range(f.dim)] for k in range(f.dim)]
-            source = [b.affine(b.input_ids, rows, [-(iv.lo * r) for iv, r in zip(f.domain.bounds, scales)])]
+            source = [dense_affine(b, b.input_ids, rows, [-(iv.lo * r) for iv, r in zip(f.domain.bounds, scales)])]
         outs.append(append_clip_above(b, [bump(b, grid, rect, source) for rect in rects], 1.0))
-    return b.finish(b.affine(outs, [[spec.half_delta] * len(outs)], [spec.bottom]), net.metadata)
+    return b.finish(dense_affine(b, outs, [[spec.half_delta] * len(outs)], [spec.bottom]), net.metadata)
 
 
 def build_nmin2() -> Network:
     b = NetworkBuilder(2)
-    out = append_nmin2(b, b.input_id(0), b.input_id(1))
+    out = append_nmin2(b, 0, 1)
     return b.finish(out)
 
 
@@ -388,7 +396,7 @@ def build_nmin_n(n: int) -> Network:
 
 def build_clip_above(bound: float) -> Network:
     b = NetworkBuilder(1)
-    out = append_clip_above(b, [b.input_id(0)], bound)
+    out = append_clip_above(b, [0], bound)
     return b.finish(out)
 
 
@@ -502,9 +510,9 @@ def reference_eval_concrete(net: Network, x) -> tuple[float, ...]:
     reference the compiled evaluator must match bit for bit.
     """
     vals: list[tuple[float, ...]] = []
-    for node in net.nodes:
+    for k, node in enumerate(net.nodes):
         if node.kind == "input":
-            vals.append((float(x[node.index]),))
+            vals.append((float(x[k]),))
         elif node.kind == "affine":
             v = [t for p in node.preds for t in vals[p]]
             out = []
@@ -522,9 +530,9 @@ def reference_eval_concrete(net: Network, x) -> tuple[float, ...]:
 def reference_eval_abstract(net: Network, box: BoxRegion) -> BoxRegion:
     """Per-node walk with the ``Interval`` transformers, in the stored node order."""
     vals: list[tuple[Interval, ...]] = []
-    for node in net.nodes:
+    for k, node in enumerate(net.nodes):
         if node.kind == "input":
-            vals.append((box.bounds[node.index],))
+            vals.append((box.bounds[k],))
         elif node.kind == "affine":
             v = [t for p in node.preds for t in vals[p]]
             vals.append(tuple(

@@ -21,7 +21,6 @@ from boxcert.intervals import BoxRegion, Interval
 from boxcert.network import (
     Network,
     eval_abstract,
-    eval_abstract_many,
     eval_concrete,
 )
 from boxcert.slicing import make_slice_spec
@@ -29,7 +28,7 @@ from boxcert.verify import RunConfig, verify_network
 
 from helpers import (
     HyperRect,
-    box_subset,
+    box_arrays,
     build_local_bump,
     build_nmin2,
     build_nmin_n,
@@ -175,11 +174,9 @@ def test_criterion_4_soundness_and_monotonicity_fuzz():
                 box = random_box(rng, net.input_dim)
                 boxes.append(box)
                 points.append(BoxRegion.point(point_inside(rng, box)))
-            props = eval_abstract_many(net, boxes + points)
-            for prop, value in zip(props, props[5:]):
-                for v, iv in zip(value.bounds, prop.bounds):
-                    assert iv.lo - 1e-9 <= v.lo <= iv.hi + 1e-9
-                triples += 1
+            lo, hi = net.program.run(*box_arrays(boxes + points))
+            assert ((lo[:5] - 1e-9 <= lo[5:]) & (lo[5:] <= hi[:5] + 1e-9)).all()
+            triples += 5
         nested = 0
         while nested < 10_000:
             net = random_network(rng)
@@ -187,10 +184,9 @@ def test_criterion_4_soundness_and_monotonicity_fuzz():
             for _ in range(5):
                 outers.append(random_box(rng, net.input_dim))
                 inners.append(shrink_box(rng, outers[-1]))
-            props = eval_abstract_many(net, inners + outers)
-            for inner, outer in zip(props, props[5:]):
-                assert box_subset(inner, outer)
-                nested += 1
+            lo, hi = net.program.run(*box_arrays(inners + outers))
+            assert ((lo[5:] <= lo[:5]) & (hi[:5] <= hi[5:])).all()
+            nested += 5
 
 
 def test_criterion_5_local_bump_contract():
@@ -324,7 +320,6 @@ def test_criterion_10_fault_injection(cubic_loose, tmp_path):
         nodes[net.output] = type(out_node)(
             out_node.kind,
             preds=out_node.preds,
-            index=out_node.index,
             weights=out_node.weights,
             bias=tuple(b + 2 * report.delta for b in out_node.bias),
         )

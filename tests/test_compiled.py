@@ -19,11 +19,13 @@ from boxcert import netio
 from boxcert.construct import BuildBudget, build_certified_network
 from boxcert.expr import parse_func
 from boxcert.intervals import BoxRegion
-from boxcert.network import NetworkBuilder, eval_abstract, eval_abstract_many, eval_concrete, stats
+from boxcert.network import NetworkBuilder, eval_abstract, eval_concrete, stats
 from boxcert.oracle import BoxRanges, CertifiedBound, certified_box_ranges
 from boxcert.verify import FAIL, INCONCLUSIVE, MARGIN_FRACTION, STATUSES, RunConfig, _check, verify_network
 
 from helpers import (
+    box_arrays,
+    dense_affine,
     dyadic,
     grid_boxes,
     reference_check,
@@ -74,7 +76,7 @@ def networks(draw):
                 st.lists(st.sampled_from([0.0, -0.0]), min_size=cols, max_size=cols)
             )
         bias = draw(st.lists(WEIGHTS, min_size=len(rows), max_size=len(rows)))
-        ids.append(b.affine(preds, rows, bias))
+        ids.append(dense_affine(b, preds, rows, bias))
     return b.finish(ids[-1])
 
 
@@ -98,11 +100,10 @@ def hexes(box):
 def test_batched_propagation_is_bit_identical_to_the_interval_walk(data):
     net = data.draw(networks())
     batch = data.draw(st.lists(boxes(net.input_dim), min_size=1, max_size=6))
-    got = eval_abstract_many(net, batch)
-    assert len(got) == len(batch)
-    for box, out in zip(batch, got):
+    lo, hi = net.program.run(*box_arrays(batch))
+    for box, row_lo, row_hi in zip(batch, lo.tolist(), hi.tolist(), strict=True):
         want = hexes(reference_eval_abstract(net, box))
-        assert hexes(out) == want
+        assert [(a.hex(), b.hex()) for a, b in zip(row_lo, row_hi)] == want
         assert hexes(eval_abstract(net, box)) == want
         if all(b.lo == b.hi for b in box.bounds):  # a point box is concrete evaluation
             x = [b.lo for b in box.bounds]
@@ -118,7 +119,7 @@ def test_signed_zero_through_padded_affine_rows_and_relu():
     # as max(0.0, -0.0) is.
     b = NetworkBuilder(1)
     rows = [[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 2.0, 0.0]]
-    net = b.finish(b.affine([0, 0, 0, b.relu(0)], rows, [-0.0, -0.0, -0.0, 0.5]))
+    net = b.finish(dense_affine(b, [0, 0, 0, b.relu(0)], rows, [-0.0, -0.0, -0.0, 0.5]))
     want = ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-1"]
     assert [v.hex() for v in reference_eval_concrete(net, [-0.0])] == want
     assert [v.hex() for v in eval_concrete(net, [-0.0])] == want
@@ -127,7 +128,7 @@ def test_signed_zero_through_padded_affine_rows_and_relu():
 
 def test_program_is_compiled_on_first_evaluation_and_cached():
     b = NetworkBuilder(1)
-    net = b.finish(b.relu(b.affine(0, [[2.0]], [-1.0])))
+    net = b.finish(b.relu(dense_affine(b, 0, [[2.0]], [-1.0])))
     assert "program" not in vars(net)
     assert eval_concrete(net, [1.0]) == (1.0,)
     assert net.program is net.program
@@ -135,16 +136,17 @@ def test_program_is_compiled_on_first_evaluation_and_cached():
 
 def test_empty_batch_and_dimension_mismatch():
     b = NetworkBuilder(2)
-    net = b.finish(b.affine([0, 1], [[1.0, 1.0]], [0.0]))
-    assert eval_abstract_many(net, []) == []
-    with pytest.raises(ValueError, match="expected a 2-d box"):
-        eval_abstract_many(net, [BoxRegion.from_pairs([(0, 1), (0, 1)]), BoxRegion.from_pairs([(0, 1)])])
+    net = b.finish(dense_affine(b, [0, 1], [[1.0, 1.0]], [0.0]))
+    lo, hi = net.program.run(np.empty((0, 2)), np.empty((0, 2)))
+    assert lo.shape == hi.shape == (0, 1)
+    with pytest.raises(ValueError, match="expected a 2-d box, got 1-d"):
+        eval_abstract(net, BoxRegion.from_pairs([(0, 1)]))
 
 
 def test_overflow_masked_by_a_relu_is_still_rejected():
     # The per-node walk rejects the -inf interval before the relu maps it to 0.
     b = NetworkBuilder(1)
-    net = b.finish(b.relu(b.affine(0, [[-1e300]], [0.0])))
+    net = b.finish(b.relu(dense_affine(b, 0, [[-1e300]], [0.0])))
     with pytest.raises(ValueError, match="finite"):
         eval_abstract(net, BoxRegion.from_pairs([(1e10, 2e10)]))
     with pytest.raises(ValueError, match="finite"):

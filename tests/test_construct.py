@@ -29,7 +29,7 @@ from boxcert.grids import GridSpec, prune_maximal
 from boxcert.intervals import BoxRegion, Interval
 from boxcert.netio import deserialize, load, serialize
 from boxcert import construct, network
-from boxcert.network import NetworkBuilder, eval_abstract, eval_abstract_many, eval_concrete, stats
+from boxcert.network import NetworkBuilder, eval_abstract, eval_concrete, stats
 from boxcert.oracle import OracleBudgetError, certified_box_range
 from boxcert.slicing import SliceSpec, make_slice_spec
 from boxcert.verify import RunConfig, network_domain, verify_network
@@ -518,7 +518,7 @@ def test_old_documents_propagate_like_the_min_tree_chain(drawn):
              for x, y, w, h, point in drawn]
 
     def endpoints(n):
-        return [[(iv.lo.hex(), iv.hi.hex()) for iv in out.bounds] for out in eval_abstract_many(n, boxes)]
+        return [[(iv.lo.hex(), iv.hi.hex()) for iv in eval_abstract(n, box).bounds] for box in boxes]
 
     assert endpoints(old) == endpoints(net)
     assert old.metadata == net.metadata
@@ -641,7 +641,7 @@ def test_merged_builds_propagate_like_unmerged_ones(drawn):
     case, boxes = drawn
 
     def endpoints(net):
-        return [[(iv.lo.hex(), iv.hi.hex()) for iv in out.bounds] for out in eval_abstract_many(net, boxes)]
+        return [[(iv.lo.hex(), iv.hi.hex()) for iv in eval_abstract(net, box).bounds] for box in boxes]
 
     layered, reference, read_back = layered_and_reference(case)
     assert endpoints(layered) == endpoints(reference) == endpoints(read_back)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from boxcert.gadgets import append_bumps, append_ramps, append_slice_clips
 from boxcert.grids import GridSpec, ramp_steepness
 from boxcert.intervals import BoxRegion, Interval
-from boxcert.network import NetworkBuilder, eval_abstract, eval_abstract_many, eval_concrete, stats
+from boxcert.network import NetworkBuilder, eval_abstract, eval_concrete, stats
 
 from helpers import (
     HyperRect,
@@ -399,7 +399,7 @@ def bump_cases(draw):
 
 def check_bump_properties(net, inside, beyond, boxes):
     """[1, 1] on every inside box, [0, 0] on every beyond box, and within [0, 1] on every box."""
-    props = [out.bounds[0] for out in eval_abstract_many(net, inside + beyond + boxes)]
+    props = [eval_abstract(net, box).bounds[0] for box in inside + beyond + boxes]
     assert all(out == Interval(1.0, 1.0) for out in props[: len(inside)])
     assert all(out == Interval(0.0, 0.0) for out in props[len(inside) : len(inside) + len(beyond)])
     assert all(0.0 <= out.lo <= out.hi <= 1.0 for out in props)

@@ -22,9 +22,9 @@ from boxcert.netio import (
     save,
     serialize,
 )
-from boxcert.network import NetworkBuilder, eval_abstract, eval_abstract_many, eval_concrete
+from boxcert.network import NetworkBuilder, eval_abstract, eval_concrete
 
-from helpers import random_network, row_terms, sparse_affine
+from helpers import dense_affine, random_network, row_terms, sparse_affine
 
 
 def test_round_trip_preserves_propagation():
@@ -90,12 +90,17 @@ def test_empty_document_has_no_output_node():
         ("input_dim 1\noutput", "output takes exactly one value, got 0"),
         ("input_dim 1 2\noutput 0", "input_dim takes exactly one value, got 2"),
         ("input_dim 1\noutput 0 0", "output takes exactly one value, got 2"),
-        ("input_dim one\noutput 0", "input_dim value 'one' is not an integer"),
+        ("input_dim one\noutput 0", "input_dim value 'one' is not a run of ASCII digits"),
+        # Python's int() reads each of these as 5 or 1
+        ("input_dim 1\noutput +5", "output value '+5' is not a run of ASCII digits"),
+        ("input_dim 1\noutput 0_5", "output value '0_5' is not a run of ASCII digits"),
+        ("input_dim 1\noutput \u0665", "output value '\u0665' is not a run of ASCII digits"),
+        ("input_dim +1\noutput 0", "input_dim value '+1' is not a run of ASCII digits"),
     ],
 )
 def test_directive_needs_one_integer(header, message):
     text = f"{MAGIC} 4\n{header}\nnode 0 input 0\n"
-    with pytest.raises(NetworkFormatError, match=message):
+    with pytest.raises(NetworkFormatError, match=re.escape(message)):
         deserialize(text)
 
 
@@ -104,6 +109,30 @@ def test_propagate_rejects_directive_without_value(tmp_path, capsys):
     path.write_text(f"{MAGIC} 4\ninput_dim 1\noutput\nnode 0 input 0\n", encoding="utf-8")
     assert main(["propagate", "--net", str(path), "--box", "0,1"]) == EXIT_USAGE
     assert "output takes exactly one value" in capsys.readouterr().err
+    path.write_text(serialize(fig2_n2()).replace("\noutput ", "\noutput +"), encoding="utf-8")
+    assert main(["propagate", "--net", str(path), "--box", "0,1"]) == EXIT_USAGE
+    assert "output value '+" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "input_dim, lines, message",
+    [
+        (1, "node 0 input 0\nnode 1 relu 0\nnode 2 input 2", "node 2: the first 1 nodes are the inputs"),
+        (2, "node 0 input 0\nnode 1 relu 0\nnode 2 input 2", "node 1: the first 2 nodes are the inputs"),
+        (2, "node 0 input 0\nnode 1 input 0", "node 1: an input line reads 'node 1 input 1', not index 0"),
+        (2, "node 0 input 0\nnode 1 input 01", "node 1: an input line reads 'node 1 input 1', not index 01"),
+        (2, "node 0 input 0", "missing input node 1: the first 2 nodes are the inputs"),
+    ],
+    ids=["input-after-relu", "relu-among-inputs", "input-reads-another-coordinate", "input-index-01", "missing-input"],
+)
+def test_inputs_are_the_first_node_lines(tmp_path, capsys, input_dim, lines, message):
+    text = f"{MAGIC} 4\ninput_dim {input_dim}\noutput 0\n{lines}\n"
+    with pytest.raises(NetworkFormatError, match=re.escape(message)):
+        deserialize(text)
+    path = tmp_path / "bad.net"
+    path.write_text(text, encoding="utf-8")
+    assert main(["propagate", "--net", str(path), "--box", ";".join(["0,1"] * input_dim)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -227,7 +256,7 @@ def test_hex_float_past_the_largest_double_is_a_usage_error(tmp_path, capsys):
 
 def test_multi_input_affine_line():
     b = NetworkBuilder(2)
-    net = b.finish(b.affine([1, 0], [[0.5, -1.0]], [0.25]))
+    net = b.finish(dense_affine(b, [1, 0], [[0.5, -1.0]], [0.25]))
     text = serialize(net)
     assert text.startswith(f"{MAGIC} 4\n")
     assert "values -0x1.0000000000000p+0 0x1.0000000000000p-2 0x1.0000000000000p-1\n" in text
@@ -246,7 +275,8 @@ def test_only_nonzero_terms_are_written():
     assert row_terms(back.nodes[2]) == [[(0, 2.0)], [], []]
     assert [b.hex() for b in back.nodes[2].bias] == ["-0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"]
     boxes = [BoxRegion.from_pairs([(-1.0, 0.5), (-0.0, 2.0)]), BoxRegion.point([-0.0, -0.0])]
-    for got, want in zip(eval_abstract_many(back, boxes), eval_abstract_many(net, boxes)):
+    for box in boxes:
+        got, want = eval_abstract(back, box), eval_abstract(net, box)
         assert [(iv.lo.hex(), iv.hi.hex()) for iv in got.bounds] == [(iv.lo.hex(), iv.hi.hex()) for iv in want.bounds]
 
 
@@ -438,7 +468,7 @@ def test_version_4_round_trip_is_bit_exact(net, decimal):
         return [[(c, w.hex()) for c, w in row if w != 0.0] for row in row_terms(node)]
 
     for node, got in zip(net.nodes, back.nodes, strict=True):
-        assert (got.kind, got.preds, got.index) == (node.kind, node.preds, node.index)
+        assert (got.kind, got.preds) == (node.kind, node.preds)
         assert terms(got) == terms(node)
         assert [v.hex() for v in got.bias.tolist()] == [v.hex() for v in node.bias.tolist()]
 

@@ -10,13 +10,10 @@ from boxcert.netio import serialize
 from boxcert.network import (
     Network,
     NetworkBuilder,
-    affine_node,
     eval_abstract,
     eval_concrete,
-    input_node,
     Node,
     Rows,
-    relu_node,
     stats,
 )
 
@@ -24,6 +21,7 @@ from helpers import (
     append_copy,
     box_subset,
     csr,
+    dense_affine,
     difference_network,
     hat_function,
     identity_network,
@@ -31,42 +29,48 @@ from helpers import (
     random_box,
     random_network,
     shrink_box,
-    sparse_affine,
 )
+
+INPUT = Node("input")
 
 
 class TestValidation:
     def test_forward_reference_rejected(self):
-        nodes = (input_node(0), relu_node(2), relu_node(1))
+        nodes = (INPUT, Node("relu", (2,)), Node("relu", (1,)))
         with pytest.raises(ValueError, match="predecessor"):
             Network(nodes, 2, 1)
 
     def test_duplicate_input_index(self):
-        nodes = (input_node(0), input_node(0))
-        with pytest.raises(ValueError, match="already used"):
-            Network(nodes, 1, 1)
+        # a second input in a 1-d network would read coordinate 1
+        with pytest.raises(ValueError, match="node 1: the first 1 nodes are the inputs, and no other node is one"):
+            Network((INPUT, INPUT), 1, 1)
 
     def test_missing_input_index(self):
-        nodes = (input_node(0),)
-        with pytest.raises(ValueError, match="missing input"):
-            Network(nodes, 0, 2)
+        with pytest.raises(ValueError, match="missing input node 1: the first 2 nodes are the inputs"):
+            Network((INPUT,), 0, 2)
+
+    @pytest.mark.parametrize("input_dim, node", [(1, 2), (2, 1)], ids=["input-after-relu", "relu-among-inputs"])
+    def test_inputs_are_the_first_nodes(self, input_dim, node):
+        nodes = (INPUT, Node("relu", (0,)), INPUT)
+        with pytest.raises(ValueError, match=f"node {node}: the first {input_dim} nodes are the inputs"):
+            Network(nodes, 1, input_dim)
 
     def test_affine_shape_mismatch(self):
-        nodes = (input_node(0), affine_node(0, [[1.0, 2.0]], [0.0]))
+        b = NetworkBuilder(1)
         with pytest.raises(ValueError, match="node 1: term column 1 out of range for predecessor width 1"):
-            Network(nodes, 1, 1)
+            b.finish(dense_affine(b, 0, [[1.0, 2.0]], [0.0]))
 
     def test_negative_term_column(self):
-        nodes = (input_node(0), Node("affine", (0,), weights=Rows(*csr([[(0, 1.0)], [(-1, 2.0)]])), bias=[0.0, 0.0]))
+        nodes = (INPUT, Node("affine", (0,), weights=Rows(*csr([[(0, 1.0)], [(-1, 2.0)]])), bias=[0.0, 0.0]))
         with pytest.raises(ValueError, match="node 1: term column -1 out of range"):
             Network(nodes, 1, 1)
 
     def test_multi_input_affine_reads_its_predecessors_end_to_end(self):
         b = NetworkBuilder(1)
-        a = b.affine(0, [[1.0], [2.0]], [0.0, 0.0])
-        net = b.finish(b.affine([a, 0], [[1.0, 10.0, 100.0]], [0.5]))
+        a = dense_affine(b, 0, [[1.0], [2.0]], [0.0, 0.0])
+        net = b.finish(dense_affine(b, [a, 0], [[1.0, 10.0, 100.0]], [0.5]))
         assert eval_concrete(net, [1.0]) == (121.5,)
-        nodes = (*net.nodes[:2], affine_node([1, 0], [[1.0, 2.0, 3.0, 4.0]], [0.0]))
+        nodes = (*net.nodes[:2], Node("affine", (1, 0), weights=Rows([4], [0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0]), bias=[0.0]))
         with pytest.raises(ValueError, match="term column 3 out of range for predecessor width 3"):
             Network(nodes, 2, 1)
         # a sparse row names the columns it reads, in the order it sums them
@@ -136,14 +140,14 @@ class TestCombinators:
 
     def test_sum_outputs_bias(self):
         b = NetworkBuilder(1)
-        net = b.finish(sum_outputs(b, [b.input_id(0)], 1.0, -2.0))
+        net = b.finish(sum_outputs(b, [0], 1.0, -2.0))
         assert eval_concrete(net, [0.5])[0] == -1.5
 
     def test_concat_outputs(self):
         b = NetworkBuilder(1)
         copies = [append_copy(b, identity_network(1)), append_copy(b, fig2_n1())]
-        net = b.finish(b.affine(copies, [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]))
-        assert net.output_dim == 2
+        net = b.finish(dense_affine(b, copies, [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]))
+        assert net.arity(net.output) == 2
         assert eval_concrete(net, [0.25]) == (0.25, 0.75)
 
 
@@ -153,10 +157,10 @@ class TestBuilderMerging:
     def test_different_predecessors_or_inputs_are_not_merged(self):
         b = NetworkBuilder(2)
         assert b.relu(0) != b.relu(1)
-        assert b.affine(0, [[2.0]], [1.0]) != b.affine(1, [[2.0]], [1.0])
-        assert b.affine([0, 1], [[1.0, 2.0]], [0.0]) != b.affine([1, 0], [[1.0, 2.0]], [0.0])
+        assert dense_affine(b, 0, [[2.0]], [1.0]) != dense_affine(b, 1, [[2.0]], [1.0])
+        assert dense_affine(b, [0, 1], [[1.0, 2.0]], [0.0]) != dense_affine(b, [1, 0], [[1.0, 2.0]], [0.0])
         r0, r1 = b.relu(0), b.relu(1)
-        assert b.affine([r0, r1], [[1.0, 1.0]], [0.0]) != b.affine([r1, r0], [[1.0, 1.0]], [0.0])
+        assert dense_affine(b, [r0, r1], [[1.0, 1.0]], [0.0]) != dense_affine(b, [r1, r0], [[1.0, 1.0]], [0.0])
 
     @pytest.mark.parametrize("expr, domain, delta", [
         ("-x0*x0*x0 + 3*x0", [(-2.0, 2.0)], 0.4),
@@ -173,21 +177,7 @@ class TestBuilderMerging:
 
 class TestStats:
     def test_single_affine(self):
-        s = stats(identity_network(1))
-        assert s["relu_count"] == 0
-        assert s["depth"] == 1
-
-    def test_param_count(self):
-        b = NetworkBuilder(2)
-        out = b.affine(b.input_ids, [[1.0, 2.0], [3.0, 4.0]], [0.0, 0.0])
-        s = stats(b.finish(out))
-        assert s["param_count"] == 6
-
-    def test_param_count_of_ragged_rows(self):
-        # stored terms plus biases: rows of three, no and one term
-        b = NetworkBuilder(2)
-        out = sparse_affine(b, b.input_ids, [[(0, 1.0), (1, 2.0), (0, 3.0)], [], [(1, 0.5)]], [0.0, 1.0, 2.0])
-        assert stats(b.finish(out))["param_count"] == 7
+        assert stats(identity_network(1)) == {"node_count": 2, "relu_count": 0}
 
 
 class TestFuzz:

@@ -36,7 +36,6 @@ def corrupt_output_bias(net: Network, shift: float) -> Network:
     nodes[net.output] = type(out)(
         out.kind,
         preds=out.preds,
-        index=out.index,
         weights=out.weights,
         bias=tuple(b + shift for b in out.bias),
     )

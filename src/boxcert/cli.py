@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 verification failures (or inconclusive boxes),
 
 The candidate-enumeration budget defaults to BOXCERT_BUDGET when that
 environment variable is set; ``build --budget`` overrides it. Either must be
-at least 1.
+at least 1. They set no other limit.
 """
 
 from __future__ import annotations
@@ -15,18 +15,11 @@ import functools
 import os
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import netio
-from .construct import (
-    DEFAULT_BUDGET,
-    BuildBudget,
-    BuildBudgetError,
-    build_certified_network,
-    format_cells,
-)
+from .construct import BuildBudget, BuildBudgetError, build_certified_network, format_cells
 from .expr import parse_func
 from .fixtures import FIXTURES
 from .netio import parse_box_text
@@ -56,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
 def _budget(flag: int | None) -> BuildBudget:
     """The build budget with its candidate cap from ``--budget``, else BOXCERT_BUDGET, else the default."""
     raw = os.environ.get("BOXCERT_BUDGET")
-    cap = DEFAULT_BUDGET.max_candidates
+    cap = BuildBudget.max_candidates
     if raw is not None:
         try:
             cap = int(raw)
@@ -68,7 +61,7 @@ def _budget(flag: int | None) -> BuildBudget:
         if flag < 1:
             raise _UsageError(f"--budget must be at least 1, got {flag}")
         cap = flag
-    return replace(DEFAULT_BUDGET, max_candidates=cap)
+    return BuildBudget(cap)
 
 
 # Parsing leaves no state in the parser, so one parser serves every call.

@@ -29,6 +29,14 @@ it) is always selected; conversely every selected rectangle has a true minimum
 within the sampling margin of the level, and the margin is capped well below
 half a slab, which is what forces distant boxes to propagate to exactly zero
 through the slice.
+
+The checks that refuse a build, in the order they fire: the range pass needs
+more than ``oracle.SAMPLE_CAP`` samples (``OracleBudgetError``); an axis needs
+more grid cells than a double holds, the candidate rectangles exceed
+``BuildBudget.max_candidates``, the lattice needs more than
+``oracle.SAMPLE_CAP`` samples, or the bumps exceed ``BUMP_CAP`` (each a
+``BuildBudgetError``). Only the candidate cap can be set; every other refusal
+says to raise delta.
 """
 
 from __future__ import annotations
@@ -41,27 +49,26 @@ from typing import Sequence
 
 import numpy as np
 
+from . import oracle
 from .expr import FuncExpr
 from .gadgets import append_bumps, append_ramps, append_slice_clips
 from .grids import GridSpec, RectCorners, prune_maximal
 from .intervals import BoxRegion
 from .netio import format_box_text
 from .network import Network, NetworkBuilder, stats
-from .oracle import DEFAULT_SAMPLE_BUDGET, certified_box_range, count_text
+from .oracle import certified_box_range, count_text
 from .slicing import SliceSpec, make_slice_spec
 
 RANGE_MARGIN_FRACTION = 16.0  # range margin target: delta / 16
 RECT_MARGIN_FRACTION = 8.0  # per-rectangle margin target: delta' / 8
+BUMP_CAP = 100_000  # the most bumps one network may sum
 
 
 @dataclass(frozen=True)
 class BuildBudget:
+    """A build's one settable limit: how many candidate grid rectangles it may enumerate."""
+
     max_candidates: int = 5_000_000
-    max_bumps: int = 100_000
-    max_oracle_samples: int = DEFAULT_SAMPLE_BUDGET
-
-
-DEFAULT_BUDGET = BuildBudget()
 
 
 class BuildBudgetError(RuntimeError):
@@ -142,23 +149,21 @@ class CellMinTable:
     certificate margin L / (2 d s), where 1/d is the widest cell's width.
     """
 
-    def __init__(self, f: FuncExpr, grid: GridSpec, samples_per_cell: int, budget: BuildBudget):
+    def __init__(self, f: FuncExpr, grid: GridSpec, samples_per_cell: int):
         if samples_per_cell < 1:
             raise ValueError("samples_per_cell must be at least 1")
         self.grid = grid
         self.samples_per_cell = samples_per_cell
         shape = tuple(c * samples_per_cell + 1 for c in grid.cells)
         total = math.prod(shape)
-        if total > budget.max_oracle_samples:
+        if total > oracle.SAMPLE_CAP:
             raise BuildBudgetError(
-                f"lattice of {total} samples exceeds the oracle budget "
-                f"{budget.max_oracle_samples}; raise delta or the budget"
+                f"lattice of {total} samples exceeds the fixed oracle budget {oracle.SAMPLE_CAP}; raise delta"
             )
         axes = [np.linspace(iv.lo, iv.hi, n) for iv, n in zip(f.domain.bounds, shape)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.reshape(-1) for g in mesh], axis=1)
         self.values = f.eval_many(pts).reshape(shape)
-        self.margin = f.lipschitz / (2.0 * cell_density(grid, f.domain) * samples_per_cell)
 
     def all_rect_mins(self, levels: Sequence[float]) -> np.ndarray:
         """For every grid rectangle's hull, how many of ``levels[1:]`` its sampled minimum clears.
@@ -207,9 +212,7 @@ def samples_per_cell_for(lipschitz: float, density: float, target_margin: float)
     return max(1, math.ceil(lipschitz / (2.0 * density * target_margin)))
 
 
-def delta_sets(
-    f: FuncExpr, grid: GridSpec, spec: SliceSpec, budget: BuildBudget = DEFAULT_BUDGET
-) -> RectCorners:
+def delta_sets(f: FuncExpr, grid: GridSpec, spec: SliceSpec, budget: BuildBudget = BuildBudget()) -> RectCorners:
     """Every slice's maximal grid rectangles: slice k's sampled minimum clears level k+1.
 
     All minima come from one lattice, so a sub-rectangle's minimum is never
@@ -227,7 +230,7 @@ def delta_sets(
         )
     target = spec.delta / RECT_MARGIN_FRACTION
     s = samples_per_cell_for(f.lipschitz, cell_density(grid, f.domain), target)
-    table = CellMinTable(f, grid, s, budget)
+    table = CellMinTable(f, grid, s)
     return prune_maximal(table.all_rect_mins(spec.levels), grid)
 
 
@@ -275,7 +278,7 @@ def sum_outputs(b: NetworkBuilder, outs: Sequence[int], coefficient: float, bias
 
 
 def build_certified_network(
-    f: FuncExpr, delta: float, budget: BuildBudget = DEFAULT_BUDGET
+    f: FuncExpr, delta: float, budget: BuildBudget = BuildBudget()
 ) -> tuple[Network, BuildReport]:
     """Build a network whose propagated intervals bracket f's range within delta."""
     started = time.perf_counter()
@@ -289,7 +292,7 @@ def build_certified_network(
     if f.lipschitz == 0.0:
         adjusted, out = 0.0, _constant(b, [f.eval([iv.mid for iv in domain.bounds])])
     else:
-        cmin, cmax = certified_box_range(f, domain, delta / RANGE_MARGIN_FRACTION, budget.max_oracle_samples)
+        cmin, cmax = certified_box_range(f, domain, delta / RANGE_MARGIN_FRACTION)
         spec = make_slice_spec(cmin.value, cmax.value, delta)
         if spec.delta == 0.0:
             # flat sampled range but nonzero Lipschitz bound: the constant
@@ -303,10 +306,8 @@ def build_certified_network(
             ))
             corners = delta_sets(f, grid, spec, budget)
             bumps = bumps_per_slice(corners, spec.count)
-            if sum(bumps) > budget.max_bumps:
-                raise BuildBudgetError(
-                    f"{sum(bumps)} bumps exceed the budget {budget.max_bumps}; raise delta"
-                )
+            if sum(bumps) > BUMP_CAP:
+                raise BuildBudgetError(f"{sum(bumps)} bumps exceed the fixed budget {BUMP_CAP}; raise delta")
             slices = build_slice_network(b, corners, spec.count, grid, domain)
             out = sum_outputs(b, [slices], spec.half_delta, spec.bottom)
             count, cells, candidates, levels = spec.count, grid.cells, grid.rect_count(), spec.levels

@@ -14,10 +14,13 @@ no division and no transcendental function, which keeps the derivative-based
 Lipschitz analysis total: ``enclose`` walks the expression once and returns
 interval enclosures of its value and of every partial derivative over a box,
 with min/max/abs/relu bounded by the hull of the feasible branch derivatives.
+Where an enclosure or the bound leaves the finite doubles, ``FuncExpr.lipschitz``
+raises ``ValueError`` naming the domain.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -25,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .intervals import BoxRegion, Interval
+from .netio import format_box_text
 
 
 class ParseError(ValueError):
@@ -371,7 +375,16 @@ class FuncExpr:
     @property
     def lipschitz(self) -> float:
         if self._lipschitz is None:
-            self._lipschitz = lipschitz_bound_expr(self.expr, self.domain.bounds)
+            try:
+                bound = lipschitz_bound_expr(self.expr, self.domain.bounds)
+            except ValueError:  # an enclosure left the finite doubles
+                bound = math.inf
+            if not math.isfinite(bound):
+                raise ValueError(
+                    f"the Lipschitz bound of {self.source} on the domain "
+                    f"{format_box_text(self.domain, hex_floats=False)} is not a finite double"
+                )
+            self._lipschitz = bound
         return self._lipschitz
 
     def eval(self, x: Sequence[float]) -> float:

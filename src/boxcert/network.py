@@ -92,17 +92,6 @@ class Rows:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Rows):
-            return NotImplemented
-        return (
-            np.array_equal(self.counts, other.counts)
-            and np.array_equal(self.columns, other.columns)
-            and np.array_equal(self.values, other.values)
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:
         return f"Rows(counts={self.counts.tolist()}, columns={self.columns.tolist()}, values={self.values.tolist()})"
 
@@ -128,19 +117,8 @@ class Node:
     def __post_init__(self) -> None:
         object.__setattr__(self, "bias", _frozen(self.bias, np.float64))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Node):
-            return NotImplemented
-        return (
-            (self.kind, self.preds) == (other.kind, other.preds)
-            and self.weights == other.weights
-            and np.array_equal(self.bias, other.bias)
-        )
 
-    __hash__ = None  # type: ignore[assignment]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
     """A validated DAG with a designated output node and stored topological order."""
 
@@ -148,7 +126,7 @@ class Network:
     output: int
     input_dim: int
     metadata: dict[str, str] = field(default_factory=dict)
-    arities: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    arities: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))

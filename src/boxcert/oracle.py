@@ -9,14 +9,18 @@ certificate exact whenever an extremum sits on the boundary.
 ``certified_box_ranges`` samples many boxes in one batched pass: every box's
 lattice goes into one point array, box by box, which is evaluated with one
 ``FuncExpr.eval_many`` call and reduced per box. A pass holds at most
-``budget`` samples, the most one box may use, so a long campaign is split into
-several passes and its peak memory is set by the budget, not by the box
+``SAMPLE_CAP`` samples, the most one box may use, so a long campaign is split
+into several passes and its peak memory is set by the cap, not by the box
 count; a box that alone needs more gets no certificate. The boxes come in as
 ``lo``/``hi`` arrays and the extrema go out as columns (``BoxRanges``).
 ``certified_box_range`` is the one-box case, as a ``CertifiedBound`` pair.
 Each axis of a box's lattice holds the values ``np.linspace`` gives, so the
-points, the extrema and their first-occurrence positions do not depend on
-which boxes share a pass.
+points and the extrema, each the value at its first occurrence, do not depend
+on which boxes share a pass.
+
+``SAMPLE_CAP`` is the one sample limit of the package: the build's range pass
+and its lattice (``construct.CellMinTable``) and every verify campaign read it
+when they run. No option sets it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from .expr import FuncExpr
 from .intervals import BoxRegion
 
-DEFAULT_SAMPLE_BUDGET = 4_000_000
+SAMPLE_CAP = 4_000_000  # the most samples one box, one lattice or one pass may take
 
 
 def count_text(n: int | float) -> str:
@@ -40,12 +44,15 @@ def count_text(n: int | float) -> str:
 
 
 class OracleBudgetError(RuntimeError):
-    """The requested margin would need more samples than the budget allows; ``needed`` is exact."""
+    """The requested margin would need more samples than ``SAMPLE_CAP``; ``needed`` is exact.
+
+    Only the build's range pass raises it, and its margin is a fixed share of
+    delta, so raising delta is the remedy.
+    """
 
     def __init__(self, needed: int | float, budget: int):
         super().__init__(
-            f"certifying this margin needs {count_text(needed)} samples but the budget is {budget}; "
-            "raise the target margin or the sample budget"
+            f"certifying this margin needs {count_text(needed)} samples but the fixed budget is {budget}; raise delta"
         )
         self.needed = needed
         self.budget = budget
@@ -58,7 +65,6 @@ class CertifiedBound:
     kind: str  # "min" or "max"
     value: float
     margin: float
-    at: tuple[float, ...]
 
     @property
     def lo(self) -> float:
@@ -87,14 +93,14 @@ def _cell_counts(widths: np.ndarray, target_margin: float, lipschitz: float) -> 
     return cells
 
 
-def _chunks(samples: np.ndarray, budget: int):
-    """Box indices in order, as arrays grouped into runs of at most ``budget`` samples; boxes over it are left out."""
+def _chunks(samples: np.ndarray, cap: int):
+    """Box indices in order, as arrays grouped into runs of at most ``cap`` samples; boxes over it are left out."""
     chunk: list[int] = []
     used = 0.0
     for i, n in enumerate(samples.tolist()):
-        if n > budget:
+        if n > cap:
             continue
-        if used + n > budget:
+        if used + n > cap:
             yield np.array(chunk)
             chunk, used = [], 0.0
         chunk.append(i)
@@ -127,8 +133,8 @@ def _linspaces(lo: np.ndarray, hi: np.ndarray, cells: np.ndarray) -> tuple[np.nd
     return x, starts
 
 
-def _sample(f: FuncExpr, lo: np.ndarray, hi: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sampled extrema of the boxes ``lo``/``hi`` and where they sit.
+def _sample(f: FuncExpr, lo: np.ndarray, hi: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled minima and maxima of the boxes ``lo``/``hi``.
 
     One ``eval_many`` call evaluates all their lattices.
     """
@@ -152,50 +158,37 @@ def _sample(f: FuncExpr, lo: np.ndarray, hi: np.ndarray, cells: np.ndarray) -> t
     nan = np.isnan(vals)
 
     def first(extremes: np.ndarray) -> np.ndarray:
-        # np.argmin/np.argmax per box: the first point at the extreme, or the first NaN
+        # per box, the value at the first point at the extreme or, if any, at
+        # the first NaN; for a zero extremum this sets its sign
         hits = vals == np.repeat(extremes, sizes)
         hits |= nan
         hits = np.flatnonzero(hits)
-        return hits[np.searchsorted(hits, starts)]
+        return vals[hits[np.searchsorted(hits, starts)]]
 
-    imin = first(np.minimum.reduceat(vals, starts))
-    imax = first(np.maximum.reduceat(vals, starts))
-    return vals[imin], vals[imax], pts[imin], pts[imax]
+    return first(np.minimum.reduceat(vals, starts)), first(np.maximum.reduceat(vals, starts))
 
 
 class BoxRanges(NamedTuple):
-    """Certified extrema of many boxes, one entry per box; a box over the sample budget has ``ok`` false.
+    """Certified extrema of many boxes, one entry per box; a box over ``SAMPLE_CAP`` has ``ok`` false.
 
     The minimum is ``vmin`` less at most ``margin``, the maximum ``vmax`` plus
-    at most ``margin``; ``argmin`` and ``argmax`` are the sampled points, one
-    row per box. The entries of a box that is not ``ok`` are zeros.
+    at most ``margin``. The entries of a box that is not ``ok`` are zeros.
     """
 
     ok: np.ndarray
     vmin: np.ndarray
     vmax: np.ndarray
     margin: np.ndarray
-    argmin: np.ndarray
-    argmax: np.ndarray
 
     def bounds(self, i: int) -> Bounds | None:
-        """Box ``i``'s extrema as a ``CertifiedBound`` pair, or None over the budget."""
+        """Box ``i``'s extrema as a ``CertifiedBound`` pair, or None over the cap."""
         if not self.ok[i]:
             return None
         margin = float(self.margin[i])
-        return (
-            CertifiedBound("min", float(self.vmin[i]), margin, tuple(self.argmin[i].tolist())),
-            CertifiedBound("max", float(self.vmax[i]), margin, tuple(self.argmax[i].tolist())),
-        )
+        return CertifiedBound("min", float(self.vmin[i]), margin), CertifiedBound("max", float(self.vmax[i]), margin)
 
 
-def certified_box_ranges(
-    f: FuncExpr,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    target_margin: float,
-    budget: int = DEFAULT_SAMPLE_BUDGET,
-) -> BoxRanges:
+def certified_box_ranges(f: FuncExpr, lo: np.ndarray, hi: np.ndarray, target_margin: float) -> BoxRanges:
     """Certified minimum and maximum of f over each box ``[lo[b], hi[b]]`` (both ``(boxes, dim)``)."""
     count, dim = lo.shape
     if dim != f.dim:
@@ -208,34 +201,25 @@ def certified_box_ranges(
         cells = _cell_counts(widths, target_margin, lipschitz)
         spacings = np.where(cells > 0, widths / cells, 0.0)
         # Integer factors: the sample count is exact up to 2**53 and, rounded
-        # monotonically beyond, still compares exactly with any smaller budget.
+        # monotonically beyond, still compares exactly with any smaller cap.
         samples = np.prod(cells + 1.0, axis=1)
-    out = BoxRanges(
-        np.zeros(count, dtype=bool), np.zeros(count), np.zeros(count),
-        lipschitz * spacings.max(axis=1) / 2.0, np.zeros((count, dim)), np.zeros((count, dim)),
-    )
-    for chunk in _chunks(samples, budget):
+    margin = lipschitz * spacings.max(axis=1) / 2.0
+    out = BoxRanges(np.zeros(count, dtype=bool), np.zeros(count), np.zeros(count), margin)
+    for chunk in _chunks(samples, SAMPLE_CAP):
         out.ok[chunk] = True
-        out.vmin[chunk], out.vmax[chunk], out.argmin[chunk], out.argmax[chunk] = _sample(
-            f, lo[chunk], hi[chunk], cells[chunk]
-        )
+        out.vmin[chunk], out.vmax[chunk] = _sample(f, lo[chunk], hi[chunk], cells[chunk])
     out.margin[~out.ok] = 0.0
     return out
 
 
-def certified_box_range(
-    f: FuncExpr,
-    box: BoxRegion,
-    target_margin: float,
-    budget: int = DEFAULT_SAMPLE_BUDGET,
-) -> Bounds:
+def certified_box_range(f: FuncExpr, box: BoxRegion, target_margin: float) -> Bounds:
     """Certified minimum and maximum of f over a box in one sampling pass."""
     lo = np.array([[b.lo for b in box.bounds]])
     hi = np.array([[b.hi for b in box.bounds]])
-    bounds = certified_box_ranges(f, lo, hi, target_margin, budget).bounds(0)
+    bounds = certified_box_ranges(f, lo, hi, target_margin).bounds(0)
     if bounds is None:
         with np.errstate(over="ignore"):
             cells = _cell_counts(hi - lo, target_margin, f.lipschitz)[0]
         needed = math.prod(int(n) + 1 for n in cells) if np.isfinite(cells).all() else math.inf
-        raise OracleBudgetError(needed, budget)
+        raise OracleBudgetError(needed, SAMPLE_CAP)
     return bounds

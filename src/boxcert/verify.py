@@ -36,7 +36,7 @@ from .expr import FuncExpr
 from .intervals import BoxRegion, Interval
 from .netio import format_box_text, parse_box_text
 from .network import Network, eval_abstract
-from .oracle import DEFAULT_SAMPLE_BUDGET, BoxRanges, CertifiedBound, certified_box_ranges
+from .oracle import BoxRanges, CertifiedBound, certified_box_ranges
 
 MARGIN_FRACTION = 8.0  # per-box oracle margin target: delta / 8
 LINE_BOXES = 1024  # boxes whose report lines are made from one conversion of the columns
@@ -51,7 +51,6 @@ class RunConfig:
     boxes: int
     seed: int
     tolerance: float = 1e-9
-    oracle_budget: int = DEFAULT_SAMPLE_BUDGET
 
     def __post_init__(self) -> None:
         if self.boxes < 0:
@@ -88,7 +87,7 @@ class VerificationReport:
     """A campaign's columns, one entry per box: the box, its certified extrema, its propagated interval and verdicts.
 
     ``status`` holds indices into ``STATUSES``. An inconclusive
-    box (over the oracle's sample budget) has both statuses inconclusive and
+    box (over the oracle's ``SAMPLE_CAP``) has both statuses inconclusive and
     violation 0.0.
     """
 
@@ -272,7 +271,7 @@ def check_box(
     hi = np.array([[b.hi for b in box.bounds]])
     prop_lo = np.array([[b.lo for b in prop_box.bounds]])
     prop_hi = np.array([[b.hi for b in prop_box.bounds]])
-    ranges = certified_box_range(f, lo, hi, _margin_target(delta), config.oracle_budget)
+    ranges = certified_box_range(f, lo, hi, _margin_target(delta))
     checks = _check(ranges, prop_lo, prop_hi, delta, config.tolerance)
     return VerificationReport(delta, config, lo, hi, ranges, prop_lo[:, 0], prop_hi[:, 0], *checks).records[0]
 
@@ -288,7 +287,7 @@ def verify_network(net: Network, f: FuncExpr, config: RunConfig) -> Verification
     fd = f.with_domain(domain)
     lo, hi = sample_boxes(domain, config.boxes, config.seed)
     prop_lo, prop_hi = net.program.run(lo, hi)
-    ranges = certified_box_range(fd, lo, hi, _margin_target(delta), config.oracle_budget)
+    ranges = certified_box_range(fd, lo, hi, _margin_target(delta))
     checks = _check(ranges, prop_lo, prop_hi, delta, config.tolerance)
     return VerificationReport(
         delta, config, lo, hi, ranges, prop_lo[:, 0], prop_hi[:, 0], *checks, time.perf_counter() - started

@@ -31,16 +31,18 @@ import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
 
+from boxcert import oracle
 from boxcert.construct import build_certified_network, delta_sets
 from boxcert.expr import FuncExpr
 from boxcert.grids import GridSpec, RectCorners
 from boxcert.intervals import BoxRegion, Interval
 from boxcert.network import Network, NetworkBuilder, Node
-from boxcert.oracle import DEFAULT_SAMPLE_BUDGET, CertifiedBound, certified_box_range
+from boxcert.oracle import CertifiedBound, certified_box_range
 from boxcert.slicing import SliceSpec
 from boxcert.verify import BoxRecord
 
@@ -175,6 +177,19 @@ def random_network(rng: random.Random, max_extra_nodes: int = 8) -> Network:
         bias = [rng.uniform(-1, 1) for _ in range(rows)]
         ids.append(dense_affine(b, preds, weights, bias))
     return b.finish(ids[-1])
+
+
+def node_bits(node: Node) -> tuple:
+    """A node as plain values that compare bit for bit.
+
+    Kind, predecessors, row counts and term columns, and the bit patterns of
+    every weight and bias, so that ``-0.0`` and ``0.0`` differ.
+    """
+    rows = node.weights
+    return (
+        node.kind, node.preds, rows.counts.tolist(), rows.columns.tolist(),
+        rows.values.view(np.uint64).tolist(), node.bias.view(np.uint64).tolist(),
+    )
 
 
 def row_terms(node: Node) -> list[list[tuple[int, float]]]:
@@ -571,16 +586,22 @@ def reference_prune_maximal(rects: Sequence[HyperRect]) -> list[HyperRect]:
     return sorted(r for r, d in zip(items, dominated) if not d)
 
 
-def certified_box_min(
-    f: FuncExpr, box: BoxRegion, target_margin: float, budget: int = DEFAULT_SAMPLE_BUDGET
-) -> CertifiedBound:
-    return certified_box_range(f, box, target_margin, budget)[0]
+def certified_box_min(f: FuncExpr, box: BoxRegion, target_margin: float) -> CertifiedBound:
+    return certified_box_range(f, box, target_margin)[0]
 
 
-def certified_box_max(
-    f: FuncExpr, box: BoxRegion, target_margin: float, budget: int = DEFAULT_SAMPLE_BUDGET
-) -> CertifiedBound:
-    return certified_box_range(f, box, target_margin, budget)[1]
+def certified_box_max(f: FuncExpr, box: BoxRegion, target_margin: float) -> CertifiedBound:
+    return certified_box_range(f, box, target_margin)[1]
+
+
+def sample_cap(cap: int):
+    """A context manager that sets ``oracle.SAMPLE_CAP``, the one sample limit, for its block.
+
+    Every reader looks the cap up when it runs, so this reaches the build's
+    range pass and lattice and every campaign. It is not a fixture, so each
+    hypothesis example can set its own.
+    """
+    return mock.patch.object(oracle, "SAMPLE_CAP", cap)
 
 
 def box_arrays(boxes: Sequence[BoxRegion]) -> tuple[np.ndarray, np.ndarray]:
@@ -657,9 +678,9 @@ def reference_check(
 
 
 def reference_box_range(
-    f: FuncExpr, box: BoxRegion, target_margin: float, budget: int = DEFAULT_SAMPLE_BUDGET
+    f: FuncExpr, box: BoxRegion, target_margin: float
 ) -> tuple[CertifiedBound, CertifiedBound] | None:
-    """One box sampled on its own ``np.linspace``/``meshgrid`` lattice; None over the budget.
+    """One box sampled on its own ``np.linspace``/``meshgrid`` lattice; None over ``oracle.SAMPLE_CAP``.
 
     The per-box reference for ``oracle.certified_box_ranges``: Python integer
     cell counts and sample totals, ``np.argmin``/``np.argmax`` for the
@@ -670,7 +691,7 @@ def reference_box_range(
     if lipschitz != 0.0:
         h = 2.0 * target_margin / lipschitz
         counts = [0 if b.width == 0 else max(1, math.ceil(b.width / h)) for b in box.bounds]
-    if math.prod(n + 1 for n in counts) > budget:
+    if math.prod(n + 1 for n in counts) > oracle.SAMPLE_CAP:
         return None
     axes = [np.linspace(b.lo, b.hi, n + 1) if n > 0 else np.array([b.lo]) for b, n in zip(box.bounds, counts)]
     pts = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
@@ -678,7 +699,4 @@ def reference_box_range(
     spacings = [b.width / n for b, n in zip(box.bounds, counts) if n > 0]
     margin = lipschitz * max(spacings, default=0.0) / 2.0
     imin, imax = int(np.argmin(vals)), int(np.argmax(vals))
-    return (
-        CertifiedBound("min", float(vals[imin]), margin, tuple(pts[imin])),
-        CertifiedBound("max", float(vals[imax]), margin, tuple(pts[imax])),
-    )
+    return CertifiedBound("min", float(vals[imin]), margin), CertifiedBound("max", float(vals[imax]), margin)

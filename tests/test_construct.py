@@ -42,6 +42,7 @@ from helpers import (
     rect_hull,
     reference_build,
     reference_prune_maximal,
+    sample_cap,
     slice_members,
 )
 
@@ -59,7 +60,7 @@ def unit_box(dim):
 def member_rects(f, grid, spec, k):
     """Every grid rectangle of slice k before pruning, from the table the build fills."""
     s = samples_per_cell_for(f.lipschitz, cell_density(grid, f.domain), spec.delta / RECT_MARGIN_FRACTION)
-    counts = CellMinTable(f, grid, s, BuildBudget()).all_rect_mins(spec.levels)
+    counts = CellMinTable(f, grid, s).all_rect_mins(spec.levels)
     corners = np.argwhere(counts > k)
     return [HyperRect(tuple(c[: grid.dim]), tuple(c[grid.dim :])) for c in corners.tolist()]
 
@@ -194,7 +195,9 @@ class TestCellMinTable:
     def test_matches_direct_oracle(self):
         grid = unit_grid(2, 3)
         f = parse_func("x0*x1 - x0", 2, unit_box(2))
-        table = CellMinTable(f, grid, 4, BuildBudget())
+        table = CellMinTable(f, grid, 4)
+        # the lattice's certificate margin, L / (2 d s) with 1/d the widest cell's width
+        margin = f.lipschitz / (2.0 * cell_density(grid, f.domain) * 4)
         rng = random.Random(9)
         for _ in range(40):
             lower = tuple(rng.randint(0, 2) for _ in range(2))
@@ -203,13 +206,13 @@ class TestCellMinTable:
             cmin, _ = certified_box_range(f, rect_hull(rect, grid), 0.01)
             # two levels bracket the sampled minimum: it clears the certified
             # lower end and stays below the certified value plus the margin
-            levels = (cmin.lo - 1.0, cmin.lo - 1e-12, cmin.value + table.margin + 1e-12)
+            levels = (cmin.lo - 1.0, cmin.lo - 1e-12, cmin.value + margin + 1e-12)
             assert table.all_rect_mins(levels)[table_index(rect)] == 1
 
     def test_table_equals_slab_minima(self):
         grid = GridSpec((3, 2))  # on the domain below: cells 1/2 wide, as in one grid of 2 per unit
         f = parse_func("x0*x1 - x0", 2, BoxRegion.from_pairs([(-0.5, 1.0), (0.5, 1.5)]))
-        table = CellMinTable(f, grid, 3, BuildBudget())
+        table = CellMinTable(f, grid, 3)
         levels = (-3.0, -2.0, -0.5, -0.25, 0.0, 0.1, 0.25, 1.0)  # -2 is below all of f
         counts = table.all_rect_mins(levels)
         assert counts.shape == (4, 3, 4, 3)
@@ -219,10 +222,16 @@ class TestCellMinTable:
         for rect in rects:
             assert counts[table_index(rect)] == brute_force_counts(levels[1:], slab_min(table.values, 3, rect))
 
+    def test_lattice_over_the_sample_cap_is_refused(self):
+        f = parse_func("x0*x1", 2, unit_box(2))
+        CellMinTable(f, unit_grid(2, 3), 3)  # 10 x 10 samples
+        with sample_cap(99), pytest.raises(BuildBudgetError, match="lattice of 100 samples .* 99; raise delta$"):
+            CellMinTable(f, unit_grid(2, 3), 3)
+
     def test_wide_slice_count_widens_the_table(self):
         grid = unit_grid(1, 2)
         f = parse_func("x0", 1, unit_box(1))
-        table = CellMinTable(f, grid, 1, BuildBudget())
+        table = CellMinTable(f, grid, 1)
         for count, dtype in [(255, np.uint8), (256, np.uint16), (70_000, np.uint32)]:
             levels = tuple(np.linspace(-1.0, 1.0, count + 1))
             counts = table.all_rect_mins(levels)
@@ -415,11 +424,18 @@ class TestBuildCertifiedNetwork:
             build_certified_network(f, 8 / 5, BuildBudget(max_candidates=10))
 
 
-    def test_oracle_budget_is_honoured(self):
-        # the range certification alone needs more samples than this budget
+    def test_bump_cap_is_honoured(self, monkeypatch):
         f = parse_func(CUBIC, 1, BoxRegion.from_pairs([(-2, 2)]))
-        with pytest.raises(OracleBudgetError, match="budget"):
-            build_certified_network(f, 8 / 5, BuildBudget(max_oracle_samples=200))
+        assert sum(build_certified_network(f, 8 / 5)[1].bumps_per_slice) == 9
+        monkeypatch.setattr(construct, "BUMP_CAP", 8)
+        with pytest.raises(BuildBudgetError, match="^9 bumps exceed the fixed budget 8; raise delta$"):
+            build_certified_network(f, 8 / 5)
+
+    def test_oracle_budget_is_honoured(self):
+        # the range certification alone needs more samples than this cap
+        f = parse_func(CUBIC, 1, BoxRegion.from_pairs([(-2, 2)]))
+        with sample_cap(200), pytest.raises(OracleBudgetError, match="budget"):
+            build_certified_network(f, 8 / 5)
 
 
 # Domains off the unit box, with the grid cells each axis of [0, 1]^m gets: every

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -174,6 +175,15 @@ class TestLipschitz:
         _, got = enclose(f.expr, f.domain.bounds)
         assert f.lipschitz == lipschitz
         assert got == tuple(Interval(lo, hi) for lo, hi in partials)
+
+    @pytest.mark.parametrize("src, domain, text", [
+        ("x0*x0", [(-1e300, 1e300)], "-1e+300,1e+300"),  # the value enclosure overflows
+        ("x0*1e308 - x1*1e308", [(0, 1)] * 2, "0.0,1.0;0.0,1.0"),  # finite partials, infinite sum
+    ], ids=["overflowing-enclosure", "infinite-sum"])
+    def test_bound_that_is_not_a_finite_double_names_the_domain(self, src, domain, text):
+        f = parse_func(src, len(domain), BoxRegion.from_pairs(domain))
+        with pytest.raises(ValueError, match=re.escape(f"on the domain {text} is not a finite double")):
+            f.lipschitz
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from boxcert.expr import FuncExpr, parse_func
 from boxcert.intervals import BoxRegion
 from boxcert.oracle import (
-    DEFAULT_SAMPLE_BUDGET,
+    SAMPLE_CAP,
     OracleBudgetError,
     _linspaces,
     certified_box_range,
@@ -18,7 +18,7 @@ from boxcert.oracle import (
     count_text,
 )
 
-from helpers import box_arrays, certified_box_max, certified_box_min, reference_box_range
+from helpers import box_arrays, certified_box_max, certified_box_min, reference_box_range, sample_cap
 
 CUBIC = "-x0*x0*x0 + 3*x0"
 DOMAIN = BoxRegion.from_pairs([(-2.0, 2.0)])
@@ -55,10 +55,12 @@ class TestCertifiedExtrema:
         assert cmax.value == 0.8
 
     def test_tie_reports_first_lexicographic_point(self):
-        f = parse_func("x0*x0 - x0*x0", 2, BoxRegion.from_pairs([(0, 1), (0, 1)]))
-        # constant zero: Lipschitz bound is positive, so the lattice is dense
+        # the minimum 0 is 0.0 at (-1, 0), first in lattice order, and -0.0
+        # along x0 = 0, where np.min would take it from: the reported minimum
+        # is the first point's value, as np.argmin picks it
+        f = parse_func("-(x0*x1)", 2, BoxRegion.from_pairs([(-1, 0), (0, 1)]))
         cmin = certified_box_min(f, f.domain, 0.25)
-        assert cmin.at == (0.0, 0.0)
+        assert cmin.value.hex() == "0x0.0p+0"
 
     def test_rejects_bad_margin(self):
         with pytest.raises(ValueError):
@@ -73,8 +75,8 @@ class TestCertifiedExtrema:
             certified_box_min(cubic(), BoxRegion.from_pairs([(0, 1), (0, 1)]), 0.1)
 
     def test_budget_exceeded(self):
-        with pytest.raises(OracleBudgetError, match="budget"):
-            certified_box_min(cubic(), DOMAIN, 1e-9, budget=1000)
+        with sample_cap(1000), pytest.raises(OracleBudgetError, match="fixed budget is 1000; raise delta"):
+            certified_box_min(cubic(), DOMAIN, 1e-9)
 
     def test_degenerate_box(self):
         f = cubic()
@@ -157,7 +159,7 @@ def sampled_box(draw, dim):
 
 
 def hexes(bound):
-    return (bound.kind, bound.value.hex(), bound.margin.hex(), [float.hex(x) for x in bound.at])
+    return (bound.kind, bound.value.hex(), bound.margin.hex())
 
 
 class TestBatchedRanges:
@@ -168,28 +170,30 @@ class TestBatchedRanges:
         f = parse_func(expr, dim, BoxRegion.from_pairs([(0.0, 1.0)] * dim))
         boxes = data.draw(st.lists(sampled_box(dim), min_size=1, max_size=8))
         target = data.draw(st.sampled_from([0.5, 0.1, 0.02]))
-        # small budgets put boxes over it between normal ones and split the rest into several passes
-        budget = data.draw(st.sampled_from([1, 9, 60, 400, DEFAULT_SAMPLE_BUDGET]))
-        ranges = certified_box_ranges(f, *box_arrays(boxes), target, budget)
-        assert len(ranges.ok) == len(boxes)
-        for i, box in enumerate(boxes):
-            got = ranges.bounds(i)
-            want = reference_box_range(f, box, target, budget)
-            if want is None:
-                assert got is None
-                with pytest.raises(OracleBudgetError):
-                    certified_box_range(f, box, target, budget)
-                continue
-            one = certified_box_range(f, box, target, budget)
-            assert [hexes(b) for b in got] == [hexes(b) for b in want] == [hexes(b) for b in one]
+        # small caps put boxes over it between normal ones and split the rest into several passes
+        cap = data.draw(st.sampled_from([1, 9, 60, 400, SAMPLE_CAP]))
+        with sample_cap(cap):
+            ranges = certified_box_ranges(f, *box_arrays(boxes), target)
+            assert len(ranges.ok) == len(boxes)
+            for i, box in enumerate(boxes):
+                got = ranges.bounds(i)
+                want = reference_box_range(f, box, target)
+                if want is None:
+                    assert got is None
+                    with pytest.raises(OracleBudgetError):
+                        certified_box_range(f, box, target)
+                    continue
+                one = certified_box_range(f, box, target)
+                assert [hexes(b) for b in got] == [hexes(b) for b in want] == [hexes(b) for b in one]
 
     def test_sample_count_beyond_int64_is_over_budget(self):
         f = parse_func("x0*x1", 2, BoxRegion.from_pairs([(0.0, 1.0)] * 2))
         huge = BoxRegion.from_pairs([(-1e10, 1e10)] * 2)
         unit = BoxRegion.from_pairs([(0.0, 1.0)] * 2)
-        assert certified_box_ranges(f, *box_arrays([huge, unit]), 0.1, 2**62).ok.tolist() == [False, True]
-        with pytest.raises(OracleBudgetError) as err:
-            certified_box_range(f, huge, 0.1, 2**62)
+        with sample_cap(2**62):
+            assert certified_box_ranges(f, *box_arrays([huge, unit]), 0.1).ok.tolist() == [False, True]
+            with pytest.raises(OracleBudgetError) as err:
+                certified_box_range(f, huge, 0.1)
         assert err.value.needed > 2**63
         assert re.search(r"needs \d\.\d{3}e\+\d+ samples", str(err.value))  # the exact count stays in ``needed``
 
@@ -208,13 +212,15 @@ class TestBatchedRanges:
         certified_box_ranges(f, *box_arrays(boxes), 0.05)
         (total,) = calls
         calls.clear()
-        # each box needs at most 182 samples, so a budget of 400 takes two or three per pass
-        certified_box_ranges(f, *box_arrays(boxes), 0.05, budget=400)
+        # each box needs at most 182 samples, so a cap of 400 takes two or three per pass
+        with sample_cap(400):
+            certified_box_ranges(f, *box_arrays(boxes), 0.05)
         assert 1 < len(calls) < len(boxes) and max(calls) <= 400
         assert sum(calls) == total
         calls.clear()
         points = [BoxRegion.point([k / 10]) for k in range(7)]
-        certified_box_ranges(f, *box_arrays(points), 0.05, budget=3)
+        with sample_cap(3):
+            certified_box_ranges(f, *box_arrays(points), 0.05)
         assert calls == [3, 3, 1]
 
     def test_nan_samples_follow_argmin(self):
@@ -231,7 +237,7 @@ class TestBatchedRanges:
 
     def test_empty_campaign(self):
         ranges = certified_box_ranges(cubic(), np.empty((0, 1)), np.empty((0, 1)), 0.1)
-        assert [column.shape for column in ranges] == [(0,), (0,), (0,), (0,), (0, 1), (0, 1)]
+        assert [column.shape for column in ranges] == [(0,), (0,), (0,), (0,)]
 
     @settings(max_examples=200, deadline=None)
     @example(lo=0.0, width=5e-324, n=3)  # a step that underflows to zero

@@ -15,7 +15,7 @@ from boxcert.intervals import BoxRegion
 from boxcert.network import Network, eval_abstract, eval_concrete
 from boxcert.verify import RunConfig, network_delta, network_domain, sample_boxes, verify_network
 
-from helpers import identity_network, reference_sample_boxes
+from helpers import identity_network, reference_sample_boxes, sample_cap
 
 CUBIC = "-x0*x0*x0 + 3*x0"
 
@@ -181,7 +181,8 @@ class TestVerify:
 
     def test_starved_oracle_marks_boxes_inconclusive(self, cubic_net):
         f, net, _, _ = cubic_net
-        report = verify_network(net, f, RunConfig(boxes=10, seed=0, oracle_budget=4))
+        with sample_cap(4):
+            report = verify_network(net, f, RunConfig(boxes=10, seed=0))
         assert report.inconclusive > 0
         assert "inconclusive" in report.to_document()
 
@@ -354,15 +355,56 @@ class TestCli:
         assert err.startswith("error: 1.500e+600 candidate rectangles exceed the budget 5000000;")
         assert err.count("\n") == 1 and len(err) < 200
 
-    def test_oracle_budget_exit_code(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "DEFAULT_BUDGET", cli.BuildBudget(max_oracle_samples=200))
+    def test_oracle_budget_exit_code(self, tmp_path, capsys):
+        with sample_cap(200):
+            code = main(
+                ["build", "--expr", CUBIC, "--domain", "-2,2", "--delta", "1.6",
+                 "--out", str(tmp_path / "x.net")]
+            )
+        assert code == cli.EXIT_BUDGET
+        assert capsys.readouterr().err.endswith("; raise delta\n")
+        assert not (tmp_path / "x.net").exists()
+
+    @pytest.mark.parametrize("budget", [[], ["--budget", "1000000000"]], ids=["default", "raised"])
+    def test_four_dimensions_are_refused_by_the_range_pass(self, tmp_path, capsys, budget):
+        # the range pass needs about 17.85M samples, over the fixed 4M cap that
+        # --budget does not set, so the one remedy named is delta
         code = main(
-            ["build", "--expr", CUBIC, "--domain", "-2,2", "--delta", "1.6",
-             "--out", str(tmp_path / "x.net")]
+            ["build", "--expr", "x0*x1*x2*x3", "--domain", "0,1;0,1;0,1;0,1", "--delta", "0.5",
+             "--out", str(tmp_path / "x.net"), *budget]
         )
         assert code == cli.EXIT_BUDGET
-        assert "sample budget" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: certifying this margin needs 17850625 samples but the fixed budget is 4000000; raise delta\n"
+        )
         assert not (tmp_path / "x.net").exists()
+
+    def test_infinite_lipschitz_bound_is_a_usage_error(self, tmp_path, capsys):
+        # x0*x0 overflows on this domain, so no finite bound encloses its partial
+        code = main(
+            ["build", "--expr", "x0*x0", "--domain", "-1e300,1e300", "--delta", "0.25",
+             "--out", str(tmp_path / "x.net")]
+        )
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: the Lipschitz bound of x0*x0 on the domain -1e+300,1e+300 is not a finite double\n"
+        )
+
+    @pytest.mark.parametrize("built, domain, delta, checked, domain_text", [
+        ("x0", "-1e300,1e300", "1e300", "x0*x0", "-1e+300,1e+300"),
+        ("x0 - x1", "0,1;0,1", "0.5", "x0*1e308 - x1*1e308", "0.0,1.0;0.0,1.0"),
+    ], ids=["overflowing-enclosure", "infinite-sum"])
+    def test_verify_with_infinite_lipschitz_bound_is_a_usage_error(
+        self, tmp_path, capsys, built, domain, delta, checked, domain_text
+    ):
+        path = str(tmp_path / "x.net")
+        assert main(["build", "--expr", built, "--domain", domain, "--delta", delta, "--out", path]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--net", path, "--expr", checked, "--boxes", "20"]) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: the Lipschitz bound of ") and err.count("\n") == 1
+        assert err.endswith(f" on the domain {domain_text} is not a finite double\n")
 
     def test_budget_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BOXCERT_BUDGET", "10")
@@ -545,7 +587,8 @@ def test_stats_output_is_pinned(tmp_path, capsys, expr, domain, delta, stats_sha
 
 def test_report_lines_stream_in_chunks(cubic_net, tmp_path, monkeypatch, capsys):
     f, net, _, path = cubic_net
-    report = verify_network(net, f, RunConfig(boxes=10, seed=3, oracle_budget=64))
+    with sample_cap(64):
+        report = verify_network(net, f, RunConfig(boxes=10, seed=3))
     assert 0 < report.inconclusive < 10
     whole = report.to_document()
     monkeypatch.setattr(verify, "LINE_BOXES", 3)

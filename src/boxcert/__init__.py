@@ -27,7 +27,6 @@ from .network import (
     eval_concrete,
     stats,
 )
-from .oracle import CertifiedBound, OracleBudgetError
 from .slicing import SliceSpec, make_slice_spec
 from .verify import RunConfig, VerificationReport, verify_network
 

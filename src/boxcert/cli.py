@@ -24,7 +24,6 @@ from .expr import parse_func
 from .fixtures import FIXTURES
 from .netio import parse_box_text
 from .network import eval_abstract
-from .oracle import OracleBudgetError
 from .verify import RunConfig, network_domain, verify_network
 
 EXIT_OK = 0
@@ -229,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BuildBudgetError, OracleBudgetError) as exc:
+    except BuildBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:

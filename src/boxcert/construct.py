@@ -30,13 +30,17 @@ within the sampling margin of the level, and the margin is capped well below
 half a slab, which is what forces distant boxes to propagate to exactly zero
 through the slice.
 
-The checks that refuse a build, in the order they fire: the range pass needs
-more than ``oracle.SAMPLE_CAP`` samples (``OracleBudgetError``); an axis needs
-more grid cells than a double holds, the candidate rectangles exceed
+The range pass certifies f's range on the whole domain with the oracle's one
+entry point, as a one-row call through the module name
+``certified_box_range``, to the margin ``delta / (2 * MARGIN_FRACTION)``; the
+lattice is certified to ``delta' / MARGIN_FRACTION``.
+
+Every refusal is a ``BuildBudgetError``. In the order they fire: the range
+pass needs more than ``oracle.SAMPLE_CAP`` samples, an axis needs more grid
+cells than a double holds, the candidate rectangles exceed
 ``BuildBudget.max_candidates``, the lattice needs more than
-``oracle.SAMPLE_CAP`` samples, or the bumps exceed ``BUMP_CAP`` (each a
-``BuildBudgetError``). Only the candidate cap can be set; every other refusal
-says to raise delta.
+``oracle.SAMPLE_CAP`` samples, or the bumps exceed ``BUMP_CAP``. Only the
+candidate cap can be set; every other refusal says to raise delta.
 """
 
 from __future__ import annotations
@@ -56,12 +60,14 @@ from .grids import GridSpec, RectCorners, prune_maximal
 from .intervals import BoxRegion
 from .netio import format_box_text
 from .network import Network, NetworkBuilder, stats
-from .oracle import certified_box_range, count_text
+from .oracle import MARGIN_FRACTION, certified_box_ranges, count_text
 from .slicing import SliceSpec, make_slice_spec
 
-RANGE_MARGIN_FRACTION = 16.0  # range margin target: delta / 16
-RECT_MARGIN_FRACTION = 8.0  # per-rectangle margin target: delta' / 8
 BUMP_CAP = 100_000  # the most bumps one network may sum
+
+# The range pass samples the domain through this module-level name, which
+# bench/spans.py times as the ``oracle.range`` span.
+certified_box_range = certified_box_ranges
 
 
 @dataclass(frozen=True)
@@ -228,7 +234,7 @@ def delta_sets(f: FuncExpr, grid: GridSpec, spec: SliceSpec, budget: BuildBudget
             f"{count_text(candidates)} candidate rectangles exceed the budget {budget.max_candidates}; "
             f"raise delta or lower the input dimension (enumeration grows like the product of cells[k]^2)"
         )
-    target = spec.delta / RECT_MARGIN_FRACTION
+    target = spec.delta / MARGIN_FRACTION
     s = samples_per_cell_for(f.lipschitz, cell_density(grid, f.domain), target)
     table = CellMinTable(f, grid, s)
     return prune_maximal(table.all_rect_mins(spec.levels), grid)
@@ -292,13 +298,21 @@ def build_certified_network(
     if f.lipschitz == 0.0:
         adjusted, out = 0.0, _constant(b, [f.eval([iv.mid for iv in domain.bounds])])
     else:
-        cmin, cmax = certified_box_range(f, domain, delta / RANGE_MARGIN_FRACTION)
-        spec = make_slice_spec(cmin.value, cmax.value, delta)
+        lo = np.array([[iv.lo for iv in domain.bounds]])
+        hi = np.array([[iv.hi for iv in domain.bounds]])
+        ranges = certified_box_range(f, lo, hi, delta / (2 * MARGIN_FRACTION))
+        if not ranges.ok[0]:
+            raise BuildBudgetError(
+                f"certifying this margin needs {count_text(ranges.samples[0])} samples "
+                f"but the fixed budget is {oracle.SAMPLE_CAP}; raise delta"
+            )
+        vmin, vmax = float(ranges.vmin[0]), float(ranges.vmax[0])
+        spec = make_slice_spec(vmin, vmax, delta)
         if spec.delta == 0.0:
             # flat sampled range but nonzero Lipschitz bound: the constant
             # network is still within delta because the range margin is far
             # below delta/2, and that is the honest tolerance to report
-            adjusted, out = delta, _constant(b, [cmin.value])
+            adjusted, out = delta, _constant(b, [vmin])
         else:
             adjusted = spec.delta
             grid = GridSpec(tuple(

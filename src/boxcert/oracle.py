@@ -12,85 +12,38 @@ lattice goes into one point array, box by box, which is evaluated with one
 ``SAMPLE_CAP`` samples, the most one box may use, so a long campaign is split
 into several passes and its peak memory is set by the cap, not by the box
 count; a box that alone needs more gets no certificate. The boxes come in as
-``lo``/``hi`` arrays and the extrema go out as columns (``BoxRanges``).
-``certified_box_range`` is the one-box case, as a ``CertifiedBound`` pair.
-Each axis of a box's lattice holds the values ``np.linspace`` gives, so the
-points and the extrema, each the value at its first occurrence, do not depend
-on which boxes share a pass.
+``lo``/``hi`` arrays and the extrema go out as columns (``BoxRanges``); this
+is the oracle's one entry point, and one box is a one-row call. Each axis of a
+box's lattice holds the values ``np.linspace`` gives, so the points and the
+extrema, each the value at its first occurrence, do not depend on which boxes
+share a pass.
 
 ``SAMPLE_CAP`` is the one sample limit of the package: the build's range pass
 and its lattice (``construct.CellMinTable``) and every verify campaign read it
-when they run. No option sets it.
+when they run. A box over it is not an error here: its ``ok`` entry is false
+and its ``samples`` entry says how many it would need. ``MARGIN_FRACTION`` is
+the one margin setting: a campaign box and the build's lattice are certified
+to ``delta / MARGIN_FRACTION``, the build's range pass to half that. No option
+sets either.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import NamedTuple
 
 import numpy as np
 
 from .expr import FuncExpr
-from .intervals import BoxRegion
 
 SAMPLE_CAP = 4_000_000  # the most samples one box, one lattice or one pass may take
+MARGIN_FRACTION = 8.0  # oracle margin target: delta / MARGIN_FRACTION
 
 
 def count_text(n: int | float) -> str:
-    """A count as written in an error: in full up to 10**15, as ``%.3e`` above, however many digits it has."""
-    return str(n) if n <= 10**15 or n == math.inf else f"{Decimal(n):.3e}"
-
-
-class OracleBudgetError(RuntimeError):
-    """The requested margin would need more samples than ``SAMPLE_CAP``; ``needed`` is exact.
-
-    Only the build's range pass raises it, and its margin is a fixed share of
-    delta, so raising delta is the remedy.
-    """
-
-    def __init__(self, needed: int | float, budget: int):
-        super().__init__(
-            f"certifying this margin needs {count_text(needed)} samples but the fixed budget is {budget}; raise delta"
-        )
-        self.needed = needed
-        self.budget = budget
-
-
-@dataclass(frozen=True)
-class CertifiedBound:
-    """A sampled extremum plus the Lipschitz margin that encloses the true one."""
-
-    kind: str  # "min" or "max"
-    value: float
-    margin: float
-
-    @property
-    def lo(self) -> float:
-        return self.value - self.margin if self.kind == "min" else self.value
-
-    @property
-    def hi(self) -> float:
-        return self.value if self.kind == "min" else self.value + self.margin
-
-
-Bounds = tuple[CertifiedBound, CertifiedBound]
-
-
-def _cell_counts(widths: np.ndarray, target_margin: float, lipschitz: float) -> np.ndarray:
-    """Lattice cells per box and axis, as float64: 0 on a zero-width axis, else at least 1.
-
-    A box huge relative to the spacing gets a huge or infinite count, never a
-    wrapped one.
-    """
-    if lipschitz == 0.0:
-        return np.zeros_like(widths)
-    h = 2.0 * target_margin / lipschitz
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cells = np.maximum(1.0, np.ceil(widths / h))
-    cells[widths == 0] = 0.0
-    return cells
+    """A count as written in an error: as an integer up to 10**15, as ``%.3e`` above, however many digits it has."""
+    return str(int(n)) if n <= 10**15 else "inf" if n == math.inf else f"{Decimal(n):.3e}"
 
 
 def _chunks(samples: np.ndarray, cap: int):
@@ -172,20 +125,15 @@ class BoxRanges(NamedTuple):
     """Certified extrema of many boxes, one entry per box; a box over ``SAMPLE_CAP`` has ``ok`` false.
 
     The minimum is ``vmin`` less at most ``margin``, the maximum ``vmax`` plus
-    at most ``margin``. The entries of a box that is not ``ok`` are zeros.
+    at most ``margin``. ``samples`` is each box's lattice size, exact up to
+    2**53; the other entries of a box that is not ``ok`` are zeros.
     """
 
     ok: np.ndarray
     vmin: np.ndarray
     vmax: np.ndarray
     margin: np.ndarray
-
-    def bounds(self, i: int) -> Bounds | None:
-        """Box ``i``'s extrema as a ``CertifiedBound`` pair, or None over the cap."""
-        if not self.ok[i]:
-            return None
-        margin = float(self.margin[i])
-        return CertifiedBound("min", float(self.vmin[i]), margin), CertifiedBound("max", float(self.vmax[i]), margin)
+    samples: np.ndarray
 
 
 def certified_box_ranges(f: FuncExpr, lo: np.ndarray, hi: np.ndarray, target_margin: float) -> BoxRanges:
@@ -198,28 +146,22 @@ def certified_box_ranges(f: FuncExpr, lo: np.ndarray, hi: np.ndarray, target_mar
     lipschitz = f.lipschitz
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         widths = hi - lo
-        cells = _cell_counts(widths, target_margin, lipschitz)
+        # Lattice cells per box and axis: 0 on a zero-width axis, else at
+        # least 1; a box huge relative to the spacing gets a huge or infinite
+        # count, never a wrapped one.
+        cells = np.zeros_like(widths)
+        if lipschitz != 0.0:
+            cells = np.maximum(1.0, np.ceil(widths / (2.0 * target_margin / lipschitz)))
+            cells[widths == 0] = 0.0
         spacings = np.where(cells > 0, widths / cells, 0.0)
         # Integer factors: the sample count is exact up to 2**53 and, rounded
         # monotonically beyond, still compares exactly with any smaller cap.
         samples = np.prod(cells + 1.0, axis=1)
     margin = lipschitz * spacings.max(axis=1) / 2.0
-    out = BoxRanges(np.zeros(count, dtype=bool), np.zeros(count), np.zeros(count), margin)
+    out = BoxRanges(np.zeros(count, dtype=bool), np.zeros(count), np.zeros(count), margin, samples)
     for chunk in _chunks(samples, SAMPLE_CAP):
         out.ok[chunk] = True
         out.vmin[chunk], out.vmax[chunk] = _sample(f, lo[chunk], hi[chunk], cells[chunk])
     out.margin[~out.ok] = 0.0
     return out
 
-
-def certified_box_range(f: FuncExpr, box: BoxRegion, target_margin: float) -> Bounds:
-    """Certified minimum and maximum of f over a box in one sampling pass."""
-    lo = np.array([[b.lo for b in box.bounds]])
-    hi = np.array([[b.hi for b in box.bounds]])
-    bounds = certified_box_ranges(f, lo, hi, target_margin).bounds(0)
-    if bounds is None:
-        with np.errstate(over="ignore"):
-            cells = _cell_counts(hi - lo, target_margin, f.lipschitz)[0]
-        needed = math.prod(int(n) + 1 for n in cells) if np.isfinite(cells).all() else math.inf
-        raise OracleBudgetError(needed, SAMPLE_CAP)
-    return bounds

@@ -1,11 +1,12 @@
 """Verification campaigns: does propagation bracket the true range on sub-boxes?
 
-For each sampled box B with certified extrema l and u (each an interval from
-the sampling oracle) and network tolerance d, two containments are checked:
+For each sampled box B the sampling oracle puts the true minimum l in
+``[vmin - margin, vmin]`` and the true maximum u in ``[vmax, vmax + margin]``.
+With network tolerance d, two containments are checked:
 
-* lower:  [l.hi + d, u.lo - d]  inside  propagated(B)   (skipped as "vacuous"
-  when the required interval is empty),
-* upper:  propagated(B)  inside  [l.lo - d, u.hi + d].
+* lower:  [vmin + d, vmax - d]  inside  propagated(B)   (skipped as
+  "vacuous" when the required interval is empty),
+* upper:  propagated(B)  inside  [vmin - margin - d, vmax + margin + d].
 
 Both checks fold the oracle margin so that a correctly built network can never
 be blamed for oracle slack; a reported failure is a real violation beyond
@@ -17,7 +18,7 @@ A campaign is columnar from start to end: ``sample_boxes`` draws the boxes as
 its extrema as columns (``BoxRanges``) and ``_check`` computes every status and
 violation at once. ``VerificationReport`` keeps those columns and writes its
 document from them; its ``records``, one ``BoxRecord`` per box, are built on
-first access.
+first access. The oracle's margin target is ``delta / oracle.MARGIN_FRACTION``.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ from .expr import FuncExpr
 from .intervals import BoxRegion, Interval
 from .netio import format_box_text, parse_box_text
 from .network import Network, eval_abstract
-from .oracle import BoxRanges, CertifiedBound, certified_box_ranges
+from .oracle import MARGIN_FRACTION, BoxRanges, certified_box_ranges
 
-MARGIN_FRACTION = 8.0  # per-box oracle margin target: delta / 8
 LINE_BOXES = 1024  # boxes whose report lines are made from one conversion of the columns
 
 # The campaign samples all its boxes through this module-level name, which
@@ -62,8 +62,9 @@ class RunConfig:
 @dataclass(frozen=True)
 class BoxRecord:
     box: BoxRegion
-    cmin: CertifiedBound | None
-    cmax: CertifiedBound | None
+    vmin: float | None  # the oracle's columns, None for an inconclusive box
+    vmax: float | None
+    margin: float | None
     propagated: Interval | None
     lower_status: str  # holds | vacuous | fail | inconclusive
     upper_status: str  # holds | fail | inconclusive
@@ -105,17 +106,20 @@ class VerificationReport:
     @functools.cached_property
     def records(self) -> tuple[BoxRecord, ...]:
         records = []
-        for lo, hi, bounds, prop_lo, prop_hi, lower, upper, violation in zip(
-            self.lo.tolist(), self.hi.tolist(), map(self.ranges.bounds, range(len(self.lo))),
-            self.prop_lo.tolist(), self.prop_hi.tolist(), *self.status.tolist(),
+        r = self.ranges
+        for lo, hi, ok, vmin, vmax, margin, prop_lo, prop_hi, lower, upper, violation in zip(
+            self.lo.tolist(), self.hi.tolist(), r.ok.tolist(), r.vmin.tolist(), r.vmax.tolist(),
+            r.margin.tolist(), self.prop_lo.tolist(), self.prop_hi.tolist(), *self.status.tolist(),
             self.violation.tolist(),
         ):
             box = BoxRegion.from_pairs(list(zip(lo, hi)))
-            if bounds is None:
-                records.append(BoxRecord(box, None, None, None, "inconclusive", "inconclusive", 0.0))
+            if not ok:
+                records.append(BoxRecord(box, None, None, None, None, "inconclusive", "inconclusive", 0.0))
             else:
                 prop = Interval(prop_lo, prop_hi)
-                records.append(BoxRecord(box, *bounds, prop, STATUSES[lower], STATUSES[upper], violation))
+                records.append(
+                    BoxRecord(box, vmin, vmax, margin, prop, STATUSES[lower], STATUSES[upper], violation)
+                )
         return tuple(records)
 
     @property
@@ -285,6 +289,7 @@ def verify_network(net: Network, f: FuncExpr, config: RunConfig) -> Verification
     delta = network_delta(net)
     domain = network_domain(net)
     fd = f.with_domain(domain)
+    fd.lipschitz  # raises before any box is drawn when f has no finite bound on the domain
     lo, hi = sample_boxes(domain, config.boxes, config.seed)
     prop_lo, prop_hi = net.program.run(lo, hi)
     ranges = certified_box_range(fd, lo, hi, _margin_target(delta))

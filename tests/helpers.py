@@ -21,7 +21,10 @@ reference for the min gadget's closed form and for the documents built with it
 ``reference_sample_boxes`` and ``reference_check`` are the per-box references
 for the columnar campaign in ``boxcert.verify``: they draw one ``BoxRegion``
 at a time and check one box at a time in Python floats, as campaigns did
-before their boxes stayed arrays.
+before their boxes stayed arrays. ``reference_box_range`` is the per-box
+reference for ``oracle.certified_box_ranges``. All three, and
+``certified_range``, the oracle's one-row call, give a box's extrema as the
+oracle's columns do: ``(vmin, vmax, margin)``, or None over the sample cap.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from boxcert.expr import FuncExpr
 from boxcert.grids import GridSpec, RectCorners
 from boxcert.intervals import BoxRegion, Interval
 from boxcert.network import Network, NetworkBuilder, Node
-from boxcert.oracle import CertifiedBound, certified_box_range
+from boxcert.oracle import certified_box_ranges
 from boxcert.slicing import SliceSpec
 from boxcert.verify import BoxRecord
 
@@ -586,12 +589,13 @@ def reference_prune_maximal(rects: Sequence[HyperRect]) -> list[HyperRect]:
     return sorted(r for r, d in zip(items, dominated) if not d)
 
 
-def certified_box_min(f: FuncExpr, box: BoxRegion, target_margin: float) -> CertifiedBound:
-    return certified_box_range(f, box, target_margin)[0]
+Extrema = tuple[float, float, float]  # a box's (vmin, vmax, margin)
 
 
-def certified_box_max(f: FuncExpr, box: BoxRegion, target_margin: float) -> CertifiedBound:
-    return certified_box_range(f, box, target_margin)[1]
+def certified_range(f: FuncExpr, box: BoxRegion, target_margin: float) -> Extrema | None:
+    """One box through ``oracle.certified_box_ranges``: its ``(vmin, vmax, margin)``, or None over the cap."""
+    ranges = certified_box_ranges(f, *box_arrays([box]), target_margin)
+    return (ranges.vmin[0].item(), ranges.vmax[0].item(), ranges.margin[0].item()) if ranges.ok[0] else None
 
 
 def sample_cap(cap: int):
@@ -639,19 +643,19 @@ def reference_sample_boxes(domain: BoxRegion, count: int, seed: int) -> list[Box
 
 def reference_check(
     box: BoxRegion,
-    bounds: tuple[CertifiedBound, CertifiedBound] | None,
+    extrema: Extrema | None,
     prop_box: BoxRegion,
     delta: float,
     tolerance: float,
 ) -> BoxRecord:
     """The per-box reference for ``verify._check``: both inclusions of the sandwich in Python floats."""
-    if bounds is None:
-        return BoxRecord(box, None, None, None, "inconclusive", "inconclusive", 0.0)
-    cmin, cmax = bounds
+    if extrema is None:
+        return BoxRecord(box, None, None, None, None, "inconclusive", "inconclusive", 0.0)
+    vmin, vmax, margin = extrema
     prop = prop_box.bounds[0]
 
-    required_lo = cmin.hi + delta
-    required_hi = cmax.lo - delta
+    required_lo = vmin + delta
+    required_hi = vmax - delta
     violation = 0.0
     if required_lo > required_hi:
         lower_status = "vacuous"
@@ -664,8 +668,8 @@ def reference_check(
             lower_status = "fail"
             violation = max(violation, lo_gap, hi_gap)
 
-    bound_lo = cmin.lo - delta
-    bound_hi = cmax.hi + delta
+    bound_lo = vmin - margin - delta
+    bound_hi = vmax + margin + delta
     lo_gap = bound_lo - prop.lo
     hi_gap = prop.hi - bound_hi
     if lo_gap <= tolerance and hi_gap <= tolerance:
@@ -674,12 +678,10 @@ def reference_check(
         upper_status = "fail"
         violation = max(violation, lo_gap, hi_gap)
 
-    return BoxRecord(box, cmin, cmax, prop, lower_status, upper_status, violation)
+    return BoxRecord(box, vmin, vmax, margin, prop, lower_status, upper_status, violation)
 
 
-def reference_box_range(
-    f: FuncExpr, box: BoxRegion, target_margin: float
-) -> tuple[CertifiedBound, CertifiedBound] | None:
+def reference_box_range(f: FuncExpr, box: BoxRegion, target_margin: float) -> Extrema | None:
     """One box sampled on its own ``np.linspace``/``meshgrid`` lattice; None over ``oracle.SAMPLE_CAP``.
 
     The per-box reference for ``oracle.certified_box_ranges``: Python integer
@@ -698,5 +700,4 @@ def reference_box_range(
     vals = f.eval_many(pts)
     spacings = [b.width / n for b, n in zip(box.bounds, counts) if n > 0]
     margin = lipschitz * max(spacings, default=0.0) / 2.0
-    imin, imax = int(np.argmin(vals)), int(np.argmax(vals))
-    return CertifiedBound("min", float(vals[imin]), margin), CertifiedBound("max", float(vals[imax]), margin)
+    return float(vals[np.argmin(vals)]), float(vals[np.argmax(vals)]), margin

@@ -20,8 +20,8 @@ from boxcert.construct import BuildBudget, build_certified_network
 from boxcert.expr import parse_func
 from boxcert.intervals import BoxRegion
 from boxcert.network import NetworkBuilder, eval_abstract, eval_concrete, stats
-from boxcert.oracle import BoxRanges, CertifiedBound, certified_box_ranges
-from boxcert.verify import FAIL, INCONCLUSIVE, MARGIN_FRACTION, STATUSES, RunConfig, _check, verify_network
+from boxcert.oracle import MARGIN_FRACTION, BoxRanges, certified_box_ranges
+from boxcert.verify import FAIL, INCONCLUSIVE, STATUSES, RunConfig, _check, verify_network
 
 from helpers import (
     box_arrays,
@@ -241,15 +241,15 @@ def checked_boxes(draw):
 def test_sandwich_columns_equal_the_per_box_check(boxes, delta, tolerance):
     ok, vmin, vmax, margin, prop_lo, prop_hi = np.array(boxes, dtype=float).reshape(-1, 6).T
     ok = ok.astype(bool)
-    # as certified_box_ranges has them: zeros where a box is over the cap
-    ranges = BoxRanges(ok, *(np.where(ok, column, 0.0) for column in (vmin, vmax, margin)))
+    # as certified_box_ranges has them: zeros where a box is over the cap, and
+    # a sample count over it there
+    samples = np.where(ok, 1.0, math.inf)
+    ranges = BoxRanges(ok, *(np.where(ok, column, 0.0) for column in (vmin, vmax, margin)), samples)
     status, violation = _check(ranges, prop_lo[:, None], prop_hi[:, None], delta, tolerance)
     unit = BoxRegion.from_pairs([(0.0, 1.0)])
     for i, (ok_i, vmin_i, vmax_i, margin_i, lo_i, hi_i) in enumerate(boxes):
-        bounds = None
-        if ok_i:
-            bounds = (CertifiedBound("min", vmin_i, margin_i), CertifiedBound("max", vmax_i, margin_i))
-        want = reference_check(unit, bounds, BoxRegion.from_pairs([(lo_i, hi_i)]), delta, tolerance)
+        extrema = (vmin_i, vmax_i, margin_i) if ok_i else None
+        want = reference_check(unit, extrema, BoxRegion.from_pairs([(lo_i, hi_i)]), delta, tolerance)
         assert (STATUSES[status[0, i]], STATUSES[status[1, i]]) == (want.lower_status, want.upper_status)
         assert violation[i].hex() == want.violation.hex()
 

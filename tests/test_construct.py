@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxcert.construct import (
-    RECT_MARGIN_FRACTION,
     BuildBudget,
     BuildBudgetError,
     CellMinTable,
@@ -28,14 +27,15 @@ from boxcert.expr import parse_func
 from boxcert.grids import GridSpec, prune_maximal
 from boxcert.intervals import BoxRegion, Interval
 from boxcert.netio import deserialize, load, serialize
-from boxcert import construct, network
+from boxcert import construct, network, verify
 from boxcert.network import NetworkBuilder, eval_abstract, eval_concrete, stats
-from boxcert.oracle import OracleBudgetError, certified_box_range
+from boxcert.oracle import MARGIN_FRACTION
 from boxcert.slicing import SliceSpec, make_slice_spec
 from boxcert.verify import RunConfig, network_domain, verify_network
 from helpers import (
     HyperRect,
     append_min_bump,
+    certified_range,
     enumerate_rects,
     iv_subset,
     rect_corners,
@@ -59,7 +59,7 @@ def unit_box(dim):
 
 def member_rects(f, grid, spec, k):
     """Every grid rectangle of slice k before pruning, from the table the build fills."""
-    s = samples_per_cell_for(f.lipschitz, cell_density(grid, f.domain), spec.delta / RECT_MARGIN_FRACTION)
+    s = samples_per_cell_for(f.lipschitz, cell_density(grid, f.domain), spec.delta / MARGIN_FRACTION)
     counts = CellMinTable(f, grid, s).all_rect_mins(spec.levels)
     corners = np.argwhere(counts > k)
     return [HyperRect(tuple(c[: grid.dim]), tuple(c[grid.dim :])) for c in corners.tolist()]
@@ -168,8 +168,8 @@ class TestDeltaSets:
         spec = make_slice_spec(0.0, 1.0, 0.5)  # levels 0, .25, .5, .75, 1
         expected_members = []
         for rect in enumerate_rects(grid):
-            cmin, _ = certified_box_range(f, rect_hull(rect, grid), 1e-6)
-            if cmin.value >= 0.5:
+            vmin, _, _ = certified_range(f, rect_hull(rect, grid), 1e-6)
+            if vmin >= 0.5:
                 expected_members.append(rect)
         members = member_rects(f, grid, spec, 1)
         assert members == sorted(expected_members)
@@ -203,10 +203,11 @@ class TestCellMinTable:
             lower = tuple(rng.randint(0, 2) for _ in range(2))
             upper = tuple(rng.randint(l, 3) for l in lower)
             rect = HyperRect(lower, upper)
-            cmin, _ = certified_box_range(f, rect_hull(rect, grid), 0.01)
+            vmin, _, oracle_margin = certified_range(f, rect_hull(rect, grid), 0.01)
             # two levels bracket the sampled minimum: it clears the certified
             # lower end and stays below the certified value plus the margin
-            levels = (cmin.lo - 1.0, cmin.lo - 1e-12, cmin.value + margin + 1e-12)
+            floor = vmin - oracle_margin
+            levels = (floor - 1.0, floor - 1e-12, vmin + margin + 1e-12)
             assert table.all_rect_mins(levels)[table_index(rect)] == 1
 
     def test_table_equals_slab_minima(self):
@@ -330,15 +331,15 @@ class TestSliceDichotomy:
             a, b = sorted((rng.uniform(-2, 2), rng.uniform(-2, 2)))
             box = BoxRegion.from_pairs([(a, b)])
             unit = BoxRegion.from_pairs([((a + 2) / 4, (b + 2) / 4)])  # A: x -> (x - lo) / w
-            cmin, cmax = certified_box_range(f, box, spec.delta / 16)
+            vmin, vmax, margin = certified_range(f, box, spec.delta / 16)
             for k in range(spec.count):
                 n_k = slice_network(members[k], grid)
                 out = eval_abstract(n_k, unit).bounds[0]
-                if cmin.lo >= spec.levels[k + 1] + spec.half_delta:
+                if vmin - margin >= spec.levels[k + 1] + spec.half_delta:
                     assert out.lo == pytest.approx(1.0, abs=1e-9)
                     assert out.hi == pytest.approx(1.0, abs=1e-9)
                     checked_high += 1
-                if cmax.hi <= spec.levels[k] - spec.half_delta:
+                if vmax + margin <= spec.levels[k] - spec.half_delta:
                     assert out == Interval(0, 0)
                     checked_low += 1
         assert checked_high > 50 and checked_low > 50
@@ -434,7 +435,7 @@ class TestBuildCertifiedNetwork:
     def test_oracle_budget_is_honoured(self):
         # the range certification alone needs more samples than this cap
         f = parse_func(CUBIC, 1, BoxRegion.from_pairs([(-2, 2)]))
-        with sample_cap(200), pytest.raises(OracleBudgetError, match="budget"):
+        with sample_cap(200), pytest.raises(BuildBudgetError, match="budget"):
             build_certified_network(f, 8 / 5)
 
 
@@ -681,3 +682,30 @@ def test_slices_and_assembly_run_through_module_names(monkeypatch, expr, domain,
     build_certified_network(f, 0.4)
     assert calls["build_slice_network"] == int(assembled)
     assert calls["sum_outputs"] == int(assembled)
+
+
+@pytest.mark.parametrize("expr, domain, module, calls", [
+    (CUBIC, [(-2, 2)], construct, 1),
+    ("x0*x1", [(0, 1), (0, 1)], verify, 1),
+    ("3.5", [(0, 1), (0, 1)], construct, 0),
+], ids=["range-pass", "campaign", "constant"])
+def test_the_oracle_runs_through_module_names(monkeypatch, expr, domain, module, calls):
+    # The benchmark times the build's range pass and every campaign as the
+    # ``oracle.range`` span through these two names; a build with a Lipschitz
+    # bound of 0 needs no range.
+    seen = []
+
+    def counted(*args, _fn=module.certified_box_range):
+        seen.append(len(args[1]))
+        return _fn(*args)
+
+    f = parse_func(expr, len(domain), BoxRegion.from_pairs(domain))
+    if module is construct:
+        monkeypatch.setattr(construct, "certified_box_range", counted)
+        build_certified_network(f, 0.4)
+        assert seen == [1] * calls  # one row: the domain
+    else:
+        net, _ = build_certified_network(f, 0.4)
+        monkeypatch.setattr(verify, "certified_box_range", counted)
+        verify_network(net, f, RunConfig(boxes=50, seed=3))
+        assert seen == [50] * calls  # every box of the campaign at once

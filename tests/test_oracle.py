@@ -7,18 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from boxcert.construct import BuildBudgetError, build_certified_network
 from boxcert.expr import FuncExpr, parse_func
 from boxcert.intervals import BoxRegion
-from boxcert.oracle import (
-    SAMPLE_CAP,
-    OracleBudgetError,
-    _linspaces,
-    certified_box_range,
-    certified_box_ranges,
-    count_text,
-)
+from boxcert.oracle import SAMPLE_CAP, _linspaces, certified_box_ranges, count_text
 
-from helpers import box_arrays, certified_box_max, certified_box_min, reference_box_range, sample_cap
+from helpers import box_arrays, certified_range, reference_box_range, sample_cap
 
 CUBIC = "-x0*x0*x0 + 3*x0"
 DOMAIN = BoxRegion.from_pairs([(-2.0, 2.0)])
@@ -32,57 +26,54 @@ class TestCertifiedExtrema:
     def test_cubic_on_inner_box(self):
         f = cubic()
         box = BoxRegion.from_pairs([(-1.0, 1.0)])
-        cmin = certified_box_min(f, box, 0.01)
-        cmax = certified_box_max(f, box, 0.01)
+        vmin, vmax, margin = certified_range(f, box, 0.01)
         # the extrema sit on the box corners, which are always sampled
-        assert cmin.value == -2.0
-        assert cmax.value == 2.0
-        assert 0 < cmin.margin <= 0.01
-        assert cmin.lo <= -2.0 <= cmin.hi
-        assert cmax.lo <= 2.0 <= cmax.hi
+        assert vmin == -2.0
+        assert vmax == 2.0
+        assert 0 < margin <= 0.01
 
     def test_constant_needs_one_sample(self):
         f = parse_func("5", 2, BoxRegion.from_pairs([(0, 1), (0, 1)]))
-        cmin, cmax = certified_box_range(f, f.domain, 0.5)
-        assert cmin.value == cmax.value == 5.0
-        assert cmin.margin == 0.0 and cmax.margin == 0.0
+        assert certified_range(f, f.domain, 0.5) == (5.0, 5.0, 0.0)
 
     def test_monotone_linear(self):
         f = parse_func("x0", 1, BoxRegion.from_pairs([(0.0, 1.0)]))
         box = BoxRegion.from_pairs([(0.3, 0.8)])
-        cmin, cmax = certified_box_range(f, box, 0.01)
-        assert cmin.value == 0.3
-        assert cmax.value == 0.8
+        vmin, vmax, _ = certified_range(f, box, 0.01)
+        assert vmin == 0.3
+        assert vmax == 0.8
 
     def test_tie_reports_first_lexicographic_point(self):
         # the minimum 0 is 0.0 at (-1, 0), first in lattice order, and -0.0
         # along x0 = 0, where np.min would take it from: the reported minimum
         # is the first point's value, as np.argmin picks it
         f = parse_func("-(x0*x1)", 2, BoxRegion.from_pairs([(-1, 0), (0, 1)]))
-        cmin = certified_box_min(f, f.domain, 0.25)
-        assert cmin.value.hex() == "0x0.0p+0"
+        vmin, _, _ = certified_range(f, f.domain, 0.25)
+        assert vmin.hex() == "0x0.0p+0"
 
     def test_rejects_bad_margin(self):
         with pytest.raises(ValueError):
-            certified_box_min(cubic(), DOMAIN, 0.0)
+            certified_range(cubic(), DOMAIN, 0.0)
 
     def test_rejects_nan_margin(self):
         with pytest.raises(ValueError, match="target margin must be positive"):
-            certified_box_min(cubic(), DOMAIN, float("nan"))
+            certified_range(cubic(), DOMAIN, float("nan"))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            certified_box_min(cubic(), BoxRegion.from_pairs([(0, 1), (0, 1)]), 0.1)
+            certified_range(cubic(), BoxRegion.from_pairs([(0, 1), (0, 1)]), 0.1)
 
     def test_budget_exceeded(self):
-        with sample_cap(1000), pytest.raises(OracleBudgetError, match="fixed budget is 1000; raise delta"):
-            certified_box_min(cubic(), DOMAIN, 1e-9)
+        with sample_cap(1000):
+            ranges = certified_box_ranges(cubic(), *box_arrays([DOMAIN]), 1e-9)
+            assert not ranges.ok[0] and ranges.samples[0] > 1000
+            # the build's range pass certifies to delta / 16 and refuses with the count
+            with pytest.raises(BuildBudgetError, match="fixed budget is 1000; raise delta"):
+                build_certified_network(cubic(), 1.6e-8)
 
     def test_degenerate_box(self):
         f = cubic()
-        cmin, cmax = certified_box_range(f, BoxRegion.point([0.5]), 0.01)
-        assert cmin.value == cmax.value == f.eval([0.5])
-        assert cmin.margin == 0.0
+        assert certified_range(f, BoxRegion.point([0.5]), 0.01) == (f.eval([0.5]),) * 2 + (0.0,)
 
 
 class TestEnclosureProperty:
@@ -95,12 +86,12 @@ class TestEnclosureProperty:
         for _ in range(300):
             a, b = sorted((rng.uniform(-2, 2), rng.uniform(-2, 2)))
             box = BoxRegion.from_pairs([(a, b)])
-            coarse_min, coarse_max = certified_box_range(f, box, 0.1)
-            fine_min, fine_max = certified_box_range(f, box, 0.002)
-            assert coarse_min.lo - 1e-12 <= fine_min.value <= coarse_min.hi + fine_min.margin + 1e-12
-            assert coarse_max.lo - fine_max.margin - 1e-12 <= fine_max.value <= coarse_max.hi + 1e-12
+            coarse_min, coarse_max, coarse = certified_range(f, box, 0.1)
+            fine_min, fine_max, fine = certified_range(f, box, 0.002)
+            assert coarse_min - coarse - 1e-12 <= fine_min <= coarse_min + fine + 1e-12
+            assert coarse_max - fine - 1e-12 <= fine_max <= coarse_max + coarse + 1e-12
             # and the two certificates must overlap
-            assert fine_min.lo <= coarse_min.hi + 1e-12 and coarse_min.lo <= fine_min.hi + 1e-12
+            assert fine_min - fine <= coarse_min + 1e-12 and coarse_min - coarse <= fine_min + 1e-12
 
     def test_certificate_encloses_dense_scan_2d(self):
         f = parse_func("x0*x1 - min(x0, x1)", 2, BoxRegion.from_pairs([(0, 1), (0, 1)]))
@@ -111,14 +102,14 @@ class TestEnclosureProperty:
                 a, b = sorted((rng.uniform(0, 1), rng.uniform(0, 1)))
                 pairs.append((a, b))
             box = BoxRegion.from_pairs(pairs)
-            cmin, cmax = certified_box_range(f, box, 0.05)
+            vmin, _, margin = certified_range(f, box, 0.05)
             best = min(
                 f.eval([x, y])
                 for x in (box[0].lo, box[0].hi, rng.uniform(box[0].lo, box[0].hi))
                 for y in (box[1].lo, box[1].hi, rng.uniform(box[1].lo, box[1].hi))
             )
-            assert cmin.lo - 1e-12 <= best
-            assert best >= cmin.lo  # sampled values can never beat the certificate floor
+            assert vmin - margin - 1e-12 <= best
+            assert best >= vmin - margin  # sampled values can never beat the certificate floor
 
 
 # (expression, dimension): a constant (Lipschitz bound 0), ties, kinks and a
@@ -158,8 +149,14 @@ def sampled_box(draw, dim):
     return BoxRegion.from_pairs(pairs)
 
 
-def hexes(bound):
-    return (bound.kind, bound.value.hex(), bound.margin.hex())
+def hexes(extrema):
+    """``(vmin, vmax, margin)`` by bit pattern, or None over the cap."""
+    return extrema and [float(v).hex() for v in extrema]
+
+
+def columns(ranges, i):
+    """Box ``i``'s entries of the oracle's columns as ``(vmin, vmax, margin)``, or None over the cap."""
+    return (ranges.vmin[i], ranges.vmax[i], ranges.margin[i]) if ranges.ok[i] else None
 
 
 class TestBatchedRanges:
@@ -176,32 +173,32 @@ class TestBatchedRanges:
             ranges = certified_box_ranges(f, *box_arrays(boxes), target)
             assert len(ranges.ok) == len(boxes)
             for i, box in enumerate(boxes):
-                got = ranges.bounds(i)
                 want = reference_box_range(f, box, target)
-                if want is None:
-                    assert got is None
-                    with pytest.raises(OracleBudgetError):
-                        certified_box_range(f, box, target)
-                    continue
-                one = certified_box_range(f, box, target)
-                assert [hexes(b) for b in got] == [hexes(b) for b in want] == [hexes(b) for b in one]
+                assert hexes(columns(ranges, i)) == hexes(want) == hexes(certified_range(f, box, target))
+                assert (ranges.samples[i] <= cap) == (want is not None)
 
     def test_sample_count_beyond_int64_is_over_budget(self):
         f = parse_func("x0*x1", 2, BoxRegion.from_pairs([(0.0, 1.0)] * 2))
         huge = BoxRegion.from_pairs([(-1e10, 1e10)] * 2)
         unit = BoxRegion.from_pairs([(0.0, 1.0)] * 2)
         with sample_cap(2**62):
-            assert certified_box_ranges(f, *box_arrays([huge, unit]), 0.1).ok.tolist() == [False, True]
-            with pytest.raises(OracleBudgetError) as err:
-                certified_box_range(f, huge, 0.1)
-        assert err.value.needed > 2**63
-        assert re.search(r"needs \d\.\d{3}e\+\d+ samples", str(err.value))  # the exact count stays in ``needed``
+            ranges = certified_box_ranges(f, *box_arrays([huge, unit]), 0.1)
+            assert ranges.ok.tolist() == [False, True]
+            assert ranges.samples[0] > 2**63
+            # the build's range pass certifies the huge domain to delta / 16 = 0.1
+            with pytest.raises(BuildBudgetError) as err:
+                build_certified_network(parse_func("x0*x1", 2, huge), 1.6)
+        assert re.search(r"needs \d\.\d{3}e\+\d+ samples but the fixed budget is 4611686018427387904;", str(err.value))
 
     def test_counts_past_10_to_the_15_print_in_short(self):
         assert count_text(10**15) == "1000000000000000"
         assert count_text(10**15 + 1) == "1.000e+15"
         assert count_text(15 * 10**600 + 7) == "1.500e+601"
         assert count_text(math.inf) == "inf"
+        # the oracle's sample counts are floats
+        assert count_text(17850625.0) == "17850625"
+        assert count_text(float("inf")) == "inf"
+        assert count_text(4.00000000004e22) == "4.000e+22"
 
     def test_one_evaluation_per_pass(self, monkeypatch):
         f = parse_func("-x0*x0*x0 + 3*x0", 1, DOMAIN)
@@ -230,14 +227,13 @@ class TestBatchedRanges:
         boxes = [BoxRegion.from_pairs([(1.3e154, 1.4e154)]), BoxRegion.from_pairs([(0.0, 1e154)])]
         with np.errstate(over="ignore", invalid="ignore"):
             ranges = certified_box_ranges(f, *box_arrays(boxes), 1e307)
-            got = [ranges.bounds(i) for i in range(len(boxes))]
             want = [reference_box_range(f, box, 1e307) for box in boxes]
-        assert math.isnan(got[0][0].value) and got[1][0].value == 0.0
-        assert [[hexes(b) for b in bounds] for bounds in got] == [[hexes(b) for b in bounds] for bounds in want]
+        assert math.isnan(ranges.vmin[0]) and ranges.vmin[1] == 0.0
+        assert [hexes(columns(ranges, i)) for i in range(len(boxes))] == [hexes(w) for w in want]
 
     def test_empty_campaign(self):
         ranges = certified_box_ranges(cubic(), np.empty((0, 1)), np.empty((0, 1)), 0.1)
-        assert [column.shape for column in ranges] == [(0,), (0,), (0,), (0,)]
+        assert [column.shape for column in ranges] == [(0,)] * 5
 
     @settings(max_examples=200, deadline=None)
     @example(lo=0.0, width=5e-324, n=3)  # a step that underflows to zero

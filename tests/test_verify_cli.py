@@ -406,6 +406,23 @@ class TestCli:
         assert err.startswith("error: the Lipschitz bound of ") and err.count("\n") == 1
         assert err.endswith(f" on the domain {domain_text} is not a finite double\n")
 
+    def test_verify_reads_the_lipschitz_bound_before_drawing_boxes(self, tmp_path, capsys, monkeypatch):
+        # with no finite bound, a campaign of any size exits 3 before it
+        # draws or propagates a box
+        path = str(tmp_path / "x.net")
+        assert main(["build", "--expr", "x0 - x1", "--domain", "0,1;0,1", "--delta", "0.5", "--out", path]) == 0
+        capsys.readouterr()
+
+        def refuse(*args):
+            raise AssertionError("boxes drawn before the Lipschitz bound was read")
+
+        monkeypatch.setattr(verify, "sample_boxes", refuse)
+        code = main(["verify", "--net", path, "--expr", "x0*1e308 - x1*1e308", "--boxes", "200000"])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: the Lipschitz bound of x0*1e+308 - x1*1e+308 on the domain 0.0,1.0;0.0,1.0 is not a finite double\n"
+        )
+
     def test_budget_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BOXCERT_BUDGET", "10")
         code = main(

@@ -31,9 +31,6 @@ EXIT_FAILURES = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
 
-class _UsageError(Exception):
-    pass
-
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
@@ -42,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d|\.\d)")
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _budget(flag: int | None) -> BuildBudget:
@@ -53,12 +50,12 @@ def _budget(flag: int | None) -> BuildBudget:
         try:
             cap = int(raw)
         except ValueError:
-            raise _UsageError(f"BOXCERT_BUDGET must be an integer, got {raw!r}") from None
+            raise ValueError(f"BOXCERT_BUDGET must be an integer, got {raw!r}") from None
         if cap < 1:
-            raise _UsageError(f"BOXCERT_BUDGET must be at least 1, got {cap}")
+            raise ValueError(f"BOXCERT_BUDGET must be at least 1, got {cap}")
     if flag is not None:
         if flag < 1:
-            raise _UsageError(f"--budget must be at least 1, got {flag}")
+            raise ValueError(f"--budget must be at least 1, got {flag}")
         cap = flag
     return BuildBudget(cap)
 
@@ -121,7 +118,7 @@ def _expression_text(args: argparse.Namespace) -> str:
 def _cmd_build(args: argparse.Namespace) -> int:
     domain = parse_box_text(args.domain)
     if not args.delta > 0:
-        raise _UsageError("delta must be positive")
+        raise ValueError("delta must be positive")
     f = parse_func(_expression_text(args), domain.dim, domain)
     net, report = build_certified_network(f, args.delta, _budget(args.budget))
     netio.save(net, args.out)
@@ -168,9 +165,9 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
 def _cmd_plot_data(args: argparse.Namespace) -> int:
     net = netio.load(args.net)
     if net.input_dim > 2:
-        raise _UsageError("plot-data supports 1- or 2-dimensional inputs only")
+        raise ValueError("plot-data supports 1- or 2-dimensional inputs only")
     if args.samples < 2:
-        raise _UsageError("need at least two samples per dimension")
+        raise ValueError("need at least two samples per dimension")
     if args.domain:
         domain = parse_box_text(args.domain)
     else:
@@ -225,9 +222,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BuildBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

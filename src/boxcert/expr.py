@@ -5,11 +5,14 @@ binary ``+``/``-``)::
 
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
-    factor := '-' factor | atom
+    factor := ('-' | '+') factor | atom
     atom   := number | 'x'<k> | fn '(' expr (',' expr)? ')' | '(' expr ')'
     fn     := 'min' | 'max' | 'relu' | 'abs'
 
-Numbers are decimal (``1.5``, ``2e-3``) or hex floats (``0x1.8p0``). There is
+Numbers are decimal (``1.5``, ``2e-3``) or hex floats (``0x1.8p0``), and each
+must be a finite double. A parsed expression has three node shapes: ``Const``,
+``Var``, and ``Op``, an operator named ``+ - * neg min max relu abs`` applied
+to its operands; each walk below dispatches on the operator name. There is
 no division and no transcendental function, which keeps the derivative-based
 Lipschitz analysis total: ``enclose`` walks the expression once and returns
 interval enclosures of its value and of every partial derivative over a box,
@@ -20,9 +23,10 @@ raises ``ValueError`` naming the domain.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -52,58 +56,21 @@ class Var(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
+class Op(Expr):
+    """An operator applied to its operands: ``name`` is one of ``+ - * neg min max relu abs``."""
 
-
-@dataclass(frozen=True, slots=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, slots=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, slots=True)
-class Neg(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True, slots=True)
-class Min(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, slots=True)
-class Max(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, slots=True)
-class Relu(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True, slots=True)
-class Abs(Expr):
-    arg: Expr
+    name: str
+    args: tuple[Expr, ...]
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<hex>[+]?0[xX][0-9a-fA-F]+(?:\.[0-9a-fA-F]*)?(?:[pP][+-]?\d+)?)"
+    r"\s*(?:(?P<hex>0[xX][0-9a-fA-F]+(?:\.[0-9a-fA-F]*)?(?:[pP][+-]?\d+)?)"
     r"|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*(),]))"
 )
 
-_FUNCTIONS = {"min": (Min, 2), "max": (Max, 2), "relu": (Relu, 1), "abs": (Abs, 1)}
+_ARITY = {"min": 2, "max": 2, "relu": 1, "abs": 1}
 
 
 class _Parser:
@@ -149,8 +116,7 @@ class _Parser:
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] in "+-":
                 self.take()
-                rhs = self.term()
-                e = Add(e, rhs) if tok[1] == "+" else Sub(e, rhs)
+                e = Op(tok[1], (e, self.term()))
             else:
                 return e
 
@@ -160,7 +126,7 @@ class _Parser:
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] == "*":
                 self.take()
-                e = Mul(e, self.factor())
+                e = Op("*", (e, self.factor()))
             else:
                 return e
 
@@ -168,7 +134,7 @@ class _Parser:
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.take()
-            return Neg(self.factor())
+            return Op("neg", (self.factor(),))
         if tok and tok[0] == "op" and tok[1] == "+":
             self.take()
             return self.factor()
@@ -179,17 +145,20 @@ class _Parser:
         if tok is None:
             raise self.error("unexpected end of expression")
         kind, text = tok
-        if kind == "num":
-            return Const(float(text))
-        if kind == "hex":
-            return Const(float.fromhex(text))
+        if kind in ("num", "hex"):
+            try:
+                value = float.fromhex(text) if kind == "hex" else float(text)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise self.error(f"number {text} is not a finite double")
+            return Const(value)
         if kind == "op" and text == "(":
             e = self.expr()
             self.expect(")")
             return e
         if kind == "name":
-            if text in _FUNCTIONS:
-                ctor, arity = _FUNCTIONS[text]
+            if text in _ARITY:
                 self.expect("(")
                 args = [self.expr()]
                 while True:
@@ -200,9 +169,9 @@ class _Parser:
                     else:
                         break
                 self.expect(")")
-                if len(args) != arity:
-                    raise self.error(f"{text} takes {arity} argument(s), got {len(args)}")
-                return ctor(*args)
+                if len(args) != _ARITY[text]:
+                    raise self.error(f"{text} takes {_ARITY[text]} argument(s), got {len(args)}")
+                return Op(text, tuple(args))
             m = re.fullmatch(r"x(\d+)", text)
             if m:
                 index = int(m.group(1))
@@ -219,29 +188,28 @@ def parse_expr(source: str, dim: int) -> Expr:
     return _Parser(source, dim).parse()
 
 
+# Each operator writes into its first operand, a fresh array that the walk owns.
+_UFUNCS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "neg": np.negative,
+    "min": np.minimum,
+    "max": np.maximum,
+    # np.maximum returns its second operand on a tie, so relu(-0.0) is -0.0
+    "relu": lambda a, out: np.maximum(0.0, a, out=out),
+    "abs": np.abs,
+}
+
+
 def eval_expr_many(e: Expr, pts: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over an (n, m) array of points."""
     if isinstance(e, Const):
         return np.full(pts.shape[0], e.value)
     if isinstance(e, Var):
         return pts[:, e.index].astype(float, copy=True)
-    if isinstance(e, Add):
-        return eval_expr_many(e.left, pts) + eval_expr_many(e.right, pts)
-    if isinstance(e, Sub):
-        return eval_expr_many(e.left, pts) - eval_expr_many(e.right, pts)
-    if isinstance(e, Mul):
-        return eval_expr_many(e.left, pts) * eval_expr_many(e.right, pts)
-    if isinstance(e, Neg):
-        return -eval_expr_many(e.arg, pts)
-    if isinstance(e, Min):
-        return np.minimum(eval_expr_many(e.left, pts), eval_expr_many(e.right, pts))
-    if isinstance(e, Max):
-        return np.maximum(eval_expr_many(e.left, pts), eval_expr_many(e.right, pts))
-    if isinstance(e, Relu):
-        return np.maximum(0.0, eval_expr_many(e.arg, pts))
-    if isinstance(e, Abs):
-        return np.abs(eval_expr_many(e.arg, pts))
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+    args = [eval_expr_many(a, pts) for a in e.args]
+    return _UFUNCS[e.name](*args, out=args[0])
 
 
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_ATOM = 1, 2, 3, 4
@@ -252,31 +220,22 @@ def to_source(e: Expr) -> str:
     return _render(e, 0)
 
 
+# an infix operator's separator, its level (also its left operand's) and its right operand's level
+_INFIX = {"+": (" + ", _LEVEL_ADD, _LEVEL_MUL), "-": (" - ", _LEVEL_ADD, _LEVEL_MUL), "*": ("*", _LEVEL_MUL, _LEVEL_NEG)}
+
+
 def _render(e: Expr, min_level: int) -> str:
     if isinstance(e, Const):
-        text, level = repr(e.value), _LEVEL_ATOM
-        if e.value < 0:
-            level = _LEVEL_NEG
+        text, level = repr(e.value), _LEVEL_NEG if e.value < 0 else _LEVEL_ATOM
     elif isinstance(e, Var):
         text, level = f"x{e.index}", _LEVEL_ATOM
-    elif isinstance(e, Add):
-        text, level = f"{_render(e.left, _LEVEL_ADD)} + {_render(e.right, _LEVEL_MUL)}", _LEVEL_ADD
-    elif isinstance(e, Sub):
-        text, level = f"{_render(e.left, _LEVEL_ADD)} - {_render(e.right, _LEVEL_MUL)}", _LEVEL_ADD
-    elif isinstance(e, Mul):
-        text, level = f"{_render(e.left, _LEVEL_MUL)}*{_render(e.right, _LEVEL_NEG)}", _LEVEL_MUL
-    elif isinstance(e, Neg):
-        text, level = f"-{_render(e.arg, _LEVEL_ATOM)}", _LEVEL_NEG
-    elif isinstance(e, Min):
-        text, level = f"min({to_source(e.left)}, {to_source(e.right)})", _LEVEL_ATOM
-    elif isinstance(e, Max):
-        text, level = f"max({to_source(e.left)}, {to_source(e.right)})", _LEVEL_ATOM
-    elif isinstance(e, Relu):
-        text, level = f"relu({to_source(e.arg)})", _LEVEL_ATOM
-    elif isinstance(e, Abs):
-        text, level = f"abs({to_source(e.arg)})", _LEVEL_ATOM
+    elif e.name in _INFIX:
+        sep, level, right = _INFIX[e.name]
+        text = f"{_render(e.args[0], level)}{sep}{_render(e.args[1], right)}"
+    elif e.name == "neg":
+        text, level = f"-{_render(e.args[0], _LEVEL_ATOM)}", _LEVEL_NEG
     else:
-        raise TypeError(f"unknown expression node {type(e).__name__}")
+        text, level = f"{e.name}({', '.join(map(to_source, e.args))})", _LEVEL_ATOM
     return f"({text})" if level < min_level else text
 
 
@@ -315,48 +274,34 @@ def enclose(e: Expr, bounds: Sequence[Interval]) -> tuple[Interval, tuple[Interv
         return Interval.point(e.value), (_ZERO,) * len(bounds)
     if isinstance(e, Var):
         return bounds[e.index], tuple([_ONE if k == e.index else _ZERO for k in range(len(bounds))])
-    if isinstance(e, Neg):
-        va, da = enclose(e.arg, bounds)
+    (va, da), *rest = [enclose(a, bounds) for a in e.args]
+    if e.name == "neg":
         return _neg(va), tuple(map(_neg, da))
-    if isinstance(e, Relu):
-        va, da = enclose(e.arg, bounds)
+    if e.name == "relu":
         value = Interval(max(0.0, va.lo), max(0.0, va.hi))
         if va.lo >= 0:
             return value, da
         if va.hi <= 0:
             return value, (_ZERO,) * len(bounds)
         return value, tuple([_hull(d, _ZERO) for d in da])
-    if isinstance(e, Abs):
-        va, da = enclose(e.arg, bounds)
+    if e.name == "abs":
         if va.lo >= 0:
             return va, da
         if va.hi <= 0:
             return _neg(va), tuple(map(_neg, da))
         return Interval(0.0, max(-va.lo, va.hi)), tuple([_hull(d, _neg(d)) for d in da])
-    if not isinstance(e, (Add, Sub, Mul, Min, Max)):
-        raise TypeError(f"unknown expression node {type(e).__name__}")
-    va, da = enclose(e.left, bounds)
-    vb, db = enclose(e.right, bounds)
-    if isinstance(e, Add):
-        return _add(va, vb), tuple(map(_add, da, db))
-    if isinstance(e, Sub):
-        return _sub(va, vb), tuple(map(_sub, da, db))
-    if isinstance(e, Mul):
+    vb, db = rest[0]
+    if e.name in ("+", "-"):
+        combine = _add if e.name == "+" else _sub
+        return combine(va, vb), tuple(map(combine, da, db))
+    if e.name == "*":
         return _mul(va, vb), tuple([_add(_mul(va, b), _mul(a, vb)) for a, b in zip(da, db)])
-    pick = min if isinstance(e, Min) else max
+    pick = min if e.name == "min" else max
     value = Interval(pick(va.lo, vb.lo), pick(va.hi, vb.hi))
     if va.hi <= vb.lo or vb.hi <= va.lo:
         # one branch is active on the whole box: the lower one for min, the higher one for max
-        return value, da if (va.hi <= vb.lo) == isinstance(e, Min) else db
+        return value, da if (va.hi <= vb.lo) == (e.name == "min") else db
     return value, tuple(map(_hull, da, db))
-
-
-def lipschitz_bound_expr(e: Expr, bounds: Sequence[Interval]) -> float:
-    """Certified sup-norm Lipschitz bound: sum over coordinates of sup |partial|."""
-    total = 0.0
-    for d in enclose(e, bounds)[1]:
-        total += max(abs(d.lo), abs(d.hi))
-    return total
 
 
 @dataclass
@@ -366,26 +311,26 @@ class FuncExpr:
     expr: Expr
     dim: int
     domain: BoxRegion
-    _lipschitz: float | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.domain.dim != self.dim:
             raise ValueError(f"domain is {self.domain.dim}-d but expression expects {self.dim}-d")
 
-    @property
+    @functools.cached_property
     def lipschitz(self) -> float:
-        if self._lipschitz is None:
-            try:
-                bound = lipschitz_bound_expr(self.expr, self.domain.bounds)
-            except ValueError:  # an enclosure left the finite doubles
-                bound = math.inf
-            if not math.isfinite(bound):
-                raise ValueError(
-                    f"the Lipschitz bound of {self.source} on the domain "
-                    f"{format_box_text(self.domain, hex_floats=False)} is not a finite double"
-                )
-            self._lipschitz = bound
-        return self._lipschitz
+        """Certified sup-norm Lipschitz bound on the domain: the sum over coordinates of sup |partial|."""
+        bound = 0.0
+        try:
+            for d in enclose(self.expr, self.domain.bounds)[1]:
+                bound += max(abs(d.lo), abs(d.hi))
+        except ValueError:  # an enclosure left the finite doubles
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise ValueError(
+                f"the Lipschitz bound of {self.source} on the domain "
+                f"{format_box_text(self.domain, hex_floats=False)} is not a finite double"
+            )
+        return bound
 
     def eval(self, x: Sequence[float]) -> float:
         """f at one point: the one-point case of ``eval_many``."""

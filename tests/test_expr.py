@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -6,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxcert.cli import EXIT_USAGE, main
 from boxcert.expr import (
+    Const,
     FuncExpr,
+    Op,
     ParseError,
     enclose,
     eval_expr_many,
@@ -52,6 +56,17 @@ class TestParse:
 
     def test_hex_literal(self):
         assert parse_func("0x1.8p0 * x0", 1, WIDE).eval([2.0]) == 3.0
+
+    @pytest.mark.parametrize("literal", ["0x1p2000", "1e400", "9" * 400])
+    def test_number_that_is_not_a_finite_double(self, literal):
+        # 0x1p2000 overflows float.fromhex; the decimals round to inf
+        with pytest.raises(ParseError, match=re.escape(f"number {literal} is not a finite double")):
+            parse_expr(f"x0 + {literal}*x0", 1)
+
+    def test_binary_plus_before_a_hex_literal(self):
+        assert parse_expr("x0+0x1p0", 1) == parse_expr("x0 + 0x1p0", 1) == Op("+", (parse_expr("x0", 1), Const(1.0)))
+        assert parse_expr("+0x1p0*x0", 1) == Op("*", (Const(1.0), parse_expr("x0", 1)))
+        assert parse_expr("2*+0x1p0", 1) == Op("*", (Const(2.0), Const(1.0)))
 
     def test_stray_characters(self):
         with pytest.raises(ParseError):
@@ -225,6 +240,122 @@ class TestFuncExpr:
         f = parse_func(CUBIC, 1, WIDE)
         assert f.with_domain(BoxRegion.from_pairs([(b.lo, b.hi) for b in WIDE.bounds])) is f
 
+    def test_the_lipschitz_bound_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            FuncExpr(parse_expr("x0*x0", 1), 1, WIDE, 0.0)
+
+    def test_equal_functions_stay_equal_after_one_reads_its_bound(self):
+        f, g = parse_func(CUBIC, 1, WIDE), parse_func(CUBIC, 1, WIDE)
+        assert f.lipschitz == 15.0
+        assert f == g
+
     def test_source_round_trip(self):
         f = parse_func(CUBIC, 1, WIDE)
         assert parse_func(f.source, 1, WIDE).eval([0.5]) == f.eval([0.5])
+
+
+def _random_source(rng: random.Random, dim: int, depth: int) -> str:
+    """One grammatical expression: sums of products of signed factors, calls and parentheses."""
+
+    def literal() -> str:
+        kind = rng.randrange(4)
+        if kind == 0:
+            return str(rng.randrange(10))
+        if kind == 1:
+            return f"{rng.uniform(0, 4):.{rng.randrange(1, 5)}f}"
+        if kind == 2:
+            return f"{rng.randrange(1, 10)}e{rng.randrange(-3, 3)}"
+        return rng.uniform(0, 4).hex() if rng.random() < 0.5 else f"0x{rng.randrange(1, 16):x}p{rng.randrange(-4, 4)}"
+
+    def atom(d: int) -> str:
+        r = rng.random()
+        if d <= 0 or r < 0.3:
+            return f"x{rng.randrange(dim)}" if rng.random() < 0.6 else literal()
+        if r < 0.5:
+            return f"({expr(d - 1)})"
+        name = rng.choice(["min", "max", "relu", "abs"])
+        args = [expr(d - 1) for _ in range(2 if name in ("min", "max") else 1)]
+        return f"{name}({', '.join(args)})"
+
+    def factor(d: int) -> str:
+        r = rng.random()
+        if r < 0.15:
+            return "-" + factor(d)
+        if r < 0.2:
+            return "+" + factor(d)
+        return atom(d)
+
+    def term(d: int) -> str:
+        return rng.choice(["*", " * "]).join(factor(d) for _ in range(rng.randrange(1, 3)))
+
+    def expr(d: int) -> str:
+        text = term(d)
+        for _ in range(rng.randrange(2)):
+            text += rng.choice([" + ", " - "]) + term(d)
+        return text
+
+    return expr(depth)
+
+
+def _random_domain(rng: random.Random, dim: int) -> BoxRegion:
+    if rng.random() < 0.05:
+        return BoxRegion.from_pairs([(-1e300, 1e300)] * dim)
+    pairs = []
+    for _ in range(dim):
+        lo = round(rng.uniform(-3, 3), rng.randrange(4))
+        pairs.append((lo, lo + rng.choice([0.0, 0.5, round(rng.uniform(0, 4), 3)])))
+    return BoxRegion.from_pairs(pairs)
+
+
+def _digest_line(f: FuncExpr, pts: np.ndarray) -> bytes:
+    def hexes(iv: Interval) -> str:
+        return f"{iv.lo.hex()},{iv.hi.hex()}"
+
+    try:
+        lipschitz = f.lipschitz.hex()
+    except ValueError as exc:
+        lipschitz = str(exc)
+    try:
+        value, partials = enclose(f.expr, f.domain.bounds)
+        enclosures = " ".join(hexes(iv) for iv in (value, *partials))
+    except ValueError as exc:
+        enclosures = str(exc)
+    with np.errstate(all="ignore"):
+        values = f.eval_many(pts).tobytes()
+    return f"{f.source}|{lipschitz}|{enclosures}|".encode() + values + b"\n"
+
+
+class TestRandomExpressionDigest:
+    # a sha256 over 3,000 seeded expressions: each one's printed form, its
+    # Lipschitz bound (or its error), its value and partial enclosures, and its
+    # values at sampled points and at signed zeros
+    DIGEST = "0f4609193bfedbb24de7043e004096c54e26f2f335365f638cc85813a662fb43"
+
+    def test_printing_bounds_enclosures_and_values_are_unchanged(self):
+        rng = random.Random(2019)
+        h = hashlib.sha256()
+        for _ in range(3000):
+            dim = rng.randrange(1, 4)
+            domain = _random_domain(rng, dim)
+            f = parse_func(_random_source(rng, dim, rng.randrange(4)), dim, domain)
+            zeros = [[0.0] * dim, [-0.0] * dim, [(-0.0 if k % 2 else 0.0) for k in range(dim)]]
+            sampled = [[rng.uniform(b.lo, b.hi) for b in domain.bounds] for _ in range(5)]
+            h.update(_digest_line(f, np.array(zeros + sampled)))
+        assert h.hexdigest() == self.DIGEST
+
+
+class TestLiteralsAtTheCommandLine:
+    @pytest.mark.parametrize("source, literal", [("0x1p2000*x0", "0x1p2000"), ("x0 + 1e400", "1e400")])
+    def test_build_and_verify_exit_3_naming_the_literal(self, tmp_path, capsys, source, literal):
+        net = str(tmp_path / "x.net")
+        assert main(["build", "--expr", "x0", "--domain", "0,1", "--delta", "0.5", "--out", net]) == 0
+        capsys.readouterr()
+        for argv in (
+            ["build", "--expr", source, "--domain", "0,1", "--delta", "0.5", "--out", str(tmp_path / "y.net")],
+            ["verify", "--net", net, "--expr", source, "--boxes", "10"],
+        ):
+            assert main(argv) == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: number {literal} is not a finite double (at position ")
+            assert err.count("\n") == 1
